@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .kinematics import (
@@ -299,6 +298,10 @@ def _cmd_scan(args: argparse.Namespace) -> str:
     if jobs == 1:
         rows = [_scan_cell_task(t) for t in tasks]
     else:
+        # imported here: multiprocessing adds ~2 MB and start-up time to
+        # every command, and only a parallel scan uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_cell_task, tasks, chunksize=chunk))

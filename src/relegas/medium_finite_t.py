@@ -11,7 +11,8 @@ integrable singularities at the kinematic window edges, which are handed
 to the quadrature engine as breakpoints.  Imaginary parts are integrals
 of polynomial kernels over the part of the kinematic window below the
 occupation cutoff; they vanish identically in region II, where no real
-absorption process exists.
+absorption process exists.  All five integrals are one vector-valued
+quadrature pass over shared nodes.
 """
 
 from __future__ import annotations
@@ -76,17 +77,57 @@ def _log_ratio(num: float, den: float) -> float:
     return math.log(anum) - math.log(aden)
 
 
-def _breakpoints(p: KinematicPoint, ms: MediumState, hi: float) -> list[float]:
-    """Interior awkward abscissae: window edges (real branch) + Fermi edge."""
-    pts: list[float] = []
-    if p.gamma2 > 0.0:
-        g = math.sqrt(p.gamma2)
-        for xs in (abs(p.a - p.b * g), p.a + p.b * g):
-            if 1.0 < xs < hi:
-                pts.append(xs)
-    if 1.0 < ms.xi < hi:
-        pts.append(ms.xi)
-    return sorted(set(pts))
+def _parts(
+    p: KinematicPoint, ms: MediumState, region: RegionLabel
+) -> tuple[float, float, float, float]:
+    """(Re B, Re D, Im B, Im D) from one vector quadrature.
+
+    The five integrands (R, R_B, R_D and the Im B, Im D kernels) share
+    every node, so n_F, r1 and r2 are evaluated once per node.  Each is
+    zero outside its own range ([1, cutoff] for the real parts, the
+    kinematic window for the imaginary ones); those ends, the window
+    edges where r1 and r2 have log singularities, and the Fermi edge xi
+    are all panel edges.  Region II has no window and exactly zero
+    imaginary parts.
+    """
+    hi = x_cutoff(ms)
+    a, b, c2 = p.a, p.b, p.c2
+    b2 = b * b
+    lower = upper = shift = 0.0
+    if region is not RegionLabel.II:
+        lower, upper = kinematic_window(p)
+        # (x + a)**2 - b**2 in region I, (x - a)**2 - b**2 in region III
+        shift = a if region is RegionLabel.I else -a
+    top = max(hi, upper)
+    if top <= 1.0:  # t = 0, xi = 1: an empty sea and no window
+        return 0.0, 0.0, 0.0, 0.0
+
+    def kernel(x: float) -> tuple[float, float, float, float, float]:
+        n = n_fermi(x, ms)
+        if x < hi:
+            k1 = r1(x, p)
+            big = n * math.sqrt(x * x - 1.0)
+            k_b = n * ((x * x + c2) * k1 + 4.0 * a * x * r2(x, p))
+            k_d = n * k1
+        else:
+            big = k_b = k_d = 0.0
+        if lower < x < upper:
+            return big, k_b, k_d, n * ((x + shift) ** 2 - b2), n
+        return big, k_b, k_d, 0.0, 0.0
+
+    parts = integrate_adaptive(kernel, 1.0, top, breakpoints=(hi, ms.xi, lower, upper)).value
+    re_b = re_d = 0.0
+    if hi > 1.0:
+        big_r = parts[0]
+        r_b = parts[1] / (4.0 * b)
+        r_d = parts[2] * ((1.0 + 2.0 * c2) / (8.0 * b))
+        pref = -ms.e2 / (4.0 * math.pi**2 * c2)
+        re_b, re_d = pref * (big_r + r_b), pref * (big_r + r_d)
+    if region is RegionLabel.II:
+        return re_b, re_d, 0.0, 0.0
+    im_b = -ms.e2 / (16.0 * math.pi * b * c2) * parts[3]
+    im_d = -ms.e2 * (1.0 + 2.0 * c2) / (32.0 * math.pi * b * c2) * parts[4]
+    return re_b, re_d, im_b, im_d
 
 
 def im_scalars(p: KinematicPoint, ms: MediumState) -> tuple[float, float]:
@@ -99,68 +140,32 @@ def im_scalars(p: KinematicPoint, ms: MediumState) -> tuple[float, float]:
         Im D: 1,
 
     integrated with weight n_F over the kinematic window, with overall
-    factors -e2/(16 pi b c2) and -e2 (1 + 2 c2)/(32 pi b c2).
+    factors -e2/(16 pi b c2) and -e2 (1 + 2 c2)/(32 pi b c2).  They come
+    from the same quadrature pass as re_scalars.
     """
     region = classify_region(p)
     if region is RegionLabel.II:
         return 0.0, 0.0
-    lower, upper = kinematic_window(p)
-    pts = _breakpoints(p, ms, upper)
-    if region is RegionLabel.I:
-        def kernel(x: float) -> float:
-            return n_fermi(x, ms) * ((x + p.a) ** 2 - p.b * p.b)
-    else:
-        def kernel(x: float) -> float:
-            return n_fermi(x, ms) * ((x - p.a) ** 2 - p.b * p.b)
-    res_k = integrate_adaptive(kernel, lower, upper, breakpoints=pts)
-    res_1 = integrate_adaptive(lambda x: n_fermi(x, ms), lower, upper, breakpoints=pts)
-    im_b = -ms.e2 / (16.0 * math.pi * p.b * p.c2) * res_k.value
-    im_d = -ms.e2 * (1.0 + 2.0 * p.c2) / (32.0 * math.pi * p.b * p.c2) * res_1.value
-    return im_b, im_d
+    return _parts(p, ms, region)[2:]
 
 
-def re_scalars(
-    p: KinematicPoint, ms: MediumState, rel_tol: float = 1e-10
-) -> tuple[float, float]:
+def re_scalars(p: KinematicPoint, ms: MediumState) -> tuple[float, float]:
     """Dispersive parts (Re B, Re D) of the medium scalars.
 
     Re B = -e2/(4 pi^2 c2) * (R + R_B) and Re D = -e2/(4 pi^2 c2) *
     (R + R_D), where R integrates n_F * y (the density-like moment),
     R_B integrates n_F * ((x^2 + c2) r1 + 4 a x r2)/(4 b) and R_D
     integrates n_F * r1 * (1 + 2 c2)/(8 b), all over x in [1, cutoff].
+    They come from the same quadrature pass as im_scalars.
     """
-    classify_region(p)  # reject light-cone / threshold input early
-    hi = x_cutoff(ms)
-    if hi <= 1.0:
-        return 0.0, 0.0
-    pts = _breakpoints(p, ms, hi)
-
-    def f_r(x: float) -> float:
-        return n_fermi(x, ms) * math.sqrt(x * x - 1.0)
-
-    def f_rb(x: float) -> float:
-        return n_fermi(x, ms) * (
-            (x * x + p.c2) * r1(x, p) + 4.0 * p.a * x * r2(x, p)
-        )
-
-    def f_rd(x: float) -> float:
-        return n_fermi(x, ms) * r1(x, p)
-
-    big_r = integrate_adaptive(f_r, 1.0, hi, breakpoints=pts, rel_tol=rel_tol).value
-    r_b = integrate_adaptive(f_rb, 1.0, hi, breakpoints=pts, rel_tol=rel_tol).value / (4.0 * p.b)
-    r_d = integrate_adaptive(f_rd, 1.0, hi, breakpoints=pts, rel_tol=rel_tol).value * (
-        (1.0 + 2.0 * p.c2) / (8.0 * p.b)
-    )
-    pref = -ms.e2 / (4.0 * math.pi**2 * p.c2)
-    return pref * (big_r + r_b), pref * (big_r + r_d)
+    return _parts(p, ms, classify_region(p))[:2]
 
 
 def scalars(
     p: KinematicPoint, ms: MediumState, include_vacuum: bool = True
 ) -> ResponseScalars:
-    """All four response scalars at p via the finite-T quadratures."""
-    re_b, re_d = re_scalars(p, ms)
-    im_b, im_d = im_scalars(p, ms)
+    """All four response scalars at p from one finite-T quadrature pass."""
+    re_b, re_d, im_b, im_d = _parts(p, ms, classify_region(p))
     b_val = complex(re_b, im_b)
     d_val = complex(re_d, im_d)
     a_val = d_val + (1.0 + 3.0 * p.c2 / (2.0 * p.b * p.b)) * b_val

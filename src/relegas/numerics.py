@@ -1,64 +1,87 @@
 """Adaptive quadrature and bracketed root finding.
 
-The quadrature engine is a global-adaptive Gauss-Kronrod 7-15 rule: the
-interval with the largest error estimate is bisected until the summed
-error meets the relative tolerance.  Kronrod nodes are strictly interior
-to each panel, so integrand singularities placed on panel edges (via the
-``breakpoints`` argument) are never evaluated; integrable endpoint
-singularities such as logs converge by plain bisection.
+The quadrature engine is a tanh-sinh (double-exponential) rule
+(Takahasi & Mori, Publ. RIMS 9 (1974) 721) applied to each panel
+between the user's breakpoints.  The substitution
+x = tanh((pi/2) sinh t) clusters nodes double-exponentially towards both
+panel edges, so integrable endpoint singularities such as logs and
+square roots are resolved without bisection, and every node lies
+strictly inside its panel: a breakpoint is never evaluated.
+
+Each panel halves its step (one level) at a time; the error of a panel
+is the difference between its last two levels, a conservative estimate
+because each level roughly doubles the number of correct digits.  The
+panel contributing the largest share of the error is refined next.  The
+integrand may return a tuple of floats, in which case all components
+share the nodes and each must meet the tolerance.  Levels stop at
+MAX_LEVEL, which bounds every call to PANEL_BUDGET evaluations per panel.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-# 15-point Kronrod abscissae (positive half) and weights, with the
-# embedded 7-point Gauss weights on the odd-index nodes.
-_XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-    0.0,
-)
-_WGK = (
-    0.022935322010529224,
-    0.06309209262997855,
-    0.10479001032225018,
-    0.14065325971552592,
-    0.1690047266392679,
-    0.19035057806478542,
-    0.20443294007529889,
-    0.20948214108472782,
-)
-_WG = (
-    0.12948496616886969,
-    0.27970539148927664,
-    0.3818300505051189,
-    0.4179591836734694,
-)
+# step h = 2**-(level + 1); every panel starts at _MIN_LEVEL, so that
+# two crude levels cannot agree by accident
+_MIN_LEVEL = 1
+MAX_LEVEL = 5
+# nodes stop where the offset from a panel edge, as a fraction of the
+# half-width, falls below this (the weight there is ~1e-18 of the centre's)
+_EDGE_MIN = 2.0**-64
+# errors below the smallest normal double pass: a component that small
+# (an occupation tail of exp(-700)) has no relative precision left
+_TINY = sys.float_info.min
 
-_MAX_DEPTH = 60
+
+def _level_table(level: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Offsets u and weights w of the nodes that level adds, t > 0 ascending.
+
+    A node at t sits at hi - half*u and its mirror at lo + half*u, where
+    u = 1 - tanh(s) = 2 q / (1 + q), q = exp(-2 s), s = (pi/2) sinh t.
+    Level 0 holds every multiple of h = 1/2 (and the centre t = 0, u = 1,
+    weight pi/2); each later level halves h and adds the odd multiples.
+    """
+    h = 2.0 ** -(level + 1)
+    k = 1
+    step = 1 if level == 0 else 2
+    us: list[float] = []
+    ws: list[float] = []
+    while True:
+        t = k * h
+        s = 0.5 * math.pi * math.sinh(t)
+        q = math.exp(-2.0 * s)
+        u = 2.0 * q / (1.0 + q)
+        if u < _EDGE_MIN:
+            return tuple(us), tuple(ws)
+        us.append(u)
+        ws.append(2.0 * math.pi * math.cosh(t) * q / (1.0 + q) ** 2)
+        k += step
+
+
+_TABLES = tuple(_level_table(k) for k in range(MAX_LEVEL + 1))
+# the centre, then every level's nodes on both sides of it
+PANEL_BUDGET = 1 + sum(2 * len(us) for us, _ in _TABLES)
+
+Value = float | tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
     """Outcome of an adaptive integration.
 
-    value is the best estimate, error_estimate the summed local error,
-    evaluations the number of integrand calls, and converged tells
-    whether the requested tolerance was actually reached.
+    value is the best estimate, error_estimate the summed panel error
+    (both tuples, one entry per component, for a tuple-valued
+    integrand), evaluations the number of integrand calls, and converged
+    tells whether the requested tolerance was actually reached.
     """
 
-    value: float
-    error_estimate: float
+    value: Value
+    error_estimate: Value
     evaluations: int
     converged: bool
 
@@ -71,56 +94,70 @@ class Bracket:
     hi: float
 
 
-def _kronrod_panel(
-    f: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float, int]:
-    """One GK7-15 pass over [lo, hi] -> (value, error, n_evals)."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    fc = f(center)
-    if not math.isfinite(fc):
-        raise ValueError(f"integrand returned {fc} at x = {center}")
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    resabs = _WGK[7] * abs(fc)
-    values = [fc]
-    for i in range(7):
-        dx = half * _XGK[i]
-        x1 = center - dx
-        x2 = center + dx
-        # on ulp-wide panels the outer nodes can round onto the edges;
-        # keep them strictly interior so breakpoints are never evaluated
-        if x1 <= lo:
-            x1 = math.nextafter(lo, hi)
-        if x2 >= hi:
-            x2 = math.nextafter(hi, lo)
-        f1 = f(x1)
-        f2 = f(x2)
-        if not math.isfinite(f1):
-            raise ValueError(f"integrand returned {f1} at x = {x1}")
-        if not math.isfinite(f2):
-            raise ValueError(f"integrand returned {f2} at x = {x2}")
-        s = f1 + f2
-        resk += _WGK[i] * s
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            resg += _WG[i // 2] * s
-        values.append(f1)
-        values.append(f2)
-    mean = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - mean)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(values[1 + 2 * i] - mean) + abs(values[2 + 2 * i] - mean))
-    resasc *= abs(half)
-    value = resk * half
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return value, err, 15
+class _Panel:
+    """Running tanh-sinh sums over one panel [lo, hi], lo < (lo+hi)/2 < hi."""
+
+    __slots__ = ("lo", "hi", "half", "level", "vector", "sums", "value", "error")
+
+    def __init__(self, lo: float, hi: float) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.half = 0.5 * (hi - lo)
+        self.level = -1
+        self.vector = False
+        self.sums: list[float] = []
+        self.value: list[float] = []
+        self.error: list[float] = []
+
+    def refine(self, f: Callable[[float], Value]) -> int:
+        """Add the next level's nodes -> number of integrand calls."""
+        self.level += 1
+        lo, hi, half = self.lo, self.hi, self.half
+        us, ws = _TABLES[self.level]
+        left = [lo + half * u for u in us]
+        right = [hi - half * u for u in us]
+        # keep nodes strictly inside: offsets shrink along the table, so
+        # the ones that round onto an edge are at the end
+        while left and left[-1] <= lo:
+            left.pop()
+        while right and right[-1] >= hi:
+            right.pop()
+        xs = left + right
+        weights = ws[: len(left)] + ws[: len(right)]
+        if self.level == 0:
+            xs.append(lo + half)
+            weights += (0.5 * math.pi,)
+        vals = [f(x) for x in xs]
+        if self.level == 0:  # the centre is always evaluated
+            self.vector = isinstance(vals[-1], tuple)
+        columns = zip(*vals) if self.vector else (vals,)
+        # a level whose nodes all rounded onto the edges adds nothing
+        new = [sum(map(operator.mul, weights, col)) for col in columns] or [0.0] * len(self.sums)
+        if not all(map(math.isfinite, new)):
+            _raise_nonfinite(xs, vals)
+        h = 2.0 ** -(self.level + 1)
+        if self.level == 0:
+            self.sums = new
+            self.value = [h * half * s for s in new]
+            self.error = [math.inf] * len(new)
+        else:
+            self.sums = [s + n for s, n in zip(self.sums, new)]
+            previous = self.value
+            self.value = [h * half * s for s in self.sums]
+            self.error = [abs(v - p) for v, p in zip(self.value, previous)]
+        return len(xs)
+
+
+def _raise_nonfinite(xs: list[float], vals: list) -> None:
+    for x, v in zip(xs, vals):
+        for c in v if isinstance(v, tuple) else (v,):
+            if not math.isfinite(c):
+                raise ValueError(f"integrand returned {c} at x = {x}")
+    raise ValueError(f"integrand sum overflowed on the panel holding x = {xs[0]}")
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
+    f: Callable[[float], Value],
     lo: float,
     hi: float,
     breakpoints: Sequence[float] = (),
@@ -131,61 +168,60 @@ def integrate_adaptive(
     Parameters
     ----------
     f : callable
-        Integrand; must return finite floats (NaN/inf raise ValueError
-        with the offending abscissa in the message).
+        Integrand returning a float, or a tuple of floats of fixed length
+        (integrands that share the nodes; value and error_estimate are
+        then tuples too).  Values must be finite: NaN/inf raise
+        ValueError with the offending abscissa in the message.
     breakpoints : sequence of float
         Abscissae (singularities, kinks, discontinuities) that become
         panel boundaries; they are never passed to f.
     rel_tol : float
-        Target on error/|value|.  If bisection bottoms out (depth 60)
-        before reaching it, the best estimate is still returned with
-        ``converged=False``.
+        Target, per component, on summed error/|value| (an error below
+        the smallest normal double always passes).  A panel stops
+        at MAX_LEVEL, so a call makes at most PANEL_BUDGET evaluations
+        per panel; if the target is not met by then, the best estimate
+        is still returned with ``converged=False``.
     """
-    if hi == lo:
-        return QuadratureResult(0.0, 0.0, 0, True)
     if hi < lo:
         r = integrate_adaptive(f, hi, lo, breakpoints, rel_tol)
-        return QuadratureResult(-r.value, r.error_estimate, r.evaluations, r.converged)
+        value = tuple(-v for v in r.value) if isinstance(r.value, tuple) else -r.value
+        return QuadratureResult(value, r.error_estimate, r.evaluations, r.converged)
     edges = [lo]
     for x in sorted(set(breakpoints)):
         if edges[-1] < x < hi:
             edges.append(x)
     edges.append(hi)
+    # a panel without an interior double holds no node and contributes 0
+    panels = [_Panel(a, b) for a, b in zip(edges[:-1], edges[1:]) if a < 0.5 * (a + b) < b]
+    if not panels:
+        return QuadratureResult(0.0, 0.0, 0, True)
 
-    total = 0.0
-    total_err = 0.0
     evals = 0
-    heap: list[tuple[float, int, float, float, float, float, int]] = []
-    counter = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e, n = _kronrod_panel(f, a, b)
-        total += v
-        total_err += e
-        evals += n
-        heapq.heappush(heap, (-e, counter, a, b, v, e, 0))
-        counter += 1
-
-    floor = 1e-300
-    while total_err > rel_tol * max(abs(total), floor):
-        neg_e, _, a, b, v, e, depth = heapq.heappop(heap)
-        if depth >= _MAX_DEPTH:
-            heapq.heappush(heap, (neg_e, counter, a, b, v, e, depth))
-            return QuadratureResult(total, total_err, evals, False)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            heapq.heappush(heap, (neg_e, counter, a, b, v, e, _MAX_DEPTH))
-            counter += 1
-            continue
-        v1, e1, n1 = _kronrod_panel(f, a, mid)
-        v2, e2, n2 = _kronrod_panel(f, mid, b)
-        total += v1 + v2 - v
-        total_err += e1 + e2 - e
-        evals += n1 + n2
-        heapq.heappush(heap, (-e1, counter, a, mid, v1, e1, depth + 1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, b, v2, e2, depth + 1))
-        counter += 1
-    return QuadratureResult(total, total_err, evals, True)
+    for panel in panels:
+        for _ in range(_MIN_LEVEL + 1):
+            evals += panel.refine(f)
+    while True:
+        value = [math.fsum(c) for c in zip(*(pn.value for pn in panels))]
+        error = [sum(c) for c in zip(*(pn.error for pn in panels))]
+        tol = [max(rel_tol * abs(v), _TINY) for v in value]
+        converged = all(map(operator.le, error, tol))
+        if converged:
+            break
+        # refine the open panel with the largest error relative to its
+        # component's tolerance; stop once no open panel has any error
+        worst = None
+        worst_share = 0.0
+        for pn in panels:
+            if pn.level < MAX_LEVEL:
+                share = max(map(operator.truediv, pn.error, tol))
+                if share > worst_share:
+                    worst, worst_share = pn, share
+        if worst is None:
+            break
+        evals += worst.refine(f)
+    if panels[0].vector:
+        return QuadratureResult(tuple(value), tuple(error), evals, converged)
+    return QuadratureResult(value[0], error[0], evals, converged)
 
 
 def scan_sign_changes(

@@ -34,16 +34,42 @@ FROZEN = {
     ),
 }
 
+# independent values: (a, b, t, xi) -> (B, D) integrated over the same
+# panels in mpmath at 30 and 40 digits by make_finite_t_reference.py
+MPMATH_REFERENCE = {
+    (0.5, 1.0, 0.001, 1.2): (
+        complex(0.00047572708452596496, 0.0006740863980285089),
+        complex(0.00019543425619942008, -0.00010488409879402328),
+    ),
+    (0.5, 1.0, 1.0, 0.0): (
+        complex(0.004729832096735794, 0.0025916703466015503),
+        complex(0.0030972596409456045, -0.00022165313829036894),
+    ),
+    (2.0, 1.0, 0.1, 1.5): (
+        complex(-6.0051046337024866e-05, 0.00011784065398557884),
+        complex(0.0001567667411852494, -0.0006824298290016672),
+    ),
+    (0.5, 1.0, 0.2, -1.1): (
+        complex(0.0005570441207996008, 0.0009254782098884441),
+        complex(0.0003482631969134391, -0.00010715543850797154),
+    ),
+    (0.9, 0.7, 0.3, 0.5): (
+        complex(0.0002350897316526014, 0.0),
+        complex(-0.0003861282128133153, 0.0),
+    ),
+}
+
 
 def test_frozen_scalar_values():
-    for (a, b, t, xi), (want_b, want_d) in FROZEN.items():
-        ms = MediumState(t=t, xi=xi)
-        got = scalars(derive_point(a, b), ms, include_vacuum=False)
-        assert complex_rel_err(got.B, want_b) < 5e-9
-        assert complex_rel_err(got.D, want_d) < 5e-9
-        if want_b.imag == 0.0:
-            assert got.B.imag == 0.0
-            assert got.D.imag == 0.0
+    for table in (FROZEN, MPMATH_REFERENCE):
+        for (a, b, t, xi), (want_b, want_d) in table.items():
+            ms = MediumState(t=t, xi=xi)
+            got = scalars(derive_point(a, b), ms, include_vacuum=False)
+            assert complex_rel_err(got.B, want_b) < 5e-9
+            assert complex_rel_err(got.D, want_d) < 5e-9
+            if want_b.imag == 0.0:
+                assert got.B.imag == 0.0
+                assert got.D.imag == 0.0
 
 
 def test_kernel_r1_vanishes_on_shell():

@@ -13,6 +13,8 @@ from relegas import (
     scalars_at,
     tensors_at,
 )
+from relegas import medium_finite_t
+from relegas.numerics import PANEL_BUDGET
 from relegas.responses import evaluate_cell
 from conftest import draw_valid_point, rel_err
 
@@ -175,6 +177,29 @@ def test_scan_skips_invalid_cells_with_reason():
     assert good.reason == ""
     assert good.region == "I"
     assert good.subregion == "B"
+
+
+def test_long_wavelength_cell_ends_within_budget(monkeypatch):
+    # at b = 1e-7 roundoff keeps the quadrature from ever meeting its
+    # tolerance; the level cap must still end the call.  The fused pass
+    # has at most four panels and evaluates n_F once per node, so a
+    # runaway shows as an exceeded count instead of a hang.
+    evals = 0
+    n_fermi = medium_finite_t.n_fermi
+
+    def counted(x, ms):
+        nonlocal evals
+        evals += 1
+        assert evals <= 4 * PANEL_BUDGET, "evaluation budget exceeded"
+        return n_fermi(x, ms)
+
+    monkeypatch.setattr(medium_finite_t, "n_fermi", counted)
+    cell = evaluate_cell(0.002, 1e-7, MediumState(t=0.05, xi=1.2))
+    assert cell.reason == ""
+    assert math.isfinite(cell.re_eps_L)
+    assert cell.region == "II"
+    assert cell.im_eps_L == 0.0
+    assert cell.im_nu_L == 0.0
 
 
 def test_assemble_consistency_check_fires_on_corrupt_scalars():
