@@ -25,15 +25,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
-from .kinematics import (
-    InvalidPointError,
-    classify_region,
-    fermi_surface,
-    region_boundaries,
-    zero_t_subregion,
-)
+from .kinematics import InvalidPointError, fermi_surface, region_boundaries
 from .medium_zero_t import SubregionBoundaryError
 from .nr_oracle import NRPoint, nr_case, nr_im_B
 from .occupation import MediumState
@@ -62,24 +55,7 @@ SCAN_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved common settings of one CLI invocation."""
-
-    command: str
-    t: float
-    xi: float
-    alpha: float
-    include_vacuum: bool
-    units: str
-    fmt: str
-    output: str | None
-    jobs: int
-
-
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    if n < 1:
-        raise ValueError(f"grid size {n} must be >= 1")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
@@ -212,9 +188,7 @@ def _cmd_response(args: argparse.Namespace) -> str:
     b = args.b / scale_ab
     ms = _medium_state(args)
     include_vacuum = not args.no_vacuum
-    p, s = scalars_at(a, b, ms, include_vacuum=include_vacuum)
-    region = classify_region(p)
-    sub = zero_t_subregion(p, ms.fermi_surface) if ms.is_degenerate else None
+    p, region, sub, s = scalars_at(a, b, ms, include_vacuum=include_vacuum)
     tens = assemble(s, p)
     record = {
         "inputs": {
@@ -294,16 +268,15 @@ def _cmd_scan(args: argparse.Namespace) -> str:
         for b in b_grid
         for a in a_grid
     ]
-    jobs = max(1, args.jobs)
-    if jobs == 1:
+    if args.jobs == 1:
         rows = [_scan_cell_task(t) for t in tasks]
     else:
         # imported here: multiprocessing adds ~2 MB and start-up time to
         # every command, and only a parallel scan uses it
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(tasks) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(tasks) // (args.jobs * 4))
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_scan_cell_task, tasks, chunksize=chunk))
     return _csv_text(SCAN_COLUMNS, rows)
 
@@ -375,35 +348,20 @@ _DISPATCH = {
 }
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Collect the common settings of a parsed invocation."""
-    return RunConfig(
-        command=args.command,
-        t=getattr(args, "t", 0.0),
-        xi=getattr(args, "xi", math.nan),
-        alpha=getattr(args, "alpha", 1.0 / 137.036),
-        include_vacuum=not getattr(args, "no_vacuum", False),
-        units=getattr(args, "units", "m"),
-        fmt=getattr(args, "fmt", "csv"),
-        output=args.output,
-        jobs=getattr(args, "jobs", 1),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
-    if cfg.jobs < 1:
-        print(f"error: --jobs {cfg.jobs} must be >= 1", file=sys.stderr)
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        print(f"error: --jobs {jobs} must be >= 1", file=sys.stderr)
         return 2
     try:
-        text = _DISPATCH[cfg.command](args)
+        text = _DISPATCH[args.command](args)
     except (InvalidPointError, SubregionBoundaryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_output(text, cfg.output)
+        _write_output(text, args.output)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3

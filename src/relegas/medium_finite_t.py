@@ -40,6 +40,22 @@ class ResponseScalars:
     A: complex
     C: complex
 
+    @classmethod
+    def from_parts(
+        cls,
+        p: KinematicPoint,
+        ms: MediumState,
+        parts: tuple[float, float, float, float],
+        include_vacuum: bool,
+    ) -> ResponseScalars:
+        """Build all four scalars from (Re B, Re D, Im B, Im D) at p."""
+        re_b, re_d, im_b, im_d = parts
+        b_val = complex(re_b, im_b)
+        d_val = complex(re_d, im_d)
+        a_val = d_val + (1.0 + 3.0 * p.c2 / (2.0 * p.b * p.b)) * b_val
+        c_val = c_star(p.c2, ms).value if include_vacuum else 0.0j
+        return cls(B=b_val, D=d_val, A=a_val, C=c_val)
+
 
 def r1(x: float, p: KinematicPoint) -> float:
     """First log kernel, log|((c2-b*y)^2 - a^2 x^2)/((c2+b*y)^2 - a^2 x^2)|.
@@ -165,9 +181,4 @@ def scalars(
     p: KinematicPoint, ms: MediumState, include_vacuum: bool = True
 ) -> ResponseScalars:
     """All four response scalars at p from one finite-T quadrature pass."""
-    re_b, re_d, im_b, im_d = _parts(p, ms, classify_region(p))
-    b_val = complex(re_b, im_b)
-    d_val = complex(re_d, im_d)
-    a_val = d_val + (1.0 + 3.0 * p.c2 / (2.0 * p.b * p.b)) * b_val
-    c_val = c_star(p.c2, ms).value if include_vacuum else 0.0j
-    return ResponseScalars(B=b_val, D=d_val, A=a_val, C=c_val)
+    return ResponseScalars.from_parts(p, ms, _parts(p, ms, classify_region(p)), include_vacuum)

@@ -26,13 +26,12 @@ from .kinematics import (
     FermiSurface,
     InternalConsistencyError,
     KinematicPoint,
-    RegionLabel,
+    SubregionLabel,
     classify_region,
     zero_t_subregion,
 )
 from .medium_finite_t import ResponseScalars, r1, r2
 from .occupation import MediumState
-from .vacuum import c_star
 
 _EDGE_TOL = 1e-14
 
@@ -202,49 +201,47 @@ def integrals_Ij(p: KinematicPoint, fs: FermiSurface) -> tuple[float, float]:
     return (lg + at) / (denom * m2), (-lg + at) / denom
 
 
-def _z_combination(p: KinematicPoint, fs: FermiSurface, m_coef: float, n_coef: float) -> float:
-    """(M + N) I0 - N I2 through cancellation-safe groupings."""
-    t_fermi = fs.yF / fs.xF
-    if t_fermi == 0.0:
-        return 0.0
+def _z_terms(p: KinematicPoint, t_fermi: float, coef: ZeroTCoefficients) -> tuple[float, float]:
+    """(C_B Z_B, C_D Z_D): C ((M + N) I0 - N I2) through cancellation-safe groupings."""
     if p.gamma2 >= 0.0:
         pieces = _real_branch_pieces(p, t_fermi)
-        n_at_sbar = m_coef + n_coef * (1.0 - pieces.s_bar)
-        return (n_at_sbar * pieces.d_g - n_coef * pieces.g_bar) / pieces.frak_c
-    lg, at, t_r, m2 = _complex_branch_pieces(p, t_fermi)
-    frak_c = p.d2 * p.d2
-    coef_lg = (m_coef + n_coef) / m2 + n_coef
-    coef_at = (m_coef + n_coef * (1.0 - m2)) / m2
-    return (coef_lg * lg + coef_at * at) / (8.0 * frak_c * t_r)
+
+        def z(m_coef: float, n_coef: float) -> float:
+            n_at_sbar = m_coef + n_coef * (1.0 - pieces.s_bar)
+            return (n_at_sbar * pieces.d_g - n_coef * pieces.g_bar) / pieces.frak_c
+
+    else:
+        lg, at, t_r, m2 = _complex_branch_pieces(p, t_fermi)
+        frak_c = p.d2 * p.d2
+
+        def z(m_coef: float, n_coef: float) -> float:
+            coef_lg = (m_coef + n_coef) / m2 + n_coef
+            coef_at = (m_coef + n_coef * (1.0 - m2)) / m2
+            return (coef_lg * lg + coef_at * at) / (8.0 * frak_c * t_r)
+
+    return coef.C_B * z(coef.M_B, coef.N_B), coef.C_D * z(coef.M_D, coef.N_D)
 
 
-def im_B_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
-    """Absorptive part of B at T = 0 (closed cubic bracket).
+def _im_parts(p: KinematicPoint, sub: SubregionLabel, ms: MediumState) -> tuple[float, float]:
+    """(Im B, Im D) at T = 0 over the subregion's active window.
 
-    The bracket difference P(x_u) - P(x_l) with P(x) = (x +- a)^3 - 3 b^2 x
-    is evaluated through the exact identity
+    Im B is the closed cubic bracket P(x_u) - P(x_l) with
+    P(x) = (x +- a)^3 - 3 b^2 x, evaluated through the exact identity
     P(u + delta) - P(u) = delta (3 v^2 + 3 delta v + delta^2 - 3 b^2),
-    v = u +- a, which has no cancellation for narrow windows.
+    v = u +- a, which has no cancellation for narrow windows; Im D is
+    proportional to the window length delta.
     """
-    sub = zero_t_subregion(p, fs)
     if sub.label == "NONE":
-        return 0.0
-    region = classify_region(p)
-    shift = p.a if region is RegionLabel.I else -p.a
+        return 0.0, 0.0
+    # A and B lie in region I, C and D in region III
+    shift = p.a if sub.label in ("A", "B") else -p.a
     u = sub.x_lower
     delta = sub.x_upper - sub.x_lower
     v = u + shift
     bracket = delta * (3.0 * v * v + 3.0 * delta * v + delta * delta - 3.0 * p.b * p.b)
-    return -ms.e2 / (48.0 * math.pi * p.b * p.c2) * bracket
-
-
-def im_D_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
-    """Absorptive part of D at T = 0 (proportional to the window length)."""
-    sub = zero_t_subregion(p, fs)
-    if sub.label == "NONE":
-        return 0.0
-    length = sub.x_upper - sub.x_lower
-    return -ms.e2 * (1.0 + 2.0 * p.c2) / (32.0 * math.pi * p.b * p.c2) * length
+    im_b = -ms.e2 / (48.0 * math.pi * p.b * p.c2) * bracket
+    im_d = -ms.e2 * (1.0 + 2.0 * p.c2) / (32.0 * math.pi * p.b * p.c2) * delta
+    return im_b, im_d
 
 
 def _guard_fermi_logs(p: KinematicPoint, fs: FermiSurface) -> None:
@@ -266,44 +263,56 @@ def _guard_fermi_logs(p: KinematicPoint, fs: FermiSurface) -> None:
             )
 
 
-def re_B_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
-    """Dispersive part of B at T = 0 in closed form (U + W + Z pieces)."""
-    classify_region(p)
+def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[float, float]:
+    """(Re B, Re D) at T = 0 in closed form, U + W + Z pieces of both.
+
+    The Fermi-surface guard, the Z coefficients, r1 at the Fermi surface
+    and the branch pieces of the master integrals are built once.
+    """
     if fs.yF == 0.0:
-        return 0.0
+        return 0.0, 0.0
     _guard_fermi_logs(p, fs)
     x = fs.xF
     y = fs.yF
     coef = zero_t_coefficients(p)
-    u_term = x / (12.0 * p.b) * (
-        (x * x + 3.0 * p.c2) * r1(x, p) + 6.0 * p.a * x * r2(x, p)
-    )
-    w_term = (2.0 / 3.0) * (x * y - p.b * p.b * math.log(x + y))
-    z_term = coef.C_B * _z_combination(p, fs, coef.M_B, coef.N_B)
-    return -ms.e2 / (4.0 * math.pi**2 * p.c2) * (u_term + w_term + z_term)
+    k1 = r1(x, p)
+    u_b = x / (12.0 * p.b) * ((x * x + 3.0 * p.c2) * k1 + 6.0 * p.a * x * r2(x, p))
+    u_d = x * (1.0 + 2.0 * p.c2) / (8.0 * p.b) * k1
+    log_xy = math.log(x + y)
+    w_b = (2.0 / 3.0) * (x * y - p.b * p.b * log_xy)
+    w_d = 0.5 * (x * y + 2.0 * p.c2 * log_xy)
+    z_b, z_d = _z_terms(p, y / x, coef)
+    pref = -ms.e2 / (4.0 * math.pi**2 * p.c2)
+    return pref * (u_b + w_b + z_b), pref * (u_d + w_d + z_d)
+
+
+def re_B_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
+    """Dispersive part of B at T = 0 in closed form (U + W + Z pieces)."""
+    classify_region(p)
+    return _re_parts(p, fs, ms)[0]
 
 
 def re_D_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
     """Dispersive part of D at T = 0 in closed form (U + W + Z pieces)."""
     classify_region(p)
-    if fs.yF == 0.0:
-        return 0.0
-    _guard_fermi_logs(p, fs)
-    x = fs.xF
-    y = fs.yF
-    coef = zero_t_coefficients(p)
-    u_term = x * (1.0 + 2.0 * p.c2) / (8.0 * p.b) * r1(x, p)
-    w_term = 0.5 * (x * y + 2.0 * p.c2 * math.log(x + y))
-    z_term = coef.C_D * _z_combination(p, fs, coef.M_D, coef.N_D)
-    return -ms.e2 / (4.0 * math.pi**2 * p.c2) * (u_term + w_term + z_term)
+    return _re_parts(p, fs, ms)[1]
+
+
+def im_B_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
+    """Absorptive part of B at T = 0 (closed cubic bracket)."""
+    return _im_parts(p, zero_t_subregion(p, fs), ms)[0]
+
+
+def im_D_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
+    """Absorptive part of D at T = 0 (proportional to the window length)."""
+    return _im_parts(p, zero_t_subregion(p, fs), ms)[1]
 
 
 def scalars_zero_t(
     p: KinematicPoint, fs: FermiSurface, ms: MediumState, include_vacuum: bool = True
 ) -> ResponseScalars:
     """All four response scalars at p from the T = 0 closed forms."""
-    b_val = complex(re_B_zero(p, fs, ms), im_B_zero(p, fs, ms))
-    d_val = complex(re_D_zero(p, fs, ms), im_D_zero(p, fs, ms))
-    a_val = d_val + (1.0 + 3.0 * p.c2 / (2.0 * p.b * p.b)) * b_val
-    c_val = c_star(p.c2, ms).value if include_vacuum else 0.0j
-    return ResponseScalars(B=b_val, D=d_val, A=a_val, C=c_val)
+    classify_region(p)
+    # the real half runs (and may raise) before the subregion is built
+    parts = _re_parts(p, fs, ms) + _im_parts(p, zero_t_subregion(p, fs), ms)
+    return ResponseScalars.from_parts(p, ms, parts, include_vacuum)

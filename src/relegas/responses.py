@@ -24,8 +24,8 @@ from .kinematics import (
     derive_point,
     zero_t_subregion,
 )
-from .medium_finite_t import ResponseScalars, scalars
-from .medium_zero_t import SubregionBoundaryError, scalars_zero_t
+from .medium_finite_t import ResponseScalars, _parts
+from .medium_zero_t import SubregionBoundaryError, _im_parts, _re_parts
 from .numerics import find_root_bracketed, scan_sign_changes
 from .occupation import MediumState
 
@@ -53,14 +53,24 @@ class ResponseTensors:
 
 def scalars_at(
     a: float, b: float, ms: MediumState, include_vacuum: bool = True
-) -> tuple[KinematicPoint, ResponseScalars]:
-    """Response scalars at (a, b): closed forms at t = 0, quadrature else."""
+) -> tuple[KinematicPoint, RegionLabel, SubregionLabel | None, ResponseScalars]:
+    """Classify (a, b) once and evaluate its scalars.
+
+    Returns the point, its region, its T = 0 subregion (None at t > 0)
+    and the scalars: closed forms at t = 0, one quadrature pass else.
+    """
     p = derive_point(a, b)
+    region = classify_region(p)
     if ms.is_degenerate:
-        s = scalars_zero_t(p, ms.fermi_surface, ms, include_vacuum=include_vacuum)
+        fs = ms.fermi_surface
+        # the real half runs (and may raise) before the subregion is built
+        re_parts = _re_parts(p, fs, ms)
+        sub = zero_t_subregion(p, fs)
+        parts = re_parts + _im_parts(p, sub, ms)
     else:
-        s = scalars(p, ms, include_vacuum=include_vacuum)
-    return p, s
+        sub = None
+        parts = _parts(p, ms, region)
+    return p, region, sub, ResponseScalars.from_parts(p, ms, parts, include_vacuum)
 
 
 def assemble(s: ResponseScalars, p: KinematicPoint) -> ResponseTensors:
@@ -108,9 +118,7 @@ def tensors_at(
     a: float, b: float, ms: MediumState, include_vacuum: bool = True
 ) -> tuple[KinematicPoint, RegionLabel, SubregionLabel | None, ResponseTensors]:
     """Full evaluation at (a, b): point, region, T=0 subregion, tensors."""
-    p, s = scalars_at(a, b, ms, include_vacuum=include_vacuum)
-    region = classify_region(p)
-    sub = zero_t_subregion(p, ms.fermi_surface) if ms.is_degenerate else None
+    p, region, sub, s = scalars_at(a, b, ms, include_vacuum=include_vacuum)
     return p, region, sub, assemble(s, p)
 
 
@@ -151,17 +159,6 @@ class DispersionBranch:
     plasma_frequency: float
 
 
-def _mode_gap(mode: str, a: float, b: float, ms: MediumState, include_vacuum: bool) -> float:
-    # longitudinal zero: Re eps_L = 0; transverse zero: Re nu_L = -1
-    try:
-        _, _, _, tens = tensors_at(a, b, ms, include_vacuum=include_vacuum)
-    except (InvalidPointError, SubregionBoundaryError):
-        return math.nan
-    if mode == "longitudinal":
-        return tens.eps_L.real
-    return tens.nu_L.real + 1.0
-
-
 def dispersion(
     mode: str,
     b_grid: Sequence[float],
@@ -183,10 +180,27 @@ def dispersion(
     a_lo, a_hi = a_search_range
     if not (0.0 <= a_lo < a_hi):
         raise ValueError(f"bad search range ({a_lo}, {a_hi})")
+    longitudinal = mode == "longitudinal"
     samples: list[RootSample] = []
     for b in b_grid:
-        def gap(a: float, _b: float = b) -> float:
-            return _mode_gap(mode, a, _b, ms, include_vacuum)
+        # tensors per abscissa: Brent's bracket edges and the pole filter
+        # revisit points the scan (or Brent) has already evaluated
+        cache: dict[float, ResponseTensors | None] = {}
+
+        def tens_at(a: float) -> ResponseTensors | None:
+            if a not in cache:
+                try:
+                    cache[a] = tensors_at(a, b, ms, include_vacuum=include_vacuum)[3]
+                except (InvalidPointError, SubregionBoundaryError):
+                    cache[a] = None
+            return cache[a]
+
+        def gap(a: float) -> float:
+            # longitudinal zero: Re eps_L = 0; transverse zero: Re nu_L = -1
+            tens = tens_at(a)
+            if tens is None:
+                return math.nan
+            return tens.eps_L.real if longitudinal else tens.nu_L.real + 1.0
 
         step = (a_hi - a_lo) / n_scan
         grid = [a_lo + i * step for i in range(n_scan + 1)]
@@ -207,13 +221,9 @@ def dispersion(
         if not roots:
             continue
         root = min(roots)
-        try:
-            _, _, _, tens = tensors_at(root, b, ms, include_vacuum=include_vacuum)
-        except (InvalidPointError, SubregionBoundaryError):
-            continue
-        im_val = tens.eps_L.imag if mode == "longitudinal" else tens.nu_L.imag
-        residual = tens.eps_L.real if mode == "longitudinal" else tens.nu_L.real + 1.0
-        samples.append(RootSample(b=b, root_a=root, residual=residual, im_at_root=im_val))
+        tens = tens_at(root)
+        im_val = tens.eps_L.imag if longitudinal else tens.nu_L.imag
+        samples.append(RootSample(b=b, root_a=root, residual=gap(root), im_at_root=im_val))
     plasma = _extrapolate_to_zero_b(samples)
     return DispersionBranch(mode=mode, samples=tuple(samples), plasma_frequency=plasma)
 

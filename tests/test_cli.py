@@ -34,7 +34,7 @@ def test_response_json_matches_library(capsys):
     assert rec["inputs"]["a"] == 0.5
     assert rec["inputs"]["include_vacuum"] is True
 
-    p, s = scalars_at(0.5, 1.0, MediumState(t=0.0, xi=3.0))
+    p, _, _, s = scalars_at(0.5, 1.0, MediumState(t=0.0, xi=3.0))
     tens = assemble(s, p)
     assert rec["scalars"]["ReB"] == s.B.real
     assert rec["scalars"]["ImB"] == s.B.imag
@@ -69,7 +69,7 @@ def test_response_csv_round_trip(capsys):
     assert len(rows) == 1
     row = rows[0]
     assert row["subregion"] == "A"
-    _, s = scalars_at(0.5, 1.0, MediumState(t=0.0, xi=3.0))
+    _, _, _, s = scalars_at(0.5, 1.0, MediumState(t=0.0, xi=3.0))
     assert float(row["ReB"]) == s.B.real  # repr cells parse back exactly
 
 

@@ -57,19 +57,82 @@ def test_longitudinal_composition():
 
 def test_scalars_at_dispatch():
     # degenerate states use the closed forms, warm states the quadratures
-    from relegas import derive_point, fermi_surface, scalars_zero_t
+    from relegas import (
+        classify_region,
+        derive_point,
+        fermi_surface,
+        im_B_zero,
+        im_D_zero,
+        re_B_zero,
+        re_D_zero,
+        scalars_zero_t,
+        zero_t_subregion,
+    )
     from relegas.medium_finite_t import scalars as scalars_warm
 
     p = derive_point(0.5, 1.0)
     cold = MediumState(t=0.0, xi=1.5)
-    _, got = scalars_at(0.5, 1.0, cold)
+    _, _, _, got = scalars_at(0.5, 1.0, cold)
     want = scalars_zero_t(p, fermi_surface(1.5), cold)
     assert got == want
 
     warm = MediumState(t=0.1, xi=1.5)
-    _, got_w = scalars_at(0.5, 1.0, warm)
+    _, _, _, got_w = scalars_at(0.5, 1.0, warm)
     want_w = scalars_warm(p, warm)
     assert got_w.B == want_w.B
+
+    # the one-pass path classifies and evaluates exactly as the public parts
+    rng = random.Random(4242)
+    for i in range(300):
+        p = draw_valid_point(rng)
+        ms = MediumState(t=0.0, xi=rng.uniform(1.0, 3.0)) if i % 20 else warm
+        got_p, region, sub, got = scalars_at(p.a, p.b, ms)
+        assert got_p == p
+        assert region is classify_region(p)
+        if not ms.is_degenerate:
+            assert sub is None
+            assert got == scalars_warm(p, ms)
+            continue
+        fs = ms.fermi_surface
+        assert sub == zero_t_subregion(p, fs)
+        want = scalars_zero_t(p, fs, ms)
+        assert got == want
+        assert want.B == complex(re_B_zero(p, fs, ms), im_B_zero(p, fs, ms))
+        assert want.D == complex(re_D_zero(p, fs, ms), im_D_zero(p, fs, ms))
+
+
+def test_one_classification_per_point(monkeypatch):
+    # a t = 0 point builds its subregion and the Fermi-surface r1 once, a
+    # t > 0 point classifies its region once
+    from collections import Counter
+
+    from relegas import kinematics, medium_zero_t, responses
+
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for home, name in (
+        (kinematics, "classify_region"),
+        (kinematics, "zero_t_subregion"),
+        (medium_finite_t, "r1"),
+    ):
+        wrapper = counted(name, getattr(home, name))
+        for mod in (kinematics, medium_finite_t, medium_zero_t, responses):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
+
+    tensors_at(0.5, 1.0, COLD)
+    assert calls["zero_t_subregion"] == 1
+    assert calls["r1"] == 1
+    calls.clear()
+    tensors_at(0.5, 1.0, MediumState(t=0.05, xi=1.2))
+    assert calls["classify_region"] == 1
 
 
 def test_empty_sea_is_transparent():
@@ -125,6 +188,30 @@ def test_transverse_dispersion_crosses_light_cone_pole():
     root = branch.samples[0].root_a
     assert root > 4e-3  # above the light cone
     assert rel_err(root, 0.014326596) < 1e-3
+
+
+def test_dispersion_evaluates_each_abscissa_once(monkeypatch):
+    # Brent's bracket edges, the pole filter and the root's own tensors
+    # reuse what the sign scan already evaluated at the same b
+    from collections import Counter
+
+    from relegas import responses
+
+    seen: Counter = Counter()
+    inner = responses.tensors_at
+
+    def counted(a, b, ms, include_vacuum=True):
+        seen[(a, b)] += 1
+        return inner(a, b, ms, include_vacuum=include_vacuum)
+
+    monkeypatch.setattr(responses, "tensors_at", counted)
+    ms = MediumState(t=0.0, xi=1.2)
+    a_e = plasma_frequency_estimate(ms)
+    for mode in ("longitudinal", "transverse"):
+        seen.clear()
+        branch = dispersion(mode, [1e-3, 4e-3], ms, (0.25 * a_e, 4.0 * a_e))
+        assert len(branch.samples) == 2
+        assert max(seen.values()) == 1
 
 
 def test_dispersion_extrapolations_agree():
