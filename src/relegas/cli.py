@@ -13,7 +13,8 @@ Subcommands:
 Inputs are dimensionless by default (energies in units of 2m for a and
 b, of m for t and xi); ``--units ev`` switches all of them to
 electron-volts.  Exit status: 0 on success, 2 for invalid input, 3 when
-the output cannot be written.
+the output cannot be written, 4 when a numerical consistency check
+failed (the dual-path check of the tensors).
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ import math
 import os
 import sys
 
-from .kinematics import InvalidPointError, fermi_surface, region_boundaries
+from .kinematics import (
+    InternalConsistencyError,
+    InvalidPointError,
+    fermi_surface,
+    region_boundaries,
+)
 from .medium_zero_t import SubregionBoundaryError
 from .nr_oracle import NRPoint, nr_case, nr_im_B
 from .occupation import MediumState
@@ -360,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidPointError, SubregionBoundaryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     try:
         _write_output(text, args.output)
     except OSError as exc:

@@ -24,7 +24,7 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 # step h = 2**-(level + 1); every panel starts at _MIN_LEVEL, so that
 # two crude levels cannot agree by accident
@@ -224,32 +224,53 @@ def integrate_adaptive(
     return QuadratureResult(value[0], error[0], evals, converged)
 
 
-def scan_sign_changes(
+def iter_sign_changes(
     g: Callable[[float], float], grid: Sequence[float]
-) -> list[Bracket]:
-    """Walk a grid and collect intervals on which g strictly changes sign.
+) -> Iterator[Bracket]:
+    """Walk a grid lazily and yield the intervals on which g changes sign.
 
-    Grid points where g is NaN (e.g. kinematically invalid abscissae)
-    are skipped; a warning reports how many were dropped.  A bracket is
-    only emitted between two consecutive valid points with g of strictly
-    opposite sign.
+    Brackets come in grid order and do not overlap, so a caller that
+    wants the first acceptable zero can stop as soon as it has one; g is
+    then never evaluated beyond that bracket's upper edge.  Grid points
+    where g is NaN (e.g. kinematically invalid abscissae) are skipped.
+    A bracket is only yielded between two consecutive valid points with
+    g of strictly opposite sign.  When the walk ends, or the generator
+    is closed early, a warning reports how many of the points it
+    visited were dropped.
     """
-    brackets: list[Bracket] = []
     n_bad = 0
     prev_x = None
     prev_g = None
-    for x in grid:
-        val = g(x)
-        if val is None or math.isnan(val):
-            n_bad += 1
-            continue
-        if prev_g is not None and (prev_g < 0.0 < val or val < 0.0 < prev_g):
-            brackets.append(Bracket(lo=prev_x, hi=x))
-        prev_x = x
-        prev_g = val
+    try:
+        for x in grid:
+            val = g(x)
+            if val is None or math.isnan(val):
+                n_bad += 1
+                continue
+            if prev_g is not None and (prev_g < 0.0 < val or val < 0.0 < prev_g):
+                yield Bracket(lo=prev_x, hi=x)
+            prev_x = x
+            prev_g = val
+    except GeneratorExit:
+        _warn_skipped(n_bad)
+        raise
+    _warn_skipped(n_bad)
+
+
+def _warn_skipped(n_bad: int) -> None:
     if n_bad:
         warnings.warn(f"sign scan skipped {n_bad} grid points with undefined values")
-    return brackets
+
+
+def scan_sign_changes(
+    g: Callable[[float], float], grid: Sequence[float]
+) -> list[Bracket]:
+    """Every sign-change bracket of g on the whole grid, in grid order.
+
+    The eager form of iter_sign_changes: all grid points are evaluated,
+    and the warning counts every NaN point of the grid.
+    """
+    return list(iter_sign_changes(g, grid))
 
 
 def find_root_bracketed(

@@ -11,8 +11,9 @@ are simultaneously negative.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .kinematics import (
     InternalConsistencyError,
@@ -26,7 +27,7 @@ from .kinematics import (
 )
 from .medium_finite_t import ResponseScalars, _parts
 from .medium_zero_t import SubregionBoundaryError, _im_parts, _re_parts
-from .numerics import find_root_bracketed, scan_sign_changes
+from .numerics import find_root_bracketed, iter_sign_changes
 from .occupation import MediumState
 
 _DUAL_PATH_TOL = 1e-12
@@ -169,11 +170,13 @@ def dispersion(
 ) -> DispersionBranch:
     """Trace a plasmon branch over b_grid.
 
-    For each b the mode condition is scanned on n_scan points across
-    a_search_range, every sign change is refined by Brent's method, and
-    the smallest positive root is kept.  Kinematically invalid scan
-    points (light cone, pair threshold, subregion boundaries) are
-    skipped as NaN.
+    For each b the mode condition is scanned upwards over the n_scan + 1
+    points of a_search_range, and each sign change is refined by Brent's
+    method as the scan reaches it.  The scan stops at the first root that
+    is positive and not a light-cone pole: that is the smallest accepted
+    root, as before, and the points above its bracket are never
+    evaluated.  Kinematically invalid scan points (light cone, pair
+    threshold, subregion boundaries) are skipped as NaN.
     """
     if mode not in ("longitudinal", "transverse"):
         raise ValueError(f"unknown dispersion mode {mode!r}")
@@ -204,28 +207,38 @@ def dispersion(
 
         step = (a_hi - a_lo) / n_scan
         grid = [a_lo + i * step for i in range(n_scan + 1)]
-        brackets = scan_sign_changes(gap, grid)
-        roots = []
-        for br in brackets:
-            root = find_root_bracketed(gap, br)
-            if root <= 0.0:
-                continue
-            # a sign change across the light cone is a pole, not a zero:
-            # there the refined point has a larger residual than the
-            # bracket edges (or none at all)
-            g_root = gap(root)
-            g_edges = min(abs(gap(br.lo)), abs(gap(br.hi)))
-            if math.isnan(g_root) or abs(g_root) >= g_edges:
-                continue
-            roots.append(root)
-        if not roots:
+        root = _first_zero(gap, grid)
+        if root is None:
             continue
-        root = min(roots)
         tens = tens_at(root)
         im_val = tens.eps_L.imag if longitudinal else tens.nu_L.imag
         samples.append(RootSample(b=b, root_a=root, residual=gap(root), im_at_root=im_val))
     plasma = _extrapolate_to_zero_b(samples)
     return DispersionBranch(mode=mode, samples=tuple(samples), plasma_frequency=plasma)
+
+
+def _first_zero(g: Callable[[float], float], grid: Sequence[float]) -> float | None:
+    """Smallest accepted zero of g on grid, or None.
+
+    The brackets arrive in increasing a and do not overlap, so the first
+    one whose Brent root is positive and passes the pole filter holds the
+    smallest accepted root: the scan stops there, and the grid points
+    above that bracket are never evaluated.
+    """
+    with closing(iter_sign_changes(g, grid)) as brackets:
+        for br in brackets:
+            root = find_root_bracketed(g, br)
+            if root <= 0.0:
+                continue
+            # a sign change across the light cone is a pole, not a zero:
+            # there the refined point has a larger residual than the
+            # bracket edges (or none at all)
+            g_root = g(root)
+            g_edges = min(abs(g(br.lo)), abs(g(br.hi)))
+            if math.isnan(g_root) or abs(g_root) >= g_edges:
+                continue
+            return root
+    return None
 
 
 def _extrapolate_to_zero_b(samples: Sequence[RootSample]) -> float:

@@ -219,6 +219,24 @@ def test_dispersion_warm_requires_a_range(capsys):
     assert "--a-range" in err
 
 
+def test_consistency_failure_exits_4_without_traceback(capsys):
+    # Brent's iterate comes within |c2| ~ 1.5e-9 of the light cone, where
+    # the dual-path check of eps_L trips
+    code, out, err = run_cli(
+        capsys,
+        [
+            "dispersion", "--mode", "transverse",
+            "--b-range", "0.0023440953085322224", "0.00937638123412889", "3",
+            "--log-b", "--xf", "1.0756775835320047",
+        ],
+    )
+    assert code == 4
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: eps_L composition mismatch")
+    assert err.count("\n") == 1
+
+
 def test_nr_scan(capsys):
     code, out, _ = run_cli(
         capsys,

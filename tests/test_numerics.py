@@ -8,7 +8,7 @@ from relegas import (
     integrate_adaptive,
     scan_sign_changes,
 )
-from relegas.numerics import PANEL_BUDGET
+from relegas.numerics import PANEL_BUDGET, iter_sign_changes
 
 
 def test_polynomial_exact_single_panel():
@@ -105,6 +105,24 @@ def test_scan_skips_undefined_points():
         brackets = scan_sign_changes(g, grid)
     assert len(brackets) == 1
     assert brackets[0].lo < 0.5 < brackets[0].hi
+
+
+def test_lazy_scan_stops_at_first_bracket():
+    # closing early evaluates nothing past the bracket and warns about
+    # the undefined points visited so far (0.0 and 0.2), not the later one
+    seen = []
+
+    def g(x: float) -> float:
+        seen.append(x)
+        return math.nan if x in (0.0, 0.2, 1.4) else math.sin(8.0 * x)
+
+    grid = [0.2 * k for k in range(10)]
+    scan = iter_sign_changes(g, grid)
+    br = next(scan)
+    assert br.lo < math.pi / 4.0 < br.hi
+    assert seen == grid[: grid.index(br.hi) + 1]
+    with pytest.warns(UserWarning, match="skipped 2 grid points"):
+        scan.close()
 
 
 def test_scan_requires_strict_sign_change():

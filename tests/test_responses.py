@@ -4,7 +4,11 @@ import random
 import pytest
 
 from relegas import (
+    InternalConsistencyError,
+    InvalidPointError,
     MediumState,
+    RootSample,
+    SubregionBoundaryError,
     assemble,
     c_star,
     dispersion,
@@ -14,8 +18,8 @@ from relegas import (
     tensors_at,
 )
 from relegas import medium_finite_t
-from relegas.numerics import PANEL_BUDGET
-from relegas.responses import evaluate_cell
+from relegas.numerics import PANEL_BUDGET, find_root_bracketed, scan_sign_changes
+from relegas.responses import _extrapolate_to_zero_b, evaluate_cell
 from conftest import draw_valid_point, rel_err
 
 COLD = MediumState(t=0.0, xi=1.2)
@@ -212,6 +216,119 @@ def test_dispersion_evaluates_each_abscissa_once(monkeypatch):
         branch = dispersion(mode, [1e-3, 4e-3], ms, (0.25 * a_e, 4.0 * a_e))
         assert len(branch.samples) == 2
         assert max(seen.values()) == 1
+
+
+def _full_scan_branch(mode, b_grid, ms, window, n_scan=160):
+    # the rule without the early stop: scan the whole grid, refine every
+    # bracket, filter, and keep the smallest accepted root
+    longitudinal = mode == "longitudinal"
+    samples = []
+    for b in b_grid:
+
+        def gap(a):
+            try:
+                tens = tensors_at(a, b, ms)[3]
+            except (InvalidPointError, SubregionBoundaryError):
+                return math.nan
+            return tens.eps_L.real if longitudinal else tens.nu_L.real + 1.0
+
+        step = (window[1] - window[0]) / n_scan
+        grid = [window[0] + i * step for i in range(n_scan + 1)]
+        roots = []
+        for br in scan_sign_changes(gap, grid):
+            root = find_root_bracketed(gap, br)
+            g_root = gap(root)
+            if root <= 0.0 or math.isnan(g_root):
+                continue
+            if abs(g_root) >= min(abs(gap(br.lo)), abs(gap(br.hi))):
+                continue
+            roots.append(root)
+        if roots:
+            root = min(roots)
+            tens = tensors_at(root, b, ms)[3]
+            im_val = tens.eps_L.imag if longitudinal else tens.nu_L.imag
+            samples.append((b, root, gap(root), im_val))
+    return samples
+
+
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def _assert_matches_full_scan(mode, b_grid, ms, window, n_scan=160):
+    """True when compared; False when the full scan raised."""
+    try:
+        want = _full_scan_branch(mode, b_grid, ms, window, n_scan)
+    except InternalConsistencyError:
+        # a bracket above the first accepted zero may trip the dual-path
+        # check; the early stop never reaches it and may return instead
+        return False
+    branch = dispersion(mode, b_grid, ms, window, n_scan=n_scan)
+    got = [(s.b, s.root_a, s.residual, s.im_at_root) for s in branch.samples]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert all(_same(x, y) for x, y in zip(g, w)), (mode, g, w)
+    ref_plasma = _extrapolate_to_zero_b(
+        [RootSample(b=w[0], root_a=w[1], residual=w[2], im_at_root=w[3]) for w in want]
+    )
+    assert _same(branch.plasma_frequency, ref_plasma)
+    return True
+
+
+@pytest.mark.filterwarnings("ignore:sign scan skipped")
+def test_dispersion_early_stop_keeps_smallest_root():
+    rng = random.Random(606)
+    compared = 0
+    for _ in range(24):
+        xF = rng.uniform(1.02, 3.0)
+        b0 = rng.uniform(5e-4, 3e-3)
+        ms = MediumState(t=0.0, xi=xF)
+        a_e = plasma_frequency_estimate(ms)
+        for mode in ("longitudinal", "transverse"):
+            compared += _assert_matches_full_scan(
+                mode, [b0, 2.0 * b0, 4.0 * b0], ms, (0.25 * a_e, 4.0 * a_e)
+            )
+    # 9 of these 48 full scans trip the dual-path check (ROADMAP item 3)
+    assert compared >= 36
+    # the first bracket here is the light-cone pole, which is rejected
+    ms = MediumState(t=0.0, xi=1.2)
+    a_e = plasma_frequency_estimate(ms)
+    assert _assert_matches_full_scan("transverse", [4e-3], ms, (0.25 * a_e, 4.0 * a_e))
+    warm = MediumState(t=0.05, xi=1.2)
+    for mode in ("longitudinal", "transverse"):
+        assert _assert_matches_full_scan(
+            mode, [1e-3, 2e-3, 4e-3], warm, (0.003, 0.06), n_scan=40
+        )
+
+
+def test_dispersion_scan_stops_at_first_accepted_root(monkeypatch):
+    from collections import defaultdict
+
+    from relegas import responses
+
+    seen: dict = defaultdict(list)
+    inner = responses.tensors_at
+
+    def counted(a, b, ms, include_vacuum=True):
+        seen[b].append(a)
+        return inner(a, b, ms, include_vacuum=include_vacuum)
+
+    monkeypatch.setattr(responses, "tensors_at", counted)
+    ms = MediumState(t=0.0, xi=1.2)
+    a_e = plasma_frequency_estimate(ms)
+    a_lo, a_hi = 0.25 * a_e, 4.0 * a_e
+    step = (a_hi - a_lo) / 160
+    grid = [a_lo + i * step for i in range(161)]
+    for mode in ("longitudinal", "transverse"):
+        seen.clear()
+        branch = dispersion(mode, [1e-3, 4e-3], ms, (a_lo, a_hi))
+        assert len(branch.samples) == 2
+        for s in branch.samples:
+            calls = seen[s.b]
+            assert len(calls) <= 80, (mode, s.b, len(calls))
+            hi = min(x for x in grid if x > s.root_a)
+            scanned = set(calls) & set(grid)
+            assert max(scanned) == hi, (mode, s.b)
 
 
 def test_dispersion_extrapolations_agree():
