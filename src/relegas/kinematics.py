@@ -179,7 +179,9 @@ def kinematic_window(p: KinematicPoint) -> tuple[float, float]:
     return lower, upper
 
 
-def zero_t_subregion(p: KinematicPoint, fs: FermiSurface) -> SubregionLabel:
+def zero_t_subregion(
+    p: KinematicPoint, fs: FermiSurface, region: RegionLabel | None = None
+) -> SubregionLabel:
     """Locate p among the T = 0 absorption subregions A-D.
 
     A: the whole window lies inside the Fermi sea (region I);
@@ -187,9 +189,12 @@ def zero_t_subregion(p: KinematicPoint, fs: FermiSurface) -> SubregionLabel:
     C, D: same split for the pair-creation window (region III);
     NONE: no absorption (window empty of occupied states, or region II).
 
-    Boundary membership uses a tolerance of 1e-12 on window edges.
+    Boundary membership uses a tolerance of 1e-12 on window edges.  A
+    caller that has classified p already passes its region, which is then
+    not classified again.
     """
-    region = classify_region(p)
+    if region is None:
+        region = classify_region(p)
     if region is RegionLabel.II:
         return SubregionLabel(label="NONE", x_lower=math.nan, x_upper=math.nan)
     lower, upper = kinematic_window(p)

@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import exp, log, sqrt
 
 from .kinematics import KinematicPoint, RegionLabel, classify_region, kinematic_window
 from .numerics import integrate_adaptive
-from .occupation import MediumState, n_fermi, x_cutoff
+from .occupation import _EXP_CLIP, MediumState, x_cutoff
 from .vacuum import c_star
+
+# floor of |num| and |den| under the kernels' logs
+_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -86,10 +90,10 @@ def _log_ratio(num: float, den: float) -> float:
     # lands exactly there, but guard the log anyway
     anum = abs(num)
     aden = abs(den)
-    if anum < 1e-300:
-        anum = 1e-300
-    if aden < 1e-300:
-        aden = 1e-300
+    if anum < _TINY:
+        anum = _TINY
+    if aden < _TINY:
+        aden = _TINY
     return math.log(anum) - math.log(aden)
 
 
@@ -99,7 +103,8 @@ def _parts(
     """(Re B, Re D, Im B, Im D) from one vector quadrature.
 
     The five integrands (R, R_B, R_D and the Im B, Im D kernels) share
-    every node, so n_F, r1 and r2 are evaluated once per node.  Each is
+    every node, so n_F, r1 and r2 are evaluated once per node, inline,
+    with the bits of n_fermi, r1 and r2.  Each is
     zero outside its own range ([1, cutoff] for the real parts, the
     kinematic window for the imaginary ones); those ends, the window
     edges where r1 and r2 have log singularities, and the Fermi edge xi
@@ -118,12 +123,36 @@ def _parts(
     if top <= 1.0:  # t = 0, xi = 1: an empty sea and no window
         return 0.0, 0.0, 0.0, 0.0
 
+    t, xi = ms.t, ms.xi
+    c2sq = c2 * c2
+    a4 = 4.0 * a
+
     def kernel(x: float) -> tuple[float, float, float, float, float]:
-        n = n_fermi(x, ms)
+        # n_fermi, r1 and r2 inlined with y, a*x and b*y shared: one sqrt
+        # and no Python call per node.  The arithmetic is theirs step for
+        # step, so the bits are too; the squares stay `** 2`, since libm's
+        # pow(v, 2) is not always v * v in the last bit.
+        if t == 0.0:
+            n = 1.0 if x < xi else 0.5 if x == xi else 0.0
+        else:
+            u = (x - xi) / t
+            n = 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0)
+            u = (x + xi) / t
+            n += 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0)
         if x < hi:
-            k1 = r1(x, p)
-            big = n * math.sqrt(x * x - 1.0)
-            k_b = n * ((x * x + c2) * k1 + 4.0 * a * x * r2(x, p))
+            xx = x * x
+            y = sqrt(xx - 1.0)
+            ax = a * x
+            by = b * y
+            ax2 = ax**2
+            num = abs((c2 - by) ** 2 - ax2)
+            den = abs((c2 + by) ** 2 - ax2)
+            k1 = log(_TINY if num < _TINY else num) - log(_TINY if den < _TINY else den)
+            num = abs(c2sq - (ax - by) ** 2)
+            den = abs(c2sq - (ax + by) ** 2)
+            k2 = 0.5 * (log(_TINY if num < _TINY else num) - log(_TINY if den < _TINY else den))
+            big = n * y
+            k_b = n * ((xx + c2) * k1 + a4 * x * k2)
             k_d = n * k1
         else:
             big = k_b = k_d = 0.0

@@ -312,7 +312,7 @@ def scalars_zero_t(
     p: KinematicPoint, fs: FermiSurface, ms: MediumState, include_vacuum: bool = True
 ) -> ResponseScalars:
     """All four response scalars at p from the T = 0 closed forms."""
-    classify_region(p)
+    region = classify_region(p)
     # the real half runs (and may raise) before the subregion is built
-    parts = _re_parts(p, fs, ms) + _im_parts(p, zero_t_subregion(p, fs), ms)
+    parts = _re_parts(p, fs, ms) + _im_parts(p, zero_t_subregion(p, fs, region), ms)
     return ResponseScalars.from_parts(p, ms, parts, include_vacuum)

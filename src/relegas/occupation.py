@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .kinematics import FermiSurface, fermi_surface
 
@@ -50,8 +51,8 @@ class MediumState:
             raise ValueError(
                 f"a zero-temperature state needs xi >= 1, got xi = {self.xi}"
             )
-        if self.alpha <= 0.0:
-            raise ValueError(f"coupling alpha = {self.alpha} must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"coupling alpha = {self.alpha} must be positive and finite")
 
     @property
     def e2(self) -> float:
@@ -61,9 +62,9 @@ class MediumState:
     def is_degenerate(self) -> bool:
         return self.t == 0.0
 
-    @property
+    @cached_property
     def fermi_surface(self) -> FermiSurface:
-        """Fermi surface of the t = 0 state (xF = xi)."""
+        """Fermi surface of the t = 0 state (xF = xi), built once per state."""
         if self.t != 0.0:
             raise ValueError("fermi_surface is defined only at t = 0")
         return fermi_surface(self.xi)

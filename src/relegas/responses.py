@@ -66,7 +66,7 @@ def scalars_at(
         fs = ms.fermi_surface
         # the real half runs (and may raise) before the subregion is built
         re_parts = _re_parts(p, fs, ms)
-        sub = zero_t_subregion(p, fs)
+        sub = zero_t_subregion(p, fs, region)
         parts = re_parts + _im_parts(p, sub, ms)
     else:
         sub = None

@@ -1,0 +1,123 @@
+"""Digests of every stored benchmark result and of a set of CLI runs.
+
+    python3 tests/fingerprint.py [ROOT]
+
+Prints one sha256 per stored pool of ``perfbench/data`` (the four
+workloads, the dispersion defects and the long-wavelength stalls), each
+over the ``repr`` of every op's result, or of the type and message of
+the exception it raised, in the order of one seed-0 pass.  A last line
+digests the stdout and exit status of ``CLI_COMMANDS``.  Two checkouts
+whose lines are equal give bit-identical results on all of them; ROOT
+(default: the checkout holding this script) selects the relegas sources
+and pools to run, so a commit without this script can be compared too.
+pytest does not collect this file.  ``perfbench`` is imported
+read-only: no bytecode is written.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+import os
+import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+# the commands whose stdout earlier bit-identity checks compared: one
+# point in json, csv, warm, region III, eV and on the light cone; cold
+# and warm scans serial and parallel (and a refused --jobs 0); cold and
+# warm dispersion, including runs that exit 4; nr-scan and boundaries
+CLI_COMMANDS = [
+    ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
+    ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
+    ["response", "--a", "0.5", "--b", "1.0", "--t", "0.05", "--xi", "1.2"],
+    ["response", "--a", "2.0", "--b", "1.0", "--t", "0.1", "--xi", "1.5", "--format", "csv"],
+    ["response", "--a", "2.0", "--b", "1.0", "--xf", "1.5"],
+    ["response", "--a", "0.5", "--b", "0.5", "--xf", "1.2"],
+    ["response", "--a", "300000", "--b", "500000", "--xf", "600000", "--units", "ev"],
+    ["scan", "--a-range", "0.01", "0.05", "8", "--b-range", "1e-3", "5e-3", "4", "--xf", "1.2"],
+    ["scan", "--a-range", "0.01", "0.05", "8", "--b-range", "1e-3", "5e-3", "4", "--xf", "1.2",
+     "--jobs", "2"],
+    ["scan", "--a-range", "0.01", "0.05", "8", "--b-range", "1e-3", "5e-3", "4", "--xf", "1.2",
+     "--jobs", "0"],
+    ["scan", "--a-range", "0.01", "0.05", "6", "--b-range", "1e-3", "5e-3", "3", "--t", "0.05",
+     "--xi", "1.2"],
+    ["scan", "--a-range", "0.01", "0.05", "6", "--b-range", "1e-3", "5e-3", "3", "--t", "0.05",
+     "--xi", "1.2", "--jobs", "2"],
+    ["dispersion", "--mode", "both", "--b-range", "1e-3", "4e-3", "4", "--xf", "1.5"],
+    ["dispersion", "--mode", "both", "--b-range", "1e-3", "4e-3", "3", "--log-b", "--xf", "1.2"],
+    ["dispersion", "--mode", "both", "--b-range", "1e-3", "4e-3", "4", "--xf", "2.5",
+     "--no-vacuum"],
+    ["dispersion", "--mode", "longitudinal", "--b-range", "1e-3", "4e-3", "3", "--log-b",
+     "--t", "0.05", "--xi", "1.2", "--a-range", "0.003", "0.06"],
+    ["dispersion", "--mode", "both", "--b-range", "1e-3", "4e-3", "3", "--log-b",
+     "--t", "0.05", "--xi", "1.2", "--a-range", "0.003", "0.06"],
+    ["dispersion", "--mode", "transverse", "--b-range", "0.0023440953085322224",
+     "0.00937638123412889", "3", "--log-b", "--xf", "1.0756775835320047"],
+    ["nr-scan", "--omega-range", "2e-4", "1.2e-3", "20", "--q-range", "0.01", "0.05", "20",
+     "--pf", "0.0316"],
+    ["boundaries", "--xf", "1.5", "--a-range", "0", "2", "21"],
+]
+
+
+def outcome(run) -> str:
+    try:
+        return repr(run())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def pools(root: Path) -> dict[str, list]:
+    """Every stored pool's ops, by name, in the order of one seed-0 pass."""
+    sys.path.insert(0, str(root / "src"))
+    import relegas.responses as rl
+
+    bench = str(root / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    out = {
+        name: next(make(rl).passes(random.Random(0)))
+        for name, make in workloads.WORKLOADS.items()
+    }
+    out["dispersion_defects"] = workloads.dispersion_defects(rl)
+    out["long_wavelength_stalls"] = workloads.long_wavelength_stalls(rl)
+    return out
+
+
+def cli_lines(root: Path):
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for argv in CLI_COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "relegas.cli", *argv],
+            env=env, cwd=root, capture_output=True, text=True,
+        )
+        yield f"{argv} -> {proc.returncode}\n{proc.stdout}"
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
+    sys.dont_write_bytecode = True
+    with warnings.catch_warnings():
+        # the sign scan warns about light-cone points it skips
+        warnings.simplefilter("ignore")
+        for name, ops in pools(root).items():
+            print(f"{name:24s} {len(ops):5d} {digest(outcome(op.run) for op in ops)}", flush=True)
+    print(f"{'cli':24s} {len(CLI_COMMANDS):5d} {digest(cli_lines(root))}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))

@@ -97,6 +97,15 @@ def test_invalid_state_fails_cleanly(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_non_finite_coupling_exits_2(capsys, alpha):
+    argv = ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--alpha", alpha]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "alpha" in err and "finite" in err
+
+
 def test_unwritable_output_is_exit_3(capsys):
     code, _, err = run_cli(
         capsys,

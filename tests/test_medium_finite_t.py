@@ -4,8 +4,10 @@ import random
 import pytest
 
 from relegas import MediumState, derive_point, n_fermi, x_cutoff
+from relegas import medium_finite_t
+from relegas.kinematics import RegionLabel, classify_region, kinematic_window
 from relegas.medium_finite_t import im_scalars, r1, r2, re_scalars, scalars
-from relegas.numerics import integrate_adaptive
+from relegas.numerics import QuadratureResult, integrate_adaptive
 from conftest import complex_rel_err, rel_err
 
 # frozen values: (a, b, t, xi) -> (B, D), computed once with the quadrature
@@ -166,3 +168,65 @@ def test_real_parts_scale_with_coupling():
     strong = re_scalars(p, MediumState(t=0.05, xi=1.2, alpha=0.01))
     assert rel_err(strong[0], 2.0 * weak[0]) < 1e-12
     assert rel_err(strong[1], 2.0 * weak[1]) < 1e-12
+
+
+def _composed_kernel(x, p, ms, region):
+    # the five integrands of the fused pass, built from the public kernels
+    n = n_fermi(x, ms)
+    if x < x_cutoff(ms):
+        k1 = r1(x, p)
+        big = n * math.sqrt(x * x - 1.0)
+        k_b = n * ((x * x + p.c2) * k1 + 4.0 * p.a * x * r2(x, p))
+        k_d = n * k1
+    else:
+        big = k_b = k_d = 0.0
+    if region is not RegionLabel.II:
+        lower, upper = kinematic_window(p)
+        if lower < x < upper:
+            shift = p.a if region is RegionLabel.I else -p.a
+            return big, k_b, k_d, n * ((x + shift) ** 2 - p.b * p.b), n
+    return big, k_b, k_d, 0.0, 0.0
+
+
+def test_fused_integrand_equals_public_kernels(monkeypatch):
+    # the quadrature's integrand inlines n_fermi, r1 and r2; it must give
+    # their bits exactly, at random nodes and at nodes within 1e-12 of the
+    # window edges, the cutoff and the Fermi edge xi
+    captured = []
+
+    def capture(f, lo, hi, breakpoints=(), rel_tol=1e-10):
+        captured.append((f, lo, hi))
+        return QuadratureResult((0.0,) * 5, (0.0,) * 5, 0, True)
+
+    monkeypatch.setattr(medium_finite_t, "integrate_adaptive", capture)
+    states = [
+        MediumState(t=t, xi=xi)
+        for t in (0.0, 1e-3, 0.05, 1.0)
+        for xi in (1.2, 0.0, -1.1)
+        if t > 0.0 or xi >= 1.0
+    ]
+    points = [(0.5, 1.0), (0.05, 0.3), (0.8, 0.3), (0.01, 1e-6), (2.0, 1.0), (1.5, 0.4)]
+    rng = random.Random(1010)
+    nodes = 0
+    regions = set()
+    for ms in states:
+        for a, b in points:
+            p = derive_point(a, b)
+            region = classify_region(p)
+            regions.add(region)
+            captured.clear()
+            medium_finite_t._parts(p, ms, region)
+            (kernel, lo, hi), = captured
+            edges = [ms.xi, x_cutoff(ms)]
+            if region is not RegionLabel.II:
+                edges += kinematic_window(p)
+            xs = [rng.uniform(lo, hi) for _ in range(40)]
+            for e in edges:
+                xs += [e, e + 1e-12, e - 1e-12]
+                xs += [e + rng.uniform(-1e-12, 1e-12) for _ in range(3)]
+            for x in xs:
+                if x >= 1.0:
+                    assert kernel(x) == _composed_kernel(x, p, ms, region), (a, b, ms, x)
+                    nodes += 1
+    assert regions == set(RegionLabel)
+    assert nodes >= 2000

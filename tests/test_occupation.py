@@ -13,6 +13,9 @@ def test_state_validation():
         MediumState(t=0.0, xi=0.5)
     with pytest.raises(ValueError):
         MediumState(t=0.1, xi=1.2, alpha=0.0)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MediumState(t=0.1, xi=1.2, alpha=alpha)
     MediumState(t=0.1, xi=-2.0)  # negative chemical potential is fine at t > 0
 
 
@@ -27,10 +30,13 @@ def test_degenerate_flag_and_surface():
     ms = MediumState(t=0.0, xi=1.5)
     assert ms.is_degenerate
     assert ms.fermi_surface.xF == 1.5
+    assert ms.fermi_surface is ms.fermi_surface  # built once per state
+    assert ms == MediumState(t=0.0, xi=1.5)
     hot = MediumState(t=0.2, xi=1.5)
     assert not hot.is_degenerate
-    with pytest.raises(ValueError):
-        hot.fermi_surface
+    for _ in range(2):  # a failed access caches nothing
+        with pytest.raises(ValueError):
+            hot.fermi_surface
 
 
 def test_step_occupancy():

@@ -106,8 +106,8 @@ def test_scalars_at_dispatch():
 
 
 def test_one_classification_per_point(monkeypatch):
-    # a t = 0 point builds its subregion and the Fermi-surface r1 once, a
-    # t > 0 point classifies its region once
+    # a t = 0 point classifies its region and builds its subregion and
+    # the Fermi-surface r1 once, a t > 0 point classifies its region once
     from collections import Counter
 
     from relegas import kinematics, medium_zero_t, responses
@@ -132,6 +132,7 @@ def test_one_classification_per_point(monkeypatch):
                 monkeypatch.setattr(mod, name, wrapper)
 
     tensors_at(0.5, 1.0, COLD)
+    assert calls["classify_region"] == 1
     assert calls["zero_t_subregion"] == 1
     assert calls["r1"] == 1
     calls.clear()
@@ -386,19 +387,27 @@ def test_scan_skips_invalid_cells_with_reason():
 def test_long_wavelength_cell_ends_within_budget(monkeypatch):
     # at b = 1e-7 roundoff keeps the quadrature from ever meeting its
     # tolerance; the level cap must still end the call.  The fused pass
-    # has at most four panels and evaluates n_F once per node, so a
-    # runaway shows as an exceeded count instead of a hang.
-    evals = 0
-    n_fermi = medium_finite_t.n_fermi
+    # has at most four panels, so a runaway shows as an exceeded count
+    # instead of a hang.
+    calls = evals = 0
+    integrate = medium_finite_t.integrate_adaptive
 
-    def counted(x, ms):
+    def counted_integrate(f, *args, **kwargs):
         nonlocal evals
-        evals += 1
-        assert evals <= 4 * PANEL_BUDGET, "evaluation budget exceeded"
-        return n_fermi(x, ms)
 
-    monkeypatch.setattr(medium_finite_t, "n_fermi", counted)
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            assert calls <= 4 * PANEL_BUDGET, "evaluation budget exceeded"
+            return f(x)
+
+        result = integrate(counted, *args, **kwargs)
+        evals += result.evaluations
+        return result
+
+    monkeypatch.setattr(medium_finite_t, "integrate_adaptive", counted_integrate)
     cell = evaluate_cell(0.002, 1e-7, MediumState(t=0.05, xi=1.2))
+    assert 0 < evals == calls <= 4 * PANEL_BUDGET
     assert cell.reason == ""
     assert math.isfinite(cell.re_eps_L)
     assert cell.region == "II"
