@@ -120,8 +120,6 @@ def _parts(
         # (x + a)**2 - b**2 in region I, (x - a)**2 - b**2 in region III
         shift = a if region is RegionLabel.I else -a
     top = max(hi, upper)
-    if top <= 1.0:  # t = 0, xi = 1: an empty sea and no window
-        return 0.0, 0.0, 0.0, 0.0
 
     t, xi = ms.t, ms.xi
     c2sq = c2 * c2
@@ -160,7 +158,12 @@ def _parts(
             return big, k_b, k_d, n * ((x + shift) ** 2 - b2), n
         return big, k_b, k_d, 0.0, 0.0
 
-    parts = integrate_adaptive(kernel, 1.0, top, breakpoints=(hi, ms.xi, lower, upper)).value
+    res = integrate_adaptive(kernel, 1.0, top, breakpoints=(hi, ms.xi, lower, upper))
+    if not res.evaluations:
+        # no double lies inside [1, top]: an empty sea and no window
+        # (t = 0 with xi = 1, or a cutoff of 1 + 1 ulp at t ~ 1e-17)
+        return 0.0, 0.0, 0.0, 0.0
+    parts = res.value
     re_b = re_d = 0.0
     if hi > 1.0:
         big_r = parts[0]

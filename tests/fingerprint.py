@@ -5,8 +5,11 @@
 Prints one sha256 per stored pool of ``perfbench/data`` (the four
 workloads, the dispersion defects and the long-wavelength stalls), each
 over the ``repr`` of every op's result, or of the type and message of
-the exception it raised, in the order of one seed-0 pass.  A last line
-digests the stdout and exit status of ``CLI_COMMANDS``.  Two checkouts
+the exception it raised, in the order of one seed-0 pass.  Then one
+line per command of ``CLI_COMMANDS``, named ``cli.NN`` by its index, gives
+the command's exit status, the digest of its argv, exit status and
+stdout, and the command itself; so a change that moves only the
+``t > 0`` commands shows the ``t = 0`` ones unchanged.  Two checkouts
 whose lines are equal give bit-identical results on all of them; ROOT
 (default: the checkout holding this script) selects the relegas sources
 and pools to run, so a commit without this script can be compared too.
@@ -28,7 +31,8 @@ from pathlib import Path
 # the commands whose stdout earlier bit-identity checks compared: one
 # point in json, csv, warm, region III, eV and on the light cone; cold
 # and warm scans serial and parallel (and a refused --jobs 0); cold and
-# warm dispersion, including runs that exit 4; nr-scan and boundaries
+# warm dispersion, including runs that exit 4; nr-scan and boundaries;
+# a warm point whose occupation cutoff is 1 ulp above the mass shell
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -59,6 +63,7 @@ CLI_COMMANDS = [
     ["nr-scan", "--omega-range", "2e-4", "1.2e-3", "20", "--q-range", "0.01", "0.05", "20",
      "--pf", "0.0316"],
     ["boundaries", "--xf", "1.5", "--a-range", "0", "2", "21"],
+    ["response", "--a", "0.5", "--b", "0.3", "--t", "5.6e-18", "--xi", "1.0"],
 ]
 
 
@@ -97,14 +102,14 @@ def pools(root: Path) -> dict[str, list]:
     return out
 
 
-def cli_lines(root: Path):
+def cli_runs(root: Path):
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in CLI_COMMANDS:
         proc = subprocess.run(
             [sys.executable, "-m", "relegas.cli", *argv],
             env=env, cwd=root, capture_output=True, text=True,
         )
-        yield f"{argv} -> {proc.returncode}\n{proc.stdout}"
+        yield argv, proc.returncode, f"{argv} -> {proc.returncode}\n{proc.stdout}"
 
 
 def main(argv: list[str]) -> int:
@@ -115,7 +120,8 @@ def main(argv: list[str]) -> int:
         warnings.simplefilter("ignore")
         for name, ops in pools(root).items():
             print(f"{name:24s} {len(ops):5d} {digest(outcome(op.run) for op in ops)}", flush=True)
-    print(f"{'cli':24s} {len(CLI_COMMANDS):5d} {digest(cli_lines(root))}")
+    for i, (argv, status, line) in enumerate(cli_runs(root)):
+        print(f"{f'cli.{i:02d}':24s} {status:5d} {digest([line])}  {' '.join(argv)}", flush=True)
     return 0
 
 

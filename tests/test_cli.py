@@ -106,6 +106,16 @@ def test_non_finite_coupling_exits_2(capsys, alpha):
     assert "alpha" in err and "finite" in err
 
 
+def test_cutoff_one_ulp_above_the_shell_exits_0(capsys):
+    argv = ["response", "--a", "0.5", "--b", "0.3", "--t", "5.6e-18", "--xi", "1.0"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert rec["region"] == "II"
+    assert rec["scalars"]["ReB"] == rec["scalars"]["ReD"] == 0.0
+    assert rec["scalars"]["ImB"] == rec["scalars"]["ImD"] == 0.0
+
+
 def test_unwritable_output_is_exit_3(capsys):
     code, _, err = run_cli(
         capsys,

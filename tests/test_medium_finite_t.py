@@ -74,6 +74,16 @@ def test_frozen_scalar_values():
                 assert got.D.imag == 0.0
 
 
+def test_cutoff_one_ulp_above_the_shell_is_an_empty_sea():
+    # at t = 5.6e-18, xi = 1 the cutoff is 1 + 1 ulp, so no double lies
+    # inside [1, cutoff] and the quadrature has no node: the medium parts
+    # vanish as for the empty sea at t = 0
+    ms = MediumState(t=5.6e-18, xi=1.0)
+    assert x_cutoff(ms) == math.nextafter(1.0, 2.0)
+    got = scalars(derive_point(0.5, 0.3), ms, include_vacuum=False)
+    assert (got.B, got.D, got.A, got.C) == (0j, 0j, 0j, 0j)
+
+
 def test_kernel_r1_vanishes_on_shell():
     # at x = 1 the integrand weight collapses for any timelike-window point
     p = derive_point(0.5, 1.0)

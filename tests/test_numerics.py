@@ -151,3 +151,60 @@ def test_brent_rejects_non_bracket():
 def test_brent_accepts_endpoint_root():
     root = find_root_bracketed(lambda x: x - 1.0, Bracket(1.0, 2.0))
     assert root == 1.0
+
+
+def _fermi_case(mu: float, t: float, breakpoints: tuple[float, ...]):
+    # n(x) = 1/(e^u + 1), u = (x - mu)/t, with antiderivative
+    # x - t log(1 + e^u), both written so that no exp overflows
+    def n(x: float) -> float:
+        u = (x - mu) / t
+        if u > 0.0:
+            q = math.exp(-u)
+            return q / (1.0 + q)
+        return 1.0 / (1.0 + math.exp(u))
+
+    def prim(x: float) -> float:
+        u = (x - mu) / t
+        if u > 0.0:
+            return mu - t * math.log1p(math.exp(-u))
+        return x - t * math.log1p(math.exp(u))
+
+    return n, 1.0, 3.0, breakpoints, prim(3.0) - prim(1.0)
+
+
+def _soundness_cases():
+    for mu, t in ((1.2, 1e-3), (1.2, 0.05), (1.3, 1e-2), (1.7, 0.2)):
+        yield f"fermi({mu},{t})", _fermi_case(mu, t, ())
+        yield f"fermi({mu},{t})|mu", _fermi_case(mu, t, (mu,))
+    yield "log", (math.log, 0.0, 1.0, (), -1.0)
+    yield "log|x-1.3|", (
+        lambda x: math.log(abs(x - 1.3)), 0.0, 3.0, (1.3,),
+        1.7 * math.log(1.7) + 1.3 * math.log(1.3) - 3.0,
+    )
+    yield "sqrt(x^2-1)", (
+        lambda x: math.sqrt(x * x - 1.0), 1.0, 3.0, (),
+        0.5 * (3.0 * math.sqrt(8.0) - math.log(3.0 + math.sqrt(8.0))),
+    )
+    yield "|x-1.5|^-1/2", (
+        lambda x: 1.0 / math.sqrt(abs(x - 1.5)), 0.0, 3.0, (1.5,), 4.0 * math.sqrt(1.5),
+    )
+    yield "cos37x", (lambda x: math.cos(37.0 * x), 0.0, 1.0, (), math.sin(37.0) / 37.0)
+    # int_0^40 e^-x x^5 dx = 5! (1 - e^-40 sum_k<=5 40^k/k!)
+    tail = math.exp(-40.0) * sum(40.0**k / math.factorial(k) for k in range(6))
+    yield "x^5 e^-x", (lambda x: math.exp(-x) * x**5, 0.0, 40.0, (), 120.0 * (1.0 - tail))
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_converged_error_is_within_tolerance(rel_tol):
+    # the per-panel error estimate is extrapolated from the last three
+    # levels; wherever a call reports convergence, the true error must
+    # meet the request, including on integrands that converge slowly
+    # (an inverse square root at a breakpoint) or not at all (a Fermi
+    # step of width 1e-3 inside a panel)
+    n_converged = 0
+    for name, (f, lo, hi, breakpoints, want) in _soundness_cases():
+        res = integrate_adaptive(f, lo, hi, breakpoints=breakpoints, rel_tol=rel_tol)
+        if res.converged:
+            n_converged += 1
+            assert abs(res.value - want) <= rel_tol * abs(want), name
+    assert n_converged >= 10

@@ -415,6 +415,29 @@ def test_long_wavelength_cell_ends_within_budget(monkeypatch):
     assert cell.im_nu_L == 0.0
 
 
+@pytest.mark.parametrize(
+    "a, b, t, xi, most",
+    [(0.5, 1.0, 0.05, 1.2, 250), (0.5, 1.0, 1.0, 0.0, 202), (0.8, 0.3, 0.05, 1.2, 150)],
+    ids=["warm_I", "hot_I", "warm_II"],
+)
+def test_warm_probe_evaluation_counts(monkeypatch, a, b, t, xi, most):
+    # the benchmark's warm probe points (PROBES in perfbench/worker.py):
+    # with the extrapolated panel error, each panel stops as soon as its
+    # latest level meets the tolerance
+    evals = 0
+    integrate = medium_finite_t.integrate_adaptive
+
+    def counted_integrate(*args, **kwargs):
+        nonlocal evals
+        result = integrate(*args, **kwargs)
+        evals += result.evaluations
+        return result
+
+    monkeypatch.setattr(medium_finite_t, "integrate_adaptive", counted_integrate)
+    tensors_at(a, b, MediumState(t=t, xi=xi))
+    assert 0 < evals <= most
+
+
 def test_assemble_consistency_check_fires_on_corrupt_scalars():
     from relegas import InternalConsistencyError, derive_point
     from relegas.medium_finite_t import ResponseScalars
