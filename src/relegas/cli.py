@@ -89,6 +89,8 @@ def _range_arg(parser: argparse.ArgumentParser, name: str, help_text: str) -> No
 
 def _grid_from_range(rng: list[float], log: bool = False) -> list[float]:
     lo, hi, n_float = rng
+    if not math.isfinite(n_float):
+        raise ValueError(f"grid size {n_float} must be finite")
     n = int(round(n_float))
     if n < 1:
         raise ValueError(f"grid size {n_float} must be >= 1")
@@ -274,15 +276,18 @@ def _cmd_scan(args: argparse.Namespace) -> str:
         for b in b_grid
         for a in a_grid
     ]
-    if args.jobs == 1:
+    # the pool may start every worker at once, so never ask for more than
+    # there are cells or CPUs
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs == 1:
         rows = [_scan_cell_task(t) for t in tasks]
     else:
         # imported here: multiprocessing adds ~2 MB and start-up time to
         # every command, and only a parallel scan uses it
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(tasks) // (args.jobs * 4))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        chunk = max(1, len(tasks) // (jobs * 4))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_cell_task, tasks, chunksize=chunk))
     return _csv_text(SCAN_COLUMNS, rows)
 

@@ -8,25 +8,26 @@ by the occupation n_F(x).
 Real parts integrate n_F against smooth kernels built from the two log
 ratios r1 and r2; on the real branch (gamma2 > 0) those logs have
 integrable singularities at the kinematic window edges, which are handed
-to the quadrature engine as breakpoints.  Imaginary parts are integrals
-of polynomial kernels over the part of the kinematic window below the
-occupation cutoff; they vanish identically in region II, where no real
-absorption process exists.  All five integrals are one vector-valued
-quadrature pass over shared nodes.
+to the quadrature engine as breakpoints.  The quadrature evaluates the
+logs in factored form (``_log_kernels``), which loses no digits as
+b -> 0.  Imaginary parts are integrals of polynomial kernels over the
+part of the kinematic window below the occupation cutoff; they vanish
+identically in region II, where no real absorption process exists.  All
+five integrals are one vector-valued quadrature pass over shared nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, log, log1p, sqrt
 
 from .kinematics import KinematicPoint, RegionLabel, classify_region, kinematic_window
 from .numerics import integrate_adaptive
 from .occupation import _EXP_CLIP, MediumState, x_cutoff
 from .vacuum import c_star
 
-# floor of |num| and |den| under the kernels' logs
+# floor under the kernels' logs, and of a denominator that rounds to 0
 _TINY = 1e-300
 
 
@@ -66,7 +67,9 @@ def r1(x: float, p: KinematicPoint) -> float:
 
     Vanishes at the mass shell x = 1 and decays like 1/x**2 at large x.
     It does not vanish at a = 0: its static limit carries the entire
-    Thomas-Fermi screening response.
+    Thomas-Fermi screening response.  The t = 0 closed forms call this
+    squared form; the quadrature uses the factored _log_kernels, which
+    keep the digits this form loses as b -> 0.
     """
     y = math.sqrt(x * x - 1.0)
     num = (p.c2 - p.b * y) ** 2 - (p.a * x) ** 2
@@ -97,6 +100,49 @@ def _log_ratio(num: float, den: float) -> float:
     return math.log(anum) - math.log(aden)
 
 
+def _log_kernels(x: float, p: KinematicPoint) -> tuple[float, float]:
+    """r1 and r2 at x from the four linear factors L1..L4 = c2 -+ a x -+ b y.
+
+    Each factor is computed without c2, e.g. L1 = a (a - x) - b (b + y),
+    so it stays accurate up to its own zero (a - x is exact near x = a).
+    r1 = log|L1 L3/(L2 L4)| and r2 = (1/2) log|L2 L3/(L1 L4)|, and the
+    numerators differ from the denominators by the exact -4 c2 b y and
+    4 a x b y (with c2 = (a - b)(a + b), that of the factors), so each log
+    is log1p(q) of that difference over the denominator while q > -1/2.
+    Below that the ratio is under 1/2 (a factor near its zero, or a sign
+    change inside the window) and the kernel is one log of |ratio|,
+    floored at _TINY; a denominator that rounds to 0 counts as _TINY.
+    Unlike the squared forms of r1 and r2, nothing cancels as b -> 0, so
+    the kernels keep their relative accuracy where they are O(b).
+    """
+    a, b = p.a, p.b
+    y = sqrt(x * x - 1.0)
+    by = b * y
+    am = a * (a - x)
+    ap = a * (a + x)
+    bp = b * (b + y)
+    bm = b * (b - y)
+    l1 = am - bp
+    l2 = am - bm
+    l3 = ap - bp
+    l4 = ap - bm
+    den = l2 * l4 or _TINY
+    q = -4.0 * ((a - b) * (a + b)) * by / den
+    if q > -0.5:
+        k1 = log1p(q)
+    else:
+        r = abs(l1 * l3 / den)
+        k1 = log(_TINY if r < _TINY else r)
+    den = l1 * l4 or _TINY
+    q = 4.0 * a * x * by / den
+    if q > -0.5:
+        k2 = 0.5 * log1p(q)
+    else:
+        r = abs(l2 * l3 / den)
+        k2 = 0.5 * log(_TINY if r < _TINY else r)
+    return k1, k2
+
+
 def _parts(
     p: KinematicPoint, ms: MediumState, region: RegionLabel
 ) -> tuple[float, float, float, float]:
@@ -104,7 +150,7 @@ def _parts(
 
     The five integrands (R, R_B, R_D and the Im B, Im D kernels) share
     every node, so n_F, r1 and r2 are evaluated once per node, inline,
-    with the bits of n_fermi, r1 and r2.  Each is
+    with the bits of n_fermi and _log_kernels.  Each is
     zero outside its own range ([1, cutoff] for the real parts, the
     kinematic window for the imaginary ones); those ends, the window
     edges where r1 and r2 have log singularities, and the Fermi edge xi
@@ -122,14 +168,13 @@ def _parts(
     top = max(hi, upper)
 
     t, xi = ms.t, ms.xi
-    c2sq = c2 * c2
     a4 = 4.0 * a
+    m4c2 = -4.0 * ((a - b) * (a + b))
 
     def kernel(x: float) -> tuple[float, float, float, float, float]:
-        # n_fermi, r1 and r2 inlined with y, a*x and b*y shared: one sqrt
+        # n_fermi and _log_kernels inlined with y and b*y shared: one sqrt
         # and no Python call per node.  The arithmetic is theirs step for
-        # step, so the bits are too; the squares stay `** 2`, since libm's
-        # pow(v, 2) is not always v * v in the last bit.
+        # step, so the bits are too.
         if t == 0.0:
             n = 1.0 if x < xi else 0.5 if x == xi else 0.0
         else:
@@ -140,15 +185,29 @@ def _parts(
         if x < hi:
             xx = x * x
             y = sqrt(xx - 1.0)
-            ax = a * x
             by = b * y
-            ax2 = ax**2
-            num = abs((c2 - by) ** 2 - ax2)
-            den = abs((c2 + by) ** 2 - ax2)
-            k1 = log(_TINY if num < _TINY else num) - log(_TINY if den < _TINY else den)
-            num = abs(c2sq - (ax - by) ** 2)
-            den = abs(c2sq - (ax + by) ** 2)
-            k2 = 0.5 * (log(_TINY if num < _TINY else num) - log(_TINY if den < _TINY else den))
+            am = a * (a - x)
+            ap = a * (a + x)
+            bp = b * (b + y)
+            bm = b * (b - y)
+            l1 = am - bp
+            l2 = am - bm
+            l3 = ap - bp
+            l4 = ap - bm
+            den = l2 * l4 or _TINY
+            q = m4c2 * by / den
+            if q > -0.5:
+                k1 = log1p(q)
+            else:
+                r = abs(l1 * l3 / den)
+                k1 = log(_TINY if r < _TINY else r)
+            den = l1 * l4 or _TINY
+            q = a4 * x * by / den
+            if q > -0.5:
+                k2 = 0.5 * log1p(q)
+            else:
+                r = abs(l2 * l3 / den)
+                k2 = 0.5 * log(_TINY if r < _TINY else r)
             big = n * y
             k_b = n * ((xx + c2) * k1 + a4 * x * k2)
             k_d = n * k1

@@ -9,8 +9,15 @@ split at the window edges, the Fermi edge xi and the cutoff.  The
 kernels are written out again here from their defining formulas, so the
 only thing shared with the library is the physics.  The script stops if
 the two precisions disagree beyond 1e-20 relative, then prints the
-``MPMATH_REFERENCE`` entries of ``test_medium_finite_t.py``.  It needs
-mpmath; the tests only read the printed values.
+``MPMATH_REFERENCE`` entries of ``test_medium_finite_t.py``.
+
+It then prints the ``KERNEL_REFERENCE`` entries: r1 and r2 at single
+nodes ``(a, b, x)``, from their defining log ratios at 50 and at 70
+digits (the script stops if they disagree beyond 1e-30 relative), with
+c2 = a**2 - b**2 and y = sqrt(x**2 - 1) exact for the double inputs.
+The nodes cover b -> 0 (1e-8, 1e-6, 1e-3), a cell next to the light
+cone, region III at b = 1e-6 next to x = a, and generic points.  It
+needs mpmath; the tests only read the printed values.
 """
 
 from __future__ import annotations
@@ -28,6 +35,38 @@ POINTS = (
     (0.5, 1.0, 0.2, -1.1),
     (0.9, 0.7, 0.3, 0.5),
 )
+
+
+# (a, b, x): single kernel nodes.  Each is well conditioned: a one-ulp
+# change of y moves neither kernel by more than 2e-14 relative (checked
+# below), so a double evaluation can meet the test's 2e-13.  That leaves
+# out nodes next to the narrow windows of the two region-I cells at
+# b ~ 1e-3, where a kernel changes by O(1) within 1e-3 of x.
+KERNEL_NODES = (
+    # b -> 0 in regions II and III, where the squared forms cancel
+    *((a, b, x) for b in (1e-8, 1e-6) for a in (0.00901, 0.986, 3.0) for x in (1.02, 1.3, 2.5)),
+    # b = 1e-3 in regions I (window [1.1542, 1.1552]), II and III
+    *((a, 1e-3, x) for a in (0.0005, 0.1, 2.0) for x in (1.02, 2.5, 10.0)),
+    # the warm_map cell next to the light cone (window [3.7129, 3.7163])
+    *((0.0017218508300760416, 0.0017878537522464, x) for x in (1.02, 1.5, 3.0, 6.0, 20.0, 40.0)),
+    # region III at b = 1e-6, about x = a, in and out of the window a -+ 7.45e-7
+    *((1.5, 1e-6, 1.5 + d) for d in (-3e-6, -7e-7, -2e-7, 0.0, 3e-7, 7.6e-7, 2e-6)),
+    # generic points in regions I, III and II
+    *((a, b, x) for a, b in ((0.5, 1.0), (2.0, 1.0), (0.8, 0.3), (0.3, 0.25)) for x in (1.1, 1.9)),
+)
+
+
+def log_kernels(a: float, b: float, x: float, y_scale=1) -> tuple[mp.mpf, mp.mpf]:
+    """(r1, r2) at x from their defining log ratios, at the working precision.
+
+    y_scale multiplies y = sqrt(x**2 - 1), to measure the conditioning.
+    """
+    a, b, x = (mp.mpf(v) for v in (a, b, x))
+    c2 = a * a - b * b
+    y = mp.sqrt(x * x - 1) * y_scale
+    r1 = mp.log(abs(((c2 - b * y) ** 2 - (a * x) ** 2) / ((c2 + b * y) ** 2 - (a * x) ** 2)))
+    r2 = mp.log(abs((c2 * c2 - (a * x - b * y) ** 2) / (c2 * c2 - (a * x + b * y) ** 2))) / 2
+    return r1, r2
 
 
 def scalars(a: float, b: float, t: float, xi: float) -> tuple[mp.mpc, mp.mpc]:
@@ -90,6 +129,21 @@ def main() -> None:
         print(f"        complex({b_val.real!r}, {b_val.imag!r}),")
         print(f"        complex({d_val.real!r}, {d_val.imag!r}),")
         print("    ),")
+    print()
+    for node in KERNEL_NODES:
+        mp.mp.dps = 70
+        fine = log_kernels(*node)
+        mp.mp.dps = 50
+        coarse = log_kernels(*node)
+        for f, c in zip(fine, coarse):
+            if abs(f - c) > mp.mpf("1e-30") * abs(f):
+                raise SystemExit(f"{node}: dps 50 and 70 disagree: {c} vs {f}")
+        moved = log_kernels(*node, y_scale=1 + mp.mpf(2) ** -52)
+        for f, m in zip(fine, moved):
+            if abs(m - f) > mp.mpf("2e-14") * abs(f):
+                raise SystemExit(f"{node}: one ulp of y moves a kernel by {abs(m / f - 1)}")
+        k1, k2 = (float(v) for v in fine)
+        print(f"    {node!r}: ({k1!r}, {k2!r}),")
 
 
 if __name__ == "__main__":

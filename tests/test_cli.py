@@ -180,6 +180,62 @@ def test_scan_jobs_output_identical(tmp_path, capsys):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "n_a, jobs, cpus, workers, chunk",
+    [(3, 64, 8, 3, 1), (20, 64, 2, 2, 2), (20, 3, 8, 3, 1), (20, 64, None, None, None)],
+    ids=["cells", "cpus", "asked", "no-cpu-count"],
+)
+def test_scan_jobs_capped_by_cells_and_cpus(capsys, monkeypatch, n_a, jobs, cpus, workers, chunk):
+    # the pool may start all of its workers on the first submit, so
+    # --jobs N asks for at most as many as there are cells and CPUs; one
+    # worker runs the scan in-process.  The stand-in pool forks nothing.
+    import concurrent.futures
+
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append([max_workers, None])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            made[-1][1] = chunksize
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    argv = ["scan", "--a-range", "0.1", "0.9", str(n_a), "--b-range", "1.0", "1.0", "1",
+            "--xi", "1.5"]
+    code, out, _ = run_cli(capsys, argv + ["--jobs", str(jobs)])
+    assert code == 0
+    assert made == ([] if workers is None else [[workers, chunk]])
+    assert (code, out) == run_cli(capsys, argv)[:2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--a-range", "0.1", "1", "inf", "--b-range", "1.0", "1.2", "2", "--xi", "1.5"],
+        ["dispersion", "--b-range", "1e-3", "4e-3", "inf", "--xf", "1.5"],
+        ["nr-scan", "--omega-range", "2e-4", "1.2e-3", "inf", "--q-range", "0.01", "0.05", "2",
+         "--pf", "0.0316"],
+        ["boundaries", "--xf", "1.5", "--a-range", "0", "2", "inf"],
+    ],
+    ids=["scan", "dispersion", "nr-scan", "boundaries"],
+)
+def test_non_finite_grid_size_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
 def test_zero_jobs_rejected(capsys):
     code, _, err = run_cli(
         capsys,

@@ -62,6 +62,59 @@ MPMATH_REFERENCE = {
 }
 
 
+# 50-digit values of r1 and r2 from their defining log ratios at single
+# nodes: (a, b, x) -> (r1, r2), printed by make_finite_t_reference.py
+KERNEL_REFERENCE = {
+    (0.00901, 1e-08, 1.02): (7.728304384284835e-09, -4.374511915638174e-07),
+    (0.00901, 1e-08, 1.3): (1.9661592651896875e-08, -1.4184278827685267e-06),
+    (0.00901, 1e-08, 2.5): (1.466443269747385e-08, -2.0344662454885957e-06),
+    (0.986, 1e-08, 1.02): (1.1788019026591834e-07, -6.09725122065095e-08),
+    (0.986, 1e-08, 1.3): (4.628909208039004e-08, -3.051512155400966e-08),
+    (0.986, 1e-08, 2.5): (1.736546372300237e-08, -2.2015040216787996e-08),
+    (3.0, 1e-08, 1.02): (-1.0100885090829584e-09, 1.7171504654410294e-10),
+    (3.0, 1e-08, 1.3): (-4.545348215003051e-09, 9.848254465839945e-10),
+    (3.0, 1e-08, 2.5): (-3.332782323604248e-08, 1.3886593015017699e-08),
+    (0.00901, 1e-06, 1.02): (7.728304292777021e-07, -4.37451191632746e-05),
+    (0.00901, 1e-06, 1.3): (1.966159250858707e-06, -0.000141842788514511),
+    (0.00901, 1e-06, 2.5): (1.4664432668574128e-06, -0.0002034466252504819),
+    (0.986, 1e-06, 1.02): (1.1788019026377744e-05, -6.097251220544008e-06),
+    (0.986, 1e-06, 1.3): (4.628909208034187e-06, -3.0515121553989187e-06),
+    (0.986, 1e-06, 2.5): (1.7365463723000058e-06, -2.2015040216792693e-06),
+    (3.0, 1e-06, 1.02): (-1.0100885090831002e-07, 1.7171504654414618e-08),
+    (3.0, 1e-06, 1.3): (-4.54534821500382e-07, 9.848254465842773e-08),
+    (3.0, 1e-06, 2.5): (-3.3327823236086787e-06, 1.3886593015039668e-06),
+    (0.0005, 0.001, 1.02): (-0.0027446265800954474, -0.8333219930287995),
+    (0.0005, 0.001, 2.5): (0.0018640988432153882, -1.2240324347149119),
+    (0.0005, 0.001, 10.0): (0.0004033732877167184, -1.105340710072885),
+    (0.1, 0.001, 1.02): (0.0007801934036643042, -0.003979373895529531),
+    (0.1, 0.001, 2.5): (0.0014687507498409608, -0.018360190601763658),
+    (0.1, 0.001, 10.0): (0.0003980343814808374, -0.019902395642781307),
+    (2.0, 0.001, 1.02): (-0.00027165508656671515, 6.92720645501282e-05),
+    (2.0, 0.001, 2.5): (0.0040734039871003665, -0.002545877138343214),
+    (2.0, 0.001, 10.0): (0.0004145780993342399, -0.0010364453293078976),
+    (0.0017218508300760416, 0.0017878537522464, 1.02): (-0.00011266744005102669, -0.41507870884558024),
+    (0.0017218508300760416, 0.0017878537522464, 1.5): (-0.0006923462998327315, -2.0600950468079597),
+    (0.0017218508300760416, 0.0017878537522464, 3.0): (-0.004215380760614005, -4.543390278824077),
+    (0.0017218508300760416, 0.0017878537522464, 6.0): (0.0019056485287211556, -4.4426445954897185),
+    (0.0017218508300760416, 0.0017878537522464, 20.0): (0.00036988304132814826, -4.007418597654578),
+    (0.0017218508300760416, 0.0017878537522464, 40.0): (0.00018028427355054242, -3.9819311163603834),
+    (1.5, 1e-06, 1.499997): (-0.50752328615879, 0.253761146176692),
+    (1.5, 1e-06, 1.4999993): (-3.461567332293838, 1.7307831692432254),
+    (1.5, 1e-06, 1.4999998): (-0.550121497270658, 0.2750602517314201),
+    (1.5, 1e-06, 1.5): (1.2919503870002348e-06, -1.1428791885001914e-06),
+    (1.5, 1e-06, 1.5000003): (0.8532401153698888, -0.42662055458906856),
+    (1.5, 1e-06, 1.50000076): (4.632754770622272, -2.3163778822154586),
+    (1.5, 1e-06, 1.500002): (0.7830601731078011, -0.3915305834587568),
+    (0.5, 1.0, 1.1): (1.67224339431369, 0.0995171822785551),
+    (0.5, 1.0, 1.9): (3.421341993302727, -1.9595413874398584),
+    (2.0, 1.0, 1.1): (-1.4801371607669145, 0.5633572550067122),
+    (2.0, 1.0, 1.9): (0.6014027539977734, -0.7851186272531777),
+    (0.8, 0.3, 1.1): (0.6942649282691614, -0.54000404463565),
+    (0.8, 0.3, 1.9): (0.6205658914601443, -0.787408132789022),
+    (0.3, 0.25, 1.1): (0.1328222547385469, -0.7307301091390956),
+    (0.3, 0.25, 1.9): (0.27768646201899155, -1.7821254498275632),
+}
+
 def test_frozen_scalar_values():
     for table in (FROZEN, MPMATH_REFERENCE):
         for (a, b, t, xi), (want_b, want_d) in table.items():
@@ -73,6 +126,36 @@ def test_frozen_scalar_values():
                 assert got.B.imag == 0.0
                 assert got.D.imag == 0.0
 
+
+def test_factored_kernels_match_the_high_precision_reference():
+    # outside a window the kernels are O(b) over an O(1) range of x, and
+    # R_B and R_D divide them by b: they need relative accuracy, which the
+    # squared forms of the public r1 and r2 lose as b -> 0 (up to 5e-7
+    # relative at b = 1e-8).  Inside a window, of width O(b), the kernels run from
+    # one log singularity through zero to the other, and the integrals
+    # need them only to an absolute 2e-13.
+    assert len(KERNEL_REFERENCE) >= 40
+    inside = 0
+    for (a, b, x), want in KERNEL_REFERENCE.items():
+        p = derive_point(a, b)
+        in_window = classify_region(p) is not RegionLabel.II and (
+            kinematic_window(p)[0] < x < kinematic_window(p)[1]
+        )
+        inside += in_window
+        got = medium_finite_t._log_kernels(x, p)
+        for g, w in zip(got, want):
+            scale = max(abs(w), 1.0) if in_window else abs(w)
+            assert abs(g - w) <= 2e-13 * scale, (a, b, x, g, w)
+    assert inside >= 6
+
+
+def test_factored_kernels_floor_a_zero_denominator():
+    # at a = 0, b = 0.75 the node x = 1.25 has y = b exactly, so L2 = L4 = 0
+    # and the denominator of r1 is exactly 0: it counts as 1e-300, like the
+    # floor of the public form
+    p = derive_point(0.0, 0.75)
+    assert math.sqrt(1.25 * 1.25 - 1.0) == 0.75
+    assert medium_finite_t._log_kernels(1.25, p) == (r1(1.25, p), 0.0)
 
 def test_cutoff_one_ulp_above_the_shell_is_an_empty_sea():
     # at t = 5.6e-18, xi = 1 the cutoff is 1 + 1 ulp, so no double lies
@@ -181,12 +264,13 @@ def test_real_parts_scale_with_coupling():
 
 
 def _composed_kernel(x, p, ms, region):
-    # the five integrands of the fused pass, built from the public kernels
+    # the five integrands of the fused pass, built from n_fermi and the
+    # factored kernels
     n = n_fermi(x, ms)
     if x < x_cutoff(ms):
-        k1 = r1(x, p)
+        k1, k2 = medium_finite_t._log_kernels(x, p)
         big = n * math.sqrt(x * x - 1.0)
-        k_b = n * ((x * x + p.c2) * k1 + 4.0 * p.a * x * r2(x, p))
+        k_b = n * ((x * x + p.c2) * k1 + 4.0 * p.a * x * k2)
         k_d = n * k1
     else:
         big = k_b = k_d = 0.0
@@ -199,8 +283,8 @@ def _composed_kernel(x, p, ms, region):
 
 
 def test_fused_integrand_equals_public_kernels(monkeypatch):
-    # the quadrature's integrand inlines n_fermi, r1 and r2; it must give
-    # their bits exactly, at random nodes and at nodes within 1e-12 of the
+    # the quadrature's integrand inlines n_fermi and _log_kernels; it must
+    # give their bits exactly, at random nodes and at nodes within 1e-12 of the
     # window edges, the cutoff and the Fermi edge xi
     captured = []
 
