@@ -91,6 +91,8 @@ def _grid_from_range(rng: list[float], log: bool = False) -> list[float]:
     lo, hi, n_float = rng
     if not math.isfinite(n_float):
         raise ValueError(f"grid size {n_float} must be finite")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid range {lo} to {hi} must be finite")
     n = int(round(n_float))
     if n < 1:
         raise ValueError(f"grid size {n_float} must be >= 1")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import exp, log, log1p, sqrt
+from typing import Sequence
 
 from .kinematics import KinematicPoint, RegionLabel, classify_region, kinematic_window
 from .numerics import integrate_adaptive
@@ -171,51 +172,60 @@ def _parts(
     a4 = 4.0 * a
     m4c2 = -4.0 * ((a - b) * (a + b))
 
-    def kernel(x: float) -> tuple[float, float, float, float, float]:
+    def kernel(xs: list[float], ws: Sequence[float]) -> tuple[float, float, float, float, float]:
         # n_fermi and _log_kernels inlined with y and b*y shared: one sqrt
         # and no Python call per node.  The arithmetic is theirs step for
-        # step, so the bits are too.
+        # step, and each sum adds w * value in node order, so the bits are
+        # those of a per-node integrand.  All nodes lie inside one panel,
+        # and t = 0 (a step at the panel edge xi), the cutoff and the window
+        # edges are panel edges: the first node decides each of them.
+        x0 = xs[0]
         if t == 0.0:
-            n = 1.0 if x < xi else 0.5 if x == xi else 0.0
+            ns = [1.0 if x0 < xi else 0.5 if x0 == xi else 0.0] * len(xs)
         else:
-            u = (x - xi) / t
-            n = 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0)
-            u = (x + xi) / t
-            n += 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0)
-        if x < hi:
-            xx = x * x
-            y = sqrt(xx - 1.0)
-            by = b * y
-            am = a * (a - x)
-            ap = a * (a + x)
-            bp = b * (b + y)
-            bm = b * (b - y)
-            l1 = am - bp
-            l2 = am - bm
-            l3 = ap - bp
-            l4 = ap - bm
-            den = l2 * l4 or _TINY
-            q = m4c2 * by / den
-            if q > -0.5:
-                k1 = log1p(q)
-            else:
-                r = abs(l1 * l3 / den)
-                k1 = log(_TINY if r < _TINY else r)
-            den = l1 * l4 or _TINY
-            q = a4 * x * by / den
-            if q > -0.5:
-                k2 = 0.5 * log1p(q)
-            else:
-                r = abs(l2 * l3 / den)
-                k2 = 0.5 * log(_TINY if r < _TINY else r)
-            big = n * y
-            k_b = n * ((xx + c2) * k1 + a4 * x * k2)
-            k_d = n * k1
-        else:
-            big = k_b = k_d = 0.0
-        if lower < x < upper:
-            return big, k_b, k_d, n * ((x + shift) ** 2 - b2), n
-        return big, k_b, k_d, 0.0, 0.0
+            ns = []
+            for x in xs:
+                u = (x - xi) / t
+                n = 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0)
+                u = (x + xi) / t
+                n += 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0)
+                ns.append(n)
+        s_big = s_b = s_d = s_im_b = s_im_d = 0.0
+        if x0 < hi:
+            for x, w, n in zip(xs, ws, ns):
+                xx = x * x
+                y = sqrt(xx - 1.0)
+                by = b * y
+                am = a * (a - x)
+                ap = a * (a + x)
+                bp = b * (b + y)
+                bm = b * (b - y)
+                l1 = am - bp
+                l2 = am - bm
+                l3 = ap - bp
+                l4 = ap - bm
+                den = l2 * l4 or _TINY
+                q = m4c2 * by / den
+                if q > -0.5:
+                    k1 = log1p(q)
+                else:
+                    r = abs(l1 * l3 / den)
+                    k1 = log(_TINY if r < _TINY else r)
+                den = l1 * l4 or _TINY
+                q = a4 * x * by / den
+                if q > -0.5:
+                    k2 = 0.5 * log1p(q)
+                else:
+                    r = abs(l2 * l3 / den)
+                    k2 = 0.5 * log(_TINY if r < _TINY else r)
+                s_big += w * (n * y)
+                s_b += w * (n * ((xx + c2) * k1 + a4 * x * k2))
+                s_d += w * (n * k1)
+        if lower < x0 < upper:
+            for x, w, n in zip(xs, ws, ns):
+                s_im_b += w * (n * ((x + shift) ** 2 - b2))
+                s_im_d += w * n
+        return s_big, s_b, s_d, s_im_b, s_im_d
 
     res = integrate_adaptive(kernel, 1.0, top, breakpoints=(hi, ms.xi, lower, upper))
     if not res.evaluations:

@@ -30,6 +30,10 @@ class NRPoint:
     pF: float
 
     def __post_init__(self) -> None:
+        # a NaN passes every comparison below, so refuse it first
+        for name, value in (("omega", self.omega), ("q", self.q), ("pF", self.pF)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} must be finite")
         if self.q <= 0.0:
             raise ValueError(f"momentum q = {self.q} must be positive")
         if self.omega < 0.0:

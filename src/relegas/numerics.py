@@ -20,10 +20,18 @@ levels converge quadratically, l1 <= 1.5 l2 < 0; otherwise, and at
 levels 0 and 1, the error is d1.  Without that guard, a panel whose
 digits grow only linearly (an inverse square root at a breakpoint)
 reports convergence with a true error many times the tolerance.  The
-panel contributing the largest share of the error is refined next.  The
-integrand may return a tuple of floats, in which case all components
-share the nodes and each must meet the tolerance.  Levels stop at
-MAX_LEVEL, which bounds every call to PANEL_BUDGET evaluations per panel.
+panel contributing the largest share of the error is refined next.
+Levels stop at MAX_LEVEL, which bounds every call to PANEL_BUDGET
+evaluations per panel.
+
+The integrand is called once per level of one panel, as f(xs, ws), with
+the nodes that level adds and their weights (all positive).  Every node
+of one call lies strictly inside the same panel, between two consecutive
+breakpoints, so a test that is constant on a panel can be made once per
+call.  f returns the weighted sum of its values over the nodes, a float,
+or a tuple of floats whose components share the nodes and must each meet
+the tolerance.  Summed in node order, as sum(map(mul, ws, values)) adds
+them on CPython 3.11, the result is that of a per-node integrand.
 """
 
 from __future__ import annotations
@@ -79,6 +87,8 @@ _TABLES = tuple(_level_table(k) for k in range(MAX_LEVEL + 1))
 PANEL_BUDGET = 1 + sum(2 * len(us) for us, _ in _TABLES)
 
 Value = float | tuple[float, ...]
+# f(xs, ws) -> the weighted sum of f over the nodes xs of one panel
+Integrand = Callable[[list[float], Sequence[float]], Value]
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,7 @@ class QuadratureResult:
 
     value is the best estimate, error_estimate the summed panel error
     (both tuples, one entry per component, for a tuple-valued
-    integrand), evaluations the number of integrand calls, and converged
+    integrand), evaluations the number of nodes evaluated, and converged
     tells whether error_estimate met the requested tolerance.  A panel's
     error is extrapolated from its last three levels where they converge
     quadratically, and is the difference of its last two levels
@@ -124,8 +134,8 @@ class _Panel:
         self.previous: list[float] = []
         self.error: list[float] = []
 
-    def refine(self, f: Callable[[float], Value]) -> int:
-        """Add the next level's nodes -> number of integrand calls."""
+    def refine(self, f: Integrand) -> int:
+        """Add the next level's nodes -> number of nodes evaluated."""
         self.level += 1
         lo, hi, half = self.lo, self.hi, self.half
         us, ws = _TABLES[self.level]
@@ -142,14 +152,15 @@ class _Panel:
         if self.level == 0:
             xs.append(lo + half)
             weights += (0.5 * math.pi,)
-        vals = [f(x) for x in xs]
-        if self.level == 0:  # the centre is always evaluated
-            self.vector = isinstance(vals[-1], tuple)
-        columns = zip(*vals) if self.vector else (vals,)
-        # a level whose nodes all rounded onto the edges adds nothing
-        new = [sum(map(operator.mul, weights, col)) for col in columns] or [0.0] * len(self.sums)
-        if not all(map(math.isfinite, new)):
-            _raise_nonfinite(xs, vals)
+        if xs:
+            new = f(xs, weights)
+            if self.level == 0:  # the centre is always evaluated
+                self.vector = isinstance(new, tuple)
+            new = list(new) if self.vector else [new]
+            if not all(map(math.isfinite, new)):
+                _raise_nonfinite(f, xs)
+        else:  # a level whose nodes all rounded onto the edges adds nothing
+            new = [0.0] * len(self.sums)
         h = 2.0 ** -(self.level + 1)
         if self.level == 0:
             self.sums = new
@@ -182,8 +193,10 @@ def _extrapolated_error(v: float, p1: float, p2: float) -> float:
     return min(e1, abs(v) * 10.0 ** max(l1 * l1 / l2, 2.0 * l1, _LOG_FLOOR))
 
 
-def _raise_nonfinite(xs: list[float], vals: list) -> None:
-    for x, v in zip(xs, vals):
+def _raise_nonfinite(f: Integrand, xs: list[float]) -> None:
+    # the error path only: find the culprit one node at a time
+    for x in xs:
+        v = f([x], [1.0])
         for c in v if isinstance(v, tuple) else (v,):
             if not math.isfinite(c):
                 raise ValueError(f"integrand returned {c} at x = {x}")
@@ -191,7 +204,7 @@ def _raise_nonfinite(xs: list[float], vals: list) -> None:
 
 
 def integrate_adaptive(
-    f: Callable[[float], Value],
+    f: Integrand,
     lo: float,
     hi: float,
     breakpoints: Sequence[float] = (),
@@ -202,10 +215,14 @@ def integrate_adaptive(
     Parameters
     ----------
     f : callable
-        Integrand returning a float, or a tuple of floats of fixed length
+        f(xs, ws) gets the nodes xs that one level adds to one panel and
+        their weights ws, and returns sum(w * f(x)) over them, added in
+        node order: a float, or a tuple of floats of fixed length
         (integrands that share the nodes; value and error_estimate are
-        then tuples too).  Values must be finite: NaN/inf raise
-        ValueError with the offending abscissa in the message.
+        then tuples too).  All nodes of one call lie strictly inside one
+        panel.  Sums must be finite: on NaN/inf, f is called again on
+        each node alone, as f([x], [1.0]), and ValueError names the
+        offending abscissa.
     breakpoints : sequence of float
         Abscissae (singularities, kinks, discontinuities) that become
         panel boundaries; they are never passed to f.

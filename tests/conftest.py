@@ -1,5 +1,6 @@
 import math
 import random
+from operator import mul
 
 from relegas import LightConeError, PairThresholdError, derive_point
 
@@ -30,3 +31,20 @@ def complex_rel_err(got: complex, want: complex) -> float:
 
 def assert_finite(x: float) -> None:
     assert math.isfinite(x)
+
+
+def per_node(f):
+    """An integrate_adaptive integrand from a function of one abscissa.
+
+    The engine calls its integrand once per level with nodes xs and
+    weights ws; this evaluates f at each node and returns the weighted
+    sum of each component, added in node order.
+    """
+
+    def level(xs, ws):
+        vals = [f(x) for x in xs]
+        if isinstance(vals[0], tuple):
+            return tuple(sum(map(mul, ws, col)) for col in zip(*vals))
+        return sum(map(mul, ws, vals))
+
+    return level

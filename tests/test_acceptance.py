@@ -36,6 +36,7 @@ from relegas.medium_zero_t import (
 from relegas.nr_oracle import NRPoint, nr_im_B
 from relegas.numerics import integrate_adaptive
 from relegas.responses import tensors_at
+from conftest import per_node
 
 
 def test_criterion_01_zero_t_absorption_matches_quadrature():
@@ -118,8 +119,8 @@ def test_criterion_02_master_integrals_match_quadrature():
         def den(t: float) -> float:
             return coef.frakC * t**4 + coef.frakB * t**2 + coef.frakA
 
-        q0 = integrate_adaptive(lambda t: 1.0 / den(t), 0.0, t_fermi, rel_tol=1e-12)
-        q2 = integrate_adaptive(lambda t: t * t / den(t), 0.0, t_fermi, rel_tol=1e-12)
+        q0 = integrate_adaptive(per_node(lambda t: 1.0 / den(t)), 0.0, t_fermi, rel_tol=1e-12)
+        q2 = integrate_adaptive(per_node(lambda t: t * t / den(t)), 0.0, t_fermi, rel_tol=1e-12)
         i0, i2 = integrals_Ij(p, fs)
         worst = max(
             worst,

@@ -3,10 +3,12 @@
 Every op of the four ``perfbench`` workloads passes at this version, so
 the first ten ops of the seed-1 pass must pass their checks, including
 the 1e-6 (t = 0) and 1e-5 (t > 0) comparisons with the stored reference
-values.  ``perfbench`` is imported read-only: no bytecode is written.
+values, and every function the traced run reports on is still there.
+``perfbench`` is imported read-only: no bytecode is written.
 """
 
 import importlib
+import inspect
 import random
 import sys
 import warnings
@@ -19,16 +21,36 @@ import relegas.responses as rl
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def _import_read_only(name: str):
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     sys.path.insert(0, PERFBENCH)
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
         sys.dont_write_bytecode = saved
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _import_read_only("workloads")
+
+
+def test_traced_functions_are_public_functions_of_their_module():
+    # the traced run reports a metric of a function it cannot find as
+    # null, so each function it names must stay a public function of
+    # its relegas module, as Tracer.install finds them
+    worker = _import_read_only("worker")
+    tracing = _import_read_only("tracing")
+    names = [func for func, _ in worker.FUNCTION_METRICS] + sorted(tracing.COUNT_ONLY)
+    for name in names:
+        layer, attr = name.split(".")
+        assert layer in tracing.LAYERS, name
+        mod = importlib.import_module(f"relegas.{layer}")
+        fn = getattr(mod, attr, None)
+        assert not attr.startswith("_") and inspect.isfunction(fn), name
+        assert fn.__module__ == mod.__name__, name
 
 
 @pytest.mark.parametrize("name", ["cold_map", "warm_map", "dispersion", "long_wavelength"])

@@ -236,6 +236,25 @@ def test_non_finite_grid_size_exits_2(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--a-range", "0.1", "nan", "3", "--b-range", "1.0", "1.2", "2", "--xi", "1.5"],
+        ["boundaries", "--xf", "1.2", "--a-range", "0.1", "inf", "3"],
+        ["dispersion", "--b-range", "1e-3", "inf", "3", "--log-b", "--xf", "1.2"],
+        ["nr-scan", "--omega-range", "2e-4", "1.2e-3", "3", "--q-range", "0.01", "0.05", "2",
+         "--pf", "nan"],
+    ],
+    ids=["scan-nan", "boundaries-inf", "dispersion-inf", "nr-scan-pf-nan"],
+)
+def test_non_finite_range_or_pf_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
 def test_zero_jobs_rejected(capsys):
     code, _, err = run_cli(
         capsys,

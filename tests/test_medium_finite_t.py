@@ -1,5 +1,6 @@
 import math
 import random
+from operator import mul
 
 import pytest
 
@@ -8,7 +9,7 @@ from relegas import medium_finite_t
 from relegas.kinematics import RegionLabel, classify_region, kinematic_window
 from relegas.medium_finite_t import im_scalars, r1, r2, re_scalars, scalars
 from relegas.numerics import QuadratureResult, integrate_adaptive
-from conftest import complex_rel_err, rel_err
+from conftest import complex_rel_err, per_node, rel_err
 
 # frozen values: (a, b, t, xi) -> (B, D), computed once with the quadrature
 # engine at rel_tol = 1e-12 and cross-checked against an independent
@@ -250,8 +251,8 @@ def test_cutoff_tail_is_negligible():
     def tail(x: float) -> float:
         return n_fermi(x, ms) * abs(r1(x, p))
 
-    bulk = integrate_adaptive(tail, 1.0, hi, rel_tol=1e-10).value
-    beyond = integrate_adaptive(tail, hi, hi + 200.0 * ms.t, rel_tol=1e-8).value
+    bulk = integrate_adaptive(per_node(tail), 1.0, hi, rel_tol=1e-10).value
+    beyond = integrate_adaptive(per_node(tail), hi, hi + 200.0 * ms.t, rel_tol=1e-8).value
     assert beyond <= 1e-16 * bulk
 
 
@@ -282,10 +283,19 @@ def _composed_kernel(x, p, ms, region):
     return big, k_b, k_d, 0.0, 0.0
 
 
+_PIN_STATES = [
+    MediumState(t=t, xi=xi)
+    for t in (0.0, 1e-3, 0.05, 1.0)
+    for xi in (1.2, 0.0, -1.1)
+    if t > 0.0 or xi >= 1.0
+]
+_PIN_POINTS = [(0.5, 1.0), (0.05, 0.3), (0.8, 0.3), (0.01, 1e-6), (2.0, 1.0), (1.5, 0.4)]
+
+
 def test_fused_integrand_equals_public_kernels(monkeypatch):
-    # the quadrature's integrand inlines n_fermi and _log_kernels; it must
-    # give their bits exactly, at random nodes and at nodes within 1e-12 of the
-    # window edges, the cutoff and the Fermi edge xi
+    # the quadrature's integrand inlines n_fermi and _log_kernels; called
+    # on one node, it must give their bits exactly, at random nodes and at
+    # nodes within 1e-12 of the window edges, the cutoff and the Fermi edge xi
     captured = []
 
     def capture(f, lo, hi, breakpoints=(), rel_tol=1e-10):
@@ -293,18 +303,11 @@ def test_fused_integrand_equals_public_kernels(monkeypatch):
         return QuadratureResult((0.0,) * 5, (0.0,) * 5, 0, True)
 
     monkeypatch.setattr(medium_finite_t, "integrate_adaptive", capture)
-    states = [
-        MediumState(t=t, xi=xi)
-        for t in (0.0, 1e-3, 0.05, 1.0)
-        for xi in (1.2, 0.0, -1.1)
-        if t > 0.0 or xi >= 1.0
-    ]
-    points = [(0.5, 1.0), (0.05, 0.3), (0.8, 0.3), (0.01, 1e-6), (2.0, 1.0), (1.5, 0.4)]
     rng = random.Random(1010)
     nodes = 0
     regions = set()
-    for ms in states:
-        for a, b in points:
+    for ms in _PIN_STATES:
+        for a, b in _PIN_POINTS:
             p = derive_point(a, b)
             region = classify_region(p)
             regions.add(region)
@@ -320,7 +323,35 @@ def test_fused_integrand_equals_public_kernels(monkeypatch):
                 xs += [e + rng.uniform(-1e-12, 1e-12) for _ in range(3)]
             for x in xs:
                 if x >= 1.0:
-                    assert kernel(x) == _composed_kernel(x, p, ms, region), (a, b, ms, x)
+                    assert kernel([x], [1.0]) == _composed_kernel(x, p, ms, region), (a, b, ms, x)
                     nodes += 1
     assert regions == set(RegionLabel)
     assert nodes >= 2000
+
+
+def test_fused_integrand_sums_equal_per_node_sums(monkeypatch):
+    # the engine hands the integrand one level of one panel per call, and
+    # the fused kernel decides the t = 0 step, the cutoff and the window
+    # once per call; on every call of the real engine its sums must be
+    # the node-order weighted sums of the composed per-node kernel
+    integrate = medium_finite_t.integrate_adaptive
+    nodes = 0
+
+    def checked_integrate(f, *args, **kwargs):
+        def checked(xs, ws):
+            nonlocal nodes
+            got = f(xs, ws)
+            cols = zip(*(_composed_kernel(x, p, ms, region) for x in xs))
+            assert got == tuple(sum(map(mul, ws, col)) for col in cols), (a, b, ms, xs[0])
+            nodes += len(xs)
+            return got
+
+        return integrate(checked, *args, **kwargs)
+
+    monkeypatch.setattr(medium_finite_t, "integrate_adaptive", checked_integrate)
+    for ms in _PIN_STATES:
+        for a, b in _PIN_POINTS:
+            p = derive_point(a, b)
+            region = classify_region(p)
+            medium_finite_t._parts(p, ms, region)
+    assert nodes >= 10000

@@ -19,7 +19,7 @@ from relegas import (
     zero_t_coefficients,
 )
 from relegas.numerics import integrate_adaptive
-from conftest import complex_rel_err, rel_err
+from conftest import complex_rel_err, per_node, rel_err
 
 MS = MediumState(t=0.0, xi=1.5)  # only e2 matters; xF enters separately
 
@@ -88,8 +88,8 @@ def test_master_integrals_match_quadrature_when_pole_free():
         def den(t: float) -> float:
             return c.frakC * t**4 + c.frakB * t**2 + c.frakA
 
-        q0 = integrate_adaptive(lambda t: 1.0 / den(t), 0.0, t_fermi, rel_tol=1e-12)
-        q2 = integrate_adaptive(lambda t: t * t / den(t), 0.0, t_fermi, rel_tol=1e-12)
+        q0 = integrate_adaptive(per_node(lambda t: 1.0 / den(t)), 0.0, t_fermi, rel_tol=1e-12)
+        q2 = integrate_adaptive(per_node(lambda t: t * t / den(t)), 0.0, t_fermi, rel_tol=1e-12)
         i0, i2 = integrals_Ij(p, fs)
         assert rel_err(i0, q0.value) < 1e-8
         assert rel_err(i2, q2.value) < 1e-8

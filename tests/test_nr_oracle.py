@@ -17,6 +17,10 @@ def test_validation():
         NRPoint(omega=-0.1, q=0.1, pF=0.3)
     with pytest.raises(ValueError):
         NRPoint(omega=0.1, q=0.1, pF=0.0)
+    for bad in (math.nan, math.inf):
+        for kwargs in ({"omega": bad}, {"q": bad}, {"pF": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                NRPoint(**{"omega": 0.1, "q": 0.1, "pF": 0.3, **kwargs})
 
 
 def test_case_classification():

@@ -1,4 +1,6 @@
+import bisect
 import math
+from operator import mul
 
 import pytest
 
@@ -9,17 +11,18 @@ from relegas import (
     scan_sign_changes,
 )
 from relegas.numerics import PANEL_BUDGET, iter_sign_changes
+from conftest import per_node
 
 
 def test_polynomial_exact_single_panel():
-    res = integrate_adaptive(lambda x: x**3 - 2.0 * x + 1.0, 0.0, 2.0)
+    res = integrate_adaptive(per_node(lambda x: x**3 - 2.0 * x + 1.0), 0.0, 2.0)
     assert abs(res.value - 2.0) < 1e-14
     assert res.evaluations <= PANEL_BUDGET
     assert res.converged
 
 
 def test_log_endpoint_singularity():
-    res = integrate_adaptive(math.log, 0.0, 1.0, rel_tol=1e-12)
+    res = integrate_adaptive(per_node(math.log), 0.0, 1.0, rel_tol=1e-12)
     assert abs(res.value + 1.0) < 1e-12
     assert res.converged
 
@@ -27,7 +30,7 @@ def test_log_endpoint_singularity():
 def test_sqrt_kernel_closed_form():
     # int_1^3 sqrt(x^2-1) dx = [x sqrt(x^2-1) - log(x + sqrt(x^2-1))]/2
     want = 0.5 * (3.0 * math.sqrt(8.0) - math.log(3.0 + math.sqrt(8.0)))
-    res = integrate_adaptive(lambda x: math.sqrt(max(x * x - 1.0, 0.0)), 1.0, 3.0)
+    res = integrate_adaptive(per_node(lambda x: math.sqrt(max(x * x - 1.0, 0.0))), 1.0, 3.0)
     assert abs(res.value - want) < 1e-12 * want
 
 
@@ -42,15 +45,44 @@ def test_breakpoints_are_never_evaluated():
     def pair(x: float) -> tuple[float, float]:
         return f(x), x
 
-    res = integrate_adaptive(f, 0.0, 3.0, breakpoints=(1.5,), rel_tol=1e-10)
+    res = integrate_adaptive(per_node(f), 0.0, 3.0, breakpoints=(1.5,), rel_tol=1e-10)
     assert abs(res.value - 4.0 * math.sqrt(1.5)) < 1e-6
-    res = integrate_adaptive(pair, 0.0, 3.0, breakpoints=(1.5,), rel_tol=1e-10)
+    res = integrate_adaptive(per_node(pair), 0.0, 3.0, breakpoints=(1.5,), rel_tol=1e-10)
     assert abs(res.value[0] - 4.0 * math.sqrt(1.5)) < 1e-6
     assert abs(res.value[1] - 4.5) < 1e-12
 
 
+@pytest.mark.parametrize("vector", [False, True], ids=["float", "tuple"])
+def test_each_call_is_one_level_of_one_panel(vector):
+    # the integrand gets one level of one panel per call: nodes strictly
+    # between two consecutive edges, positive weights, and node counts
+    # that add up to evaluations.  The panel next to 1.5 is 2**-50 wide,
+    # so most of its offsets round onto its edges.
+    calls = []
+
+    def f(xs, ws):
+        calls.append((xs, ws))
+        vals = [1.0 / math.sqrt(abs(x - 1.5)) + math.log(abs(x - 2.5)) for x in xs]
+        total = sum(map(mul, ws, vals))
+        return (total, sum(ws)) if vector else total
+
+    thin = 1.5 + 2.0**-50
+    res = integrate_adaptive(f, 0.0, 3.0, breakpoints=(2.5, thin, 1.5, -1.0, 4.0), rel_tol=1e-12)
+    edges = [0.0, 1.5, thin, 2.5, 3.0]
+    assert sum(len(xs) for xs, _ in calls) == res.evaluations
+    panels = []
+    for xs, ws in calls:
+        assert len(xs) == len(ws) > 0
+        assert all(w > 0.0 for w in ws)
+        k = bisect.bisect_right(edges, xs[0]) - 1
+        assert all(edges[k] < x < edges[k + 1] for x in xs), (edges[k], edges[k + 1], xs)
+        panels.append(k)
+    assert set(panels) == {0, 1, 2, 3}
+    assert len(panels) > 2 * 4
+
+
 def test_breakpoints_outside_range_ignored():
-    res = integrate_adaptive(lambda x: x, 0.0, 1.0, breakpoints=(-1.0, 2.0))
+    res = integrate_adaptive(per_node(lambda x: x), 0.0, 1.0, breakpoints=(-1.0, 2.0))
     assert abs(res.value - 0.5) < 1e-15
 
 
@@ -59,11 +91,11 @@ def test_nan_is_reported_with_location():
         return math.nan if x > 0.7 else 1.0
 
     with pytest.raises(ValueError, match="x ="):
-        integrate_adaptive(f, 0.0, 1.0)
+        integrate_adaptive(per_node(f), 0.0, 1.0)
 
 
 def test_divergent_integral_flags_nonconverged():
-    res = integrate_adaptive(lambda x: 1.0 / x, 0.0, 1.0)
+    res = integrate_adaptive(per_node(lambda x: 1.0 / x), 0.0, 1.0)
     assert not res.converged
     assert res.evaluations <= PANEL_BUDGET
 
@@ -71,19 +103,19 @@ def test_divergent_integral_flags_nonconverged():
 def test_requested_tolerance_is_met():
     want = math.sin(37.0) / 37.0 - math.sin(0.0)
     # clean oscillatory integrand: int_0^1 cos(37x) dx
-    res = integrate_adaptive(lambda x: math.cos(37.0 * x), 0.0, 1.0, rel_tol=1e-13)
+    res = integrate_adaptive(per_node(lambda x: math.cos(37.0 * x)), 0.0, 1.0, rel_tol=1e-13)
     assert abs(res.value - want) <= 1e-12 * abs(want) + 1e-15
     assert res.error_estimate <= 1e-10 * abs(want) + 1e-15
 
 
 def test_reversed_limits_negate():
-    fwd = integrate_adaptive(math.exp, 0.0, 1.0)
-    rev = integrate_adaptive(math.exp, 1.0, 0.0)
+    fwd = integrate_adaptive(per_node(math.exp), 0.0, 1.0)
+    rev = integrate_adaptive(per_node(math.exp), 1.0, 0.0)
     assert abs(fwd.value + rev.value) < 1e-14
 
 
 def test_empty_range_is_zero():
-    res = integrate_adaptive(math.exp, 1.0, 1.0)
+    res = integrate_adaptive(per_node(math.exp), 1.0, 1.0)
     assert res.value == 0.0
 
 
@@ -203,7 +235,7 @@ def test_converged_error_is_within_tolerance(rel_tol):
     # step of width 1e-3 inside a panel)
     n_converged = 0
     for name, (f, lo, hi, breakpoints, want) in _soundness_cases():
-        res = integrate_adaptive(f, lo, hi, breakpoints=breakpoints, rel_tol=rel_tol)
+        res = integrate_adaptive(per_node(f), lo, hi, breakpoints=breakpoints, rel_tol=rel_tol)
         if res.converged:
             n_converged += 1
             assert abs(res.value - want) <= rel_tol * abs(want), name

@@ -390,18 +390,18 @@ def test_long_wavelength_cell_ends_within_budget(monkeypatch):
     # at b = 1e-7 roundoff keeps the quadrature from ever meeting its
     # tolerance; the level cap must still end the call.  The fused pass
     # has at most four panels, so a runaway shows as an exceeded count
-    # instead of a hang.
+    # instead of a hang.  calls counts the nodes handed to the integrand.
     calls = evals = 0
     integrate = medium_finite_t.integrate_adaptive
 
     def counted_integrate(f, *args, **kwargs):
         nonlocal evals
 
-        def counted(x):
+        def counted(xs, ws):
             nonlocal calls
-            calls += 1
+            calls += len(xs)
             assert calls <= 4 * PANEL_BUDGET, "evaluation budget exceeded"
-            return f(x)
+            return f(xs, ws)
 
         result = integrate(counted, *args, **kwargs)
         evals += result.evaluations
