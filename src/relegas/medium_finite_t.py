@@ -169,6 +169,15 @@ def _parts(
     top = max(hi, upper)
 
     t, xi = ms.t, ms.xi
+    # At t > 0 the two Fermi terms are f(u) and f(v), f(u) = 1/(exp(u) + 1),
+    # u = (x - |xi|)/t <= v = (x + |xi|)/t, and f(v)/f(u) = (exp(u) + 1)/(exp(v) + 1).
+    # For u >= 0 that is <= 2 exp(u - v) = 2 exp(-2|xi|/t); for u < 0 it is
+    # <= 2 exp(-v) <= 2 exp(-(1 + |xi|)/t), as x >= 1.  Once
+    # min(2|xi|, 1 + |xi|) > 40 t, the smaller term is below 2 exp(-40) ~ 8.5e-18
+    # of the larger (the rounded terms too), under half an ulp of it (>= 2**-54
+    # of it, and f(u) >= exp(-700) is normal): the sum rounds to f(u) bit for bit.
+    axi = abs(xi)
+    one_term = t > 0.0 and min(2.0 * axi, 1.0 + axi) > 40.0 * t
     a4 = 4.0 * a
     m4c2 = -4.0 * ((a - b) * (a + b))
 
@@ -182,6 +191,11 @@ def _parts(
         x0 = xs[0]
         if t == 0.0:
             ns = [1.0 if x0 < xi else 0.5 if x0 == xi else 0.0] * len(xs)
+        elif one_term:
+            ns = []
+            for x in xs:
+                u = (x - axi) / t
+                ns.append(0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0))
         else:
             ns = []
             for x in xs:
