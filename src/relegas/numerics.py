@@ -41,6 +41,7 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass
+from math import log10
 from typing import Callable, Iterator, Sequence
 
 # step h = 2**-(level + 1); every panel starts at _MIN_LEVEL, so that
@@ -85,6 +86,9 @@ def _level_table(level: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 _TABLES = tuple(_level_table(k) for k in range(MAX_LEVEL + 1))
 # the centre, then every level's nodes on both sides of it
 PANEL_BUDGET = 1 + sum(2 * len(us) for us, _ in _TABLES)
+# each level's weights in node order, left side then right side (and the
+# centre, pi/2, at level 0), for a level none of whose nodes rounds onto an edge
+_BOTH_SIDES = tuple(ws + ws + ((0.5 * math.pi,) if k == 0 else ()) for k, (_, ws) in enumerate(_TABLES))
 
 Value = float | tuple[float, ...]
 # f(xs, ws) -> the weighted sum of f over the nodes xs of one panel
@@ -139,19 +143,20 @@ class _Panel:
         self.level += 1
         lo, hi, half = self.lo, self.hi, self.half
         us, ws = _TABLES[self.level]
+        weights = _BOTH_SIDES[self.level]
         left = [lo + half * u for u in us]
         right = [hi - half * u for u in us]
         # keep nodes strictly inside: offsets shrink along the table, so
         # the ones that round onto an edge are at the end
-        while left and left[-1] <= lo:
-            left.pop()
-        while right and right[-1] >= hi:
-            right.pop()
+        if left[-1] <= lo or right[-1] >= hi:
+            while left and left[-1] <= lo:
+                left.pop()
+            while right and right[-1] >= hi:
+                right.pop()
+            weights = ws[: len(left)] + ws[: len(right)] + weights[2 * len(ws) :]
         xs = left + right
-        weights = ws[: len(left)] + ws[: len(right)]
         if self.level == 0:
             xs.append(lo + half)
-            weights += (0.5 * math.pi,)
         if xs:
             new = f(xs, weights)
             if self.level == 0:  # the centre is always evaluated
@@ -174,23 +179,22 @@ class _Panel:
             if self.level == 1:
                 self.error = [abs(v - p) for v, p in zip(self.value, previous)]
             else:
-                self.error = list(map(_extrapolated_error, self.value, previous, older))
+                # the error of v, the last of three levels p2, p1, v
+                self.error = error = []
+                for v, p1, p2 in zip(self.value, previous, older):
+                    e1 = abs(v - p1)
+                    e2 = abs(v - p2)
+                    if e1 and e2 and v:
+                        lv = log10(abs(v))
+                        l1 = log10(e1) - lv
+                        l2 = log10(e2) - lv
+                        # quadratic convergence has l1 ~ 2 l2; anything slower keeps d1
+                        if l1 <= 1.5 * l2 < 0.0:
+                            e = abs(v) * 10.0 ** max(l1 * l1 / l2, 2.0 * l1, _LOG_FLOOR)
+                            if e < e1:
+                                e1 = e
+                    error.append(e1)
         return len(xs)
-
-
-def _extrapolated_error(v: float, p1: float, p2: float) -> float:
-    """Error of v, the last of three successive levels p2, p1, v."""
-    e1 = abs(v - p1)
-    e2 = abs(v - p2)
-    if not (e1 and e2 and v):
-        return e1
-    lv = math.log10(abs(v))
-    l1 = math.log10(e1) - lv
-    l2 = math.log10(e2) - lv
-    # quadratic convergence has l1 ~ 2 l2; anything slower keeps d1
-    if not l1 <= 1.5 * l2 < 0.0:
-        return e1
-    return min(e1, abs(v) * 10.0 ** max(l1 * l1 / l2, 2.0 * l1, _LOG_FLOOR))
 
 
 def _raise_nonfinite(f: Integrand, xs: list[float]) -> None:
@@ -255,8 +259,13 @@ def integrate_adaptive(
         for _ in range(_MIN_LEVEL + 1):
             evals += panel.refine(f)
     while True:
-        value = [math.fsum(c) for c in zip(*(pn.value for pn in panels))]
-        error = [sum(c) for c in zip(*(pn.error for pn in panels))]
+        if len(panels) == 1:
+            # what fsum and sum give for one term: fsum([-0.0]) is 0.0
+            value = [v + 0.0 for v in panels[0].value]
+            error = panels[0].error
+        else:
+            value = [math.fsum(c) for c in zip(*(pn.value for pn in panels))]
+            error = [sum(c) for c in zip(*(pn.error for pn in panels))]
         tol = [max(rel_tol * abs(v), _TINY) for v in value]
         converged = all(map(operator.le, error, tol))
         if converged:
