@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import exp, log, log1p, sqrt
+from math import exp, expm1, log, log1p, sqrt
 from typing import Sequence
 
 from .kinematics import KinematicPoint, RegionLabel, classify_region, kinematic_window
-from .numerics import integrate_adaptive
+from .numerics import _raise_nonfinite, integrate_adaptive
 from .occupation import _EXP_CLIP, MediumState, x_cutoff
 from .vacuum import c_star
 
@@ -144,6 +144,45 @@ def _log_kernels(x: float, p: KinematicPoint) -> tuple[float, float]:
     return k1, k2
 
 
+def _tail_map(t0: float, top: float, hi: float, t: float):
+    """Nodes of the thermal tail [t0, hi] from those of the panel [t0, top].
+
+    The quadrature sees the tail as a panel of width top - t0 = 1 (to an
+    ulp) in s = z - t0, and x = t0 - t ln(1 - s (1 - E)), E =
+    exp(-(hi - t0)/t), runs from t0 to hi as s runs from 0 to 1.  Each
+    weight gains dx/ds = t (1 - E)/(1 - s (1 - E)), which undoes the
+    exp(-(x - t0)/t) fall of n_F above t0: the integrand in s is smooth
+    and of one scale (the exponential decay map of double-exponential
+    quadrature; Mori & Sugihara, J. Comput. Appl. Math. 127 (2001) 287).
+    1 - s (1 - E) is formed as 1 + log1p's argument below s = 1/2 and as
+    (top - z) + s E above it; s and top - z are exact differences, so
+    neither end loses digits.  A node whose x rounds onto t0 or hi is
+    dropped, as the engine drops nodes that round onto a panel edge.
+    """
+    e = exp(-(hi - t0) / t)
+    om = -expm1(-(hi - t0) / t)
+    tom = t * om
+
+    def nodes(zs: list[float], ws: Sequence[float]) -> tuple[list[float], list[float]]:
+        xs = []
+        mws = []
+        for z, w in zip(zs, ws):
+            s = z - t0
+            if s < 0.5:
+                v = -s * om
+                x = t0 - t * log1p(v)
+                d = 1.0 + v
+            else:
+                d = (top - z) + s * e
+                x = t0 - t * log(d)
+            if t0 < x < hi:
+                xs.append(x)
+                mws.append(w * (tom / d))
+        return xs, mws
+
+    return nodes
+
+
 def _parts(
     p: KinematicPoint, ms: MediumState, region: RegionLabel
 ) -> tuple[float, float, float, float]:
@@ -151,12 +190,14 @@ def _parts(
 
     The five integrands (R, R_B, R_D and the Im B, Im D kernels) share
     every node, so n_F, r1 and r2 are evaluated once per node, inline,
-    with the bits of n_fermi and _log_kernels.  Each is
-    zero outside its own range ([1, cutoff] for the real parts, the
-    kinematic window for the imaginary ones); those ends, the window
-    edges where r1 and r2 have log singularities, and the Fermi edge xi
-    are all panel edges.  Region II has no window and exactly zero
-    imaginary parts.
+    with the bits of n_fermi and _log_kernels.  Every panel ends at the
+    occupation cutoff: the real parts integrate over [1, cutoff], the
+    imaginary ones over the part of the kinematic window below it.  The
+    window edges, where r1 and r2 have log singularities, and the Fermi
+    edge |xi| (n_F is even in xi) are panel edges.  At t > 0 the last
+    panel, the thermal tail [t0, cutoff] above the largest of 1, |xi| and
+    the window edges below the cutoff, is integrated in the variable of
+    _tail_map.  Region II has no window and exactly zero imaginary parts.
     """
     hi = x_cutoff(ms)
     a, b, c2 = p.a, p.b, p.c2
@@ -166,9 +207,21 @@ def _parts(
         lower, upper = kinematic_window(p)
         # (x + a)**2 - b**2 in region I, (x - a)**2 - b**2 in region III
         shift = a if region is RegionLabel.I else -a
-    top = max(hi, upper)
 
     t, xi = ms.t, ms.xi
+    axi = abs(xi)
+    cuts = [e for e in (axi, lower, upper) if e < hi]
+    # the quadrature's axis is x up to t0, then the tail panel [t0, top] in
+    # s = z - t0; without a tail (t = 0, or no double inside [t0, hi]) it
+    # is x throughout.  n_F falls from |xi|, not from xi: at xi < -1 it is
+    # ~1 up to |xi|, and a tail mapped from below |xi| would lose that plateau
+    t0 = top = hi
+    if t > 0.0:
+        t0 = top = max(1.0, *cuts)
+        if t0 < 0.5 * (t0 + hi) < hi:
+            top = t0 + 1.0
+            tail = _tail_map(t0, top, hi, t)
+            tail_in_window = lower <= t0 < upper
     # At t > 0 the two Fermi terms are f(u) and f(v), f(u) = 1/(exp(u) + 1),
     # u = (x - |xi|)/t <= v = (x + |xi|)/t, and f(v)/f(u) = (exp(u) + 1)/(exp(v) + 1).
     # For u >= 0 that is <= 2 exp(u - v) = 2 exp(-2|xi|/t); for u < 0 it is
@@ -176,21 +229,21 @@ def _parts(
     # min(2|xi|, 1 + |xi|) > 40 t, the smaller term is below 2 exp(-40) ~ 8.5e-18
     # of the larger (the rounded terms too), under half an ulp of it (>= 2**-54
     # of it, and f(u) >= exp(-700) is normal): the sum rounds to f(u) bit for bit.
-    axi = abs(xi)
     one_term = t > 0.0 and min(2.0 * axi, 1.0 + axi) > 40.0 * t
     a4 = 4.0 * a
     m4c2 = -4.0 * ((a - b) * (a + b))
 
-    def kernel(xs: list[float], ws: Sequence[float]) -> tuple[float, float, float, float, float]:
+    def sums(
+        xs: list[float], ws: Sequence[float], in_window: bool
+    ) -> tuple[float, float, float, float, float]:
         # n_fermi and _log_kernels inlined with y and b*y shared: one sqrt
         # and no Python call per node.  The arithmetic is theirs step for
         # step, and each sum adds w * value in node order, so the bits are
-        # those of a per-node integrand.  All nodes lie inside one panel,
-        # and t = 0 (a step at the panel edge xi), the cutoff and the window
-        # edges are panel edges: the first node decides each of them.
-        x0 = xs[0]
+        # those of a per-node integrand.  Every node lies below the cutoff
+        # (and below xi at t = 0), and inside the window or outside it as
+        # in_window says.
         if t == 0.0:
-            ns = [1.0 if x0 < xi else 0.5 if x0 == xi else 0.0] * len(xs)
+            ns = [1.0] * len(xs)
         elif one_term:
             ns = []
             for x in xs:
@@ -205,59 +258,67 @@ def _parts(
                 n += 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0)
                 ns.append(n)
         s_big = s_b = s_d = s_im_b = s_im_d = 0.0
-        if x0 < hi:
-            for x, w, n in zip(xs, ws, ns):
-                xx = x * x
-                y = sqrt(xx - 1.0)
-                by = b * y
-                am = a * (a - x)
-                ap = a * (a + x)
-                bp = b * (b + y)
-                bm = b * (b - y)
-                l1 = am - bp
-                l2 = am - bm
-                l3 = ap - bp
-                l4 = ap - bm
-                den = l2 * l4 or _TINY
-                q = m4c2 * by / den
-                if q > -0.5:
-                    k1 = log1p(q)
-                else:
-                    r = abs(l1 * l3 / den)
-                    k1 = log(_TINY if r < _TINY else r)
-                den = l1 * l4 or _TINY
-                q = a4 * x * by / den
-                if q > -0.5:
-                    k2 = 0.5 * log1p(q)
-                else:
-                    r = abs(l2 * l3 / den)
-                    k2 = 0.5 * log(_TINY if r < _TINY else r)
-                s_big += w * (n * y)
-                s_b += w * (n * ((xx + c2) * k1 + a4 * x * k2))
-                s_d += w * (n * k1)
-        if lower < x0 < upper:
+        for x, w, n in zip(xs, ws, ns):
+            xx = x * x
+            y = sqrt(xx - 1.0)
+            by = b * y
+            am = a * (a - x)
+            ap = a * (a + x)
+            bp = b * (b + y)
+            bm = b * (b - y)
+            l1 = am - bp
+            l2 = am - bm
+            l3 = ap - bp
+            l4 = ap - bm
+            den = l2 * l4 or _TINY
+            q = m4c2 * by / den
+            if q > -0.5:
+                k1 = log1p(q)
+            else:
+                r = abs(l1 * l3 / den)
+                k1 = log(_TINY if r < _TINY else r)
+            den = l1 * l4 or _TINY
+            q = a4 * x * by / den
+            if q > -0.5:
+                k2 = 0.5 * log1p(q)
+            else:
+                r = abs(l2 * l3 / den)
+                k2 = 0.5 * log(_TINY if r < _TINY else r)
+            s_big += w * (n * y)
+            s_b += w * (n * ((xx + c2) * k1 + a4 * x * k2))
+            s_d += w * (n * k1)
+        if in_window:
             for x, w, n in zip(xs, ws, ns):
                 s_im_b += w * (n * ((x + shift) ** 2 - b2))
                 s_im_d += w * n
         return s_big, s_b, s_d, s_im_b, s_im_d
 
-    res = integrate_adaptive(kernel, 1.0, top, breakpoints=(hi, ms.xi, lower, upper))
+    def kernel(zs: list[float], ws: Sequence[float]) -> tuple[float, float, float, float, float]:
+        # all nodes of a call lie inside one panel: the first decides
+        # whether they are x or the tail's s, and the window
+        if zs[0] <= t0:
+            return sums(zs, ws, lower < zs[0] < upper)
+        xs, ws = tail(zs, ws)
+        out = sums(xs, ws, tail_in_window)
+        if not all(map(math.isfinite, out)):
+            # name the culprit by its x, not by its s
+            _raise_nonfinite(lambda x1, w1: sums(x1, w1, tail_in_window), xs)
+        return out
+
+    res = integrate_adaptive(kernel, 1.0, top, breakpoints=cuts)
     if not res.evaluations:
-        # no double lies inside [1, top]: an empty sea and no window
+        # no double lies inside [1, cutoff]: an empty sea and no window
         # (t = 0 with xi = 1, or a cutoff of 1 + 1 ulp at t ~ 1e-17)
         return 0.0, 0.0, 0.0, 0.0
-    parts = res.value
-    re_b = re_d = 0.0
-    if hi > 1.0:
-        big_r = parts[0]
-        r_b = parts[1] / (4.0 * b)
-        r_d = parts[2] * ((1.0 + 2.0 * c2) / (8.0 * b))
-        pref = -ms.e2 / (4.0 * math.pi**2 * c2)
-        re_b, re_d = pref * (big_r + r_b), pref * (big_r + r_d)
+    big_r, r_b, r_d, im_b, im_d = res.value
+    r_b /= 4.0 * b
+    r_d *= (1.0 + 2.0 * c2) / (8.0 * b)
+    pref = -ms.e2 / (4.0 * math.pi**2 * c2)
+    re_b, re_d = pref * (big_r + r_b), pref * (big_r + r_d)
     if region is RegionLabel.II:
         return re_b, re_d, 0.0, 0.0
-    im_b = -ms.e2 / (16.0 * math.pi * b * c2) * parts[3]
-    im_d = -ms.e2 * (1.0 + 2.0 * c2) / (32.0 * math.pi * b * c2) * parts[4]
+    im_b *= -ms.e2 / (16.0 * math.pi * b * c2)
+    im_d *= -ms.e2 * (1.0 + 2.0 * c2) / (32.0 * math.pi * b * c2)
     return re_b, re_d, im_b, im_d
 
 
@@ -270,9 +331,11 @@ def im_scalars(p: KinematicPoint, ms: MediumState) -> tuple[float, float]:
               (x - a)**2 - b**2   in region III,
         Im D: 1,
 
-    integrated with weight n_F over the kinematic window, with overall
-    factors -e2/(16 pi b c2) and -e2 (1 + 2 c2)/(32 pi b c2).  They come
-    from the same quadrature pass as re_scalars.
+    integrated with weight n_F over the part of the kinematic window
+    below the occupation cutoff x_cutoff (so a window wholly above it
+    gives exact zeros), with overall factors -e2/(16 pi b c2) and
+    -e2 (1 + 2 c2)/(32 pi b c2).  They come from the same quadrature pass
+    as re_scalars.
     """
     region = classify_region(p)
     if region is RegionLabel.II:

@@ -88,7 +88,9 @@ _TABLES = tuple(_level_table(k) for k in range(MAX_LEVEL + 1))
 PANEL_BUDGET = 1 + sum(2 * len(us) for us, _ in _TABLES)
 # each level's weights in node order, left side then right side (and the
 # centre, pi/2, at level 0), for a level none of whose nodes rounds onto an edge
-_BOTH_SIDES = tuple(ws + ws + ((0.5 * math.pi,) if k == 0 else ()) for k, (_, ws) in enumerate(_TABLES))
+_BOTH_SIDES = tuple(
+    ws + ws + ((0.5 * math.pi,) if k == 0 else ()) for k, (_, ws) in enumerate(_TABLES)
+)
 
 Value = float | tuple[float, ...]
 # f(xs, ws) -> the weighted sum of f over the nodes xs of one panel

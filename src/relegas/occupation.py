@@ -95,11 +95,14 @@ def n_fermi(x: float, ms: MediumState) -> float:
 
 
 def x_cutoff(ms: MediumState) -> float:
-    """Upper energy cut beyond which n_F is numerically zero.
+    """Upper energy cut, the end of every finite-t medium integral.
 
     At t = 0 the occupation vanishes identically above xi.  At t > 0 the
-    tails die like exp(-(x -|xi|)/t); forty thermal widths past the
-    larger of the mass shell and |xi| pushes them below 1e-16.
+    tails die like exp(-(x - |xi|)/t); forty thermal widths past the
+    larger of the mass shell and |xi|, n_F is below 2 exp(-40) ~ 8.5e-18
+    of its value at that larger one.  Nothing above the cut is
+    integrated: neither the real parts nor the part of a kinematic
+    window that lies above it.
     """
     if ms.t == 0.0:
         return ms.xi

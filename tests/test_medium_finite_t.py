@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -9,7 +10,7 @@ from relegas import medium_finite_t
 from relegas.kinematics import RegionLabel, classify_region, kinematic_window
 from relegas.medium_finite_t import im_scalars, r1, r2, re_scalars, scalars
 from relegas.numerics import QuadratureResult, integrate_adaptive
-from conftest import complex_rel_err, per_node, rel_err
+from conftest import complex_rel_err, draw_valid_point, per_node, rel_err
 
 # frozen values: (a, b, t, xi) -> (B, D), computed once with the quadrature
 # engine at rel_tol = 1e-12 and cross-checked against an independent
@@ -289,13 +290,51 @@ _PIN_STATES = [
     for xi in (1.2, 0.0, -1.1)
     if t > 0.0 or xi >= 1.0
 ]
-_PIN_POINTS = [(0.5, 1.0), (0.05, 0.3), (0.8, 0.3), (0.01, 1e-6), (2.0, 1.0), (1.5, 0.4)]
+# 2.2/0.07 = 31 widths: the smaller Fermi term still moves bits, and the
+# integrand must add it
+_PIN_STATES.append(MediumState(t=0.07, xi=1.2))
+_PIN_POINTS = [
+    (0.5, 1.0), (0.05, 0.3), (0.8, 0.3), (0.01, 1e-6),
+    (2.0, 1.0), (1.5, 0.4), (0.2, 0.5), (3.0, 2.5),
+]
+
+
+def _axis(p, ms, region):
+    # (t0, top, tail map) of the quadrature's axis: x on [1, t0], then at
+    # t > 0 the thermal tail [t0, cutoff] as the panel [t0, t0 + 1] in
+    # s = z - t0, where t0 is the largest of 1, |xi| and the window edges
+    # below the cutoff; without a tail, x up to top = t0
+    hi = x_cutoff(ms)
+    if ms.t == 0.0:
+        return hi, hi, None
+    edges = [abs(ms.xi)]
+    if region is not RegionLabel.II:
+        edges += kinematic_window(p)
+    t0 = max([1.0] + [e for e in edges if e < hi])
+    if not t0 < 0.5 * (t0 + hi) < hi:
+        return t0, t0, None
+    top = t0 + 1.0
+    return t0, top, medium_finite_t._tail_map(t0, top, hi, ms.t)
+
+
+def _physical(zs, ws, axis):
+    # the x nodes and weights behind one call of the quadrature
+    t0, _, tail = axis
+    return tail(zs, ws) if zs[0] > t0 else (zs, ws)
+
+
+def _composed_sums(xs, ws, p, ms, region):
+    rows = [_composed_kernel(x, p, ms, region) for x in xs]
+    if not rows:
+        return (0.0,) * 5
+    return tuple(sum(map(mul, ws, col)) for col in zip(*rows))
 
 
 def test_fused_integrand_equals_public_kernels(monkeypatch):
     # the quadrature's integrand inlines n_fermi and _log_kernels; called
-    # on one node, it must give their bits exactly, at random nodes and at
-    # nodes within 1e-12 of the window edges, the cutoff and the Fermi edge xi
+    # on one node, it must give their bits exactly (times the tail map's
+    # weight on the tail), at random nodes and at nodes within 1e-12 of the
+    # window edges, the Fermi edge xi and both ends of the tail
     captured = []
 
     def capture(f, lo, hi, breakpoints=(), rel_tol=1e-10):
@@ -304,46 +343,71 @@ def test_fused_integrand_equals_public_kernels(monkeypatch):
 
     monkeypatch.setattr(medium_finite_t, "integrate_adaptive", capture)
     rng = random.Random(1010)
-    nodes = 0
+    nodes = tail_nodes = 0
     regions = set()
     for ms in _PIN_STATES:
+        hi = x_cutoff(ms)
         for a, b in _PIN_POINTS:
             p = derive_point(a, b)
             region = classify_region(p)
             regions.add(region)
             captured.clear()
             medium_finite_t._parts(p, ms, region)
-            (kernel, lo, hi), = captured
-            edges = [ms.xi, x_cutoff(ms)]
+            (kernel, lo, top), = captured
+            t0, want_top, tail = axis = _axis(p, ms, region)
+            assert (lo, top) == (1.0, want_top)
+            edges = [abs(ms.xi), t0]
             if region is not RegionLabel.II:
                 edges += kinematic_window(p)
-            xs = [rng.uniform(lo, hi) for _ in range(40)]
+            xs = [rng.uniform(lo, t0) for _ in range(40)]
             for e in edges:
                 xs += [e, e + 1e-12, e - 1e-12]
                 xs += [e + rng.uniform(-1e-12, 1e-12) for _ in range(3)]
-            for x in xs:
-                if x >= 1.0:
-                    assert kernel([x], [1.0]) == _composed_kernel(x, p, ms, region), (a, b, ms, x)
-                    nodes += 1
+            zs = [x for x in xs if 1.0 <= x < t0]
+            if tail is not None:
+                ss = [rng.random() for _ in range(40)] + [1e-12, 1.0 - 1e-12]
+                ss += [rng.uniform(0.0, 1e-12) for _ in range(3)]
+                ss += [1.0 - rng.uniform(0.0, 1e-12) for _ in range(3)]
+                zs += [t0 + s for s in ss if 0.0 < s < top - t0]
+            e_tail = Fraction(math.exp(-(hi - t0) / ms.t)) if ms.t else 0
+            for z in zs:
+                xs, ws = _physical([z], [1.0], axis)
+                if z > t0:
+                    # x = t0 - t ln(S - s (1 - E)) and dx/ds = t (1 - E)/(S - s (1 - E)),
+                    # S = top - t0 = 1 to an ulp, with S - s (1 - E) exact: no
+                    # digits may be lost at either end of the tail
+                    s = Fraction(z) - Fraction(t0)
+                    d = float(Fraction(top) - Fraction(t0) - s * (1 - e_tail))
+                    for x, w in zip(xs, ws):
+                        assert t0 < x < hi
+                        assert abs(x - (t0 - ms.t * math.log(d))) <= 4.0 * math.ulp(hi), (z, x)
+                        assert rel_err(w, float(ms.t * (1 - e_tail)) / d) <= 1e-14, (z, w)
+                    tail_nodes += 1
+                got = kernel([z], [1.0])
+                assert got == _composed_sums(xs, ws, p, ms, region), (a, b, ms, z)
+                nodes += 1
     assert regions == set(RegionLabel)
     assert nodes >= 2000
+    assert tail_nodes >= 1000
 
 
 def test_fused_integrand_sums_equal_per_node_sums(monkeypatch):
     # the engine hands the integrand one level of one panel per call, and
-    # the fused kernel decides the t = 0 step, the cutoff and the window
+    # the fused kernel decides the tail map, the t = 0 step and the window
     # once per call; on every call of the real engine its sums must be
-    # the node-order weighted sums of the composed per-node kernel
+    # the node-order weighted sums of the composed per-node kernel at the
+    # physical nodes and weights
     integrate = medium_finite_t.integrate_adaptive
-    nodes = 0
+    nodes = tail_nodes = 0
 
     def checked_integrate(f, *args, **kwargs):
-        def checked(xs, ws):
-            nonlocal nodes
-            got = f(xs, ws)
-            cols = zip(*(_composed_kernel(x, p, ms, region) for x in xs))
-            assert got == tuple(sum(map(mul, ws, col)) for col in cols), (a, b, ms, xs[0])
+        def checked(zs, ws):
+            nonlocal nodes, tail_nodes
+            got = f(zs, ws)
+            xs, mws = _physical(zs, ws, axis)
+            assert got == _composed_sums(xs, mws, p, ms, region), (a, b, ms, zs[0])
             nodes += len(xs)
+            tail_nodes += len(xs) if zs[0] > axis[0] else 0
             return got
 
         return integrate(checked, *args, **kwargs)
@@ -353,5 +417,116 @@ def test_fused_integrand_sums_equal_per_node_sums(monkeypatch):
         for a, b in _PIN_POINTS:
             p = derive_point(a, b)
             region = classify_region(p)
+            axis = _axis(p, ms, region)
             medium_finite_t._parts(p, ms, region)
     assert nodes >= 10000
+    assert tail_nodes >= 1000
+
+
+# the six states of the benchmark's warm map
+_WARM_STATES = [(0.05, 1.2), (1.0, 0.0), (0.3, 0.5), (0.01, 1.2), (1e-3, 1.2), (0.2, -1.1)]
+
+
+def _tail_start(p, ms, region):
+    t0, _, tail = _axis(p, ms, region)
+    if tail is None:
+        return "none"
+    return "1" if t0 == 1.0 else "xi" if t0 == abs(ms.xi) else "edge"
+
+
+def test_mapped_tail_matches_an_unmapped_tight_quadrature(monkeypatch):
+    # every panel of _parts ends at the cutoff and its last one is mapped;
+    # each of the five integrals must still match, to 1e-10, a plain
+    # quadrature of the composed per-node kernel over [1, cutoff] with every
+    # edge a breakpoint, at rel_tol = 1e-13, and each call must converge
+    results = []
+    integrate = medium_finite_t.integrate_adaptive
+
+    def recorded(*args, **kwargs):
+        results.append(integrate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(medium_finite_t, "integrate_adaptive", recorded)
+    rng = random.Random(2024)
+    cells = []
+    for t, xi in _WARM_STATES:
+        ms = MediumState(t=t, xi=xi)
+        # a and b log-uniform in [1e-3, 4], as in the warm map, 3 per bin of a
+        for lo_a, hi_a in ((1e-3, 0.01), (0.01, 0.1), (0.1, 1.0), (1.0, 4.0)):
+            drawn = 0
+            while drawn < 3:
+                a = math.exp(rng.uniform(math.log(lo_a), math.log(hi_a)))
+                b = math.exp(rng.uniform(math.log(1e-3), math.log(4.0)))
+                if abs(a - b) < 1e-3 * b or abs(a * a - b * b - 1.0) < 1e-3:
+                    continue
+                cells.append((derive_point(a, b), ms))
+                drawn += 1
+    seen = set()
+    for p, ms in cells:
+        region = classify_region(p)
+        seen.add((region, _tail_start(p, ms, region)))
+        results.clear()
+        medium_finite_t._parts(p, ms, region)
+        (res,) = results
+        assert res.converged, (p, ms)
+        hi = x_cutoff(ms)
+        edges = [abs(ms.xi)]
+        if region is not RegionLabel.II:
+            edges += kinematic_window(p)
+        want = integrate(
+            per_node(lambda x: _composed_kernel(x, p, ms, region)),
+            1.0, hi, breakpoints=edges, rel_tol=1e-13,
+        )
+        for got, ref in zip(res.value, want.value):
+            assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-300), (p, ms, got, ref)
+    assert {r for r, _ in seen} == set(RegionLabel)
+    assert {s for _, s in seen} == {"1", "xi", "edge"}
+
+
+def test_window_above_the_cutoff_has_no_absorption():
+    # the integrals stop at the cutoff, so a window wholly above it
+    # contributes exactly nothing, not an exp(-40) remainder
+    ms = MediumState(t=0.01, xi=1.2)
+    for (a, b), region in (((3.0, 1.0), RegionLabel.III), ((0.1, 3.0), RegionLabel.I)):
+        p = derive_point(a, b)
+        assert classify_region(p) is region
+        assert kinematic_window(p)[0] > x_cutoff(ms)
+        assert im_scalars(p, ms) == (0.0, 0.0)
+        assert 0.0 not in re_scalars(p, ms)
+
+
+def test_non_finite_tail_value_names_its_x(monkeypatch):
+    # a NaN in the tail panel is reported at its x, not at the
+    # quadrature's variable s of that panel
+    ms = MediumState(t=0.01, xi=1.2)
+    p = derive_point(0.8, 0.3)
+    region = classify_region(p)
+    t0, _, tail = _axis(p, ms, region)
+    assert tail is not None and t0 == ms.xi
+    poisoned = set()
+
+    def sqrt(v):
+        if v > t0 * t0 - 1.0:
+            poisoned.add(v)
+            return math.nan
+        return math.sqrt(v)
+
+    monkeypatch.setattr(medium_finite_t, "sqrt", sqrt)
+    with pytest.raises(ValueError, match="x = ") as err:
+        medium_finite_t._parts(p, ms, region)
+    x = float(str(err.value).rsplit("x = ", 1)[1])
+    assert t0 < x < x_cutoff(ms)
+    assert x * x - 1.0 in poisoned
+
+
+def test_parts_are_even_in_xi():
+    # n_F is even in xi, so a state and its mirror give the same bits; at
+    # xi < -1 the occupation is ~1 up to the Fermi edge |xi|, which must be
+    # a panel edge and must not lie inside the mapped tail
+    rng = random.Random(77)
+    for t, xi in ((1e-3, 1.5), (0.01, 1.5), (0.2, 1.1), (1.0, 0.3)):
+        for _ in range(8):
+            p = draw_valid_point(rng, a_max=4.0, b_max=4.0)
+            region = classify_region(p)
+            parts = medium_finite_t._parts(p, MediumState(t=t, xi=xi), region)
+            assert medium_finite_t._parts(p, MediumState(t=t, xi=-xi), region) == parts, (p, t, xi)
