@@ -25,8 +25,8 @@ fermion energies sits relative to the Fermi surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 LIGHT_CONE_CUT = 1e-9
 PAIR_THRESHOLD_CUT = 1e-12
@@ -49,8 +49,7 @@ class InternalConsistencyError(RuntimeError):
     """An internal cross-check that should hold by algebra has failed."""
 
 
-@dataclass(frozen=True)
-class KinematicPoint:
+class KinematicPoint(NamedTuple):
     """A probe four-momentum in dimensionless variables.
 
     Attributes
@@ -88,8 +87,7 @@ class RegionLabel(Enum):
     III = "III"
 
 
-@dataclass(frozen=True)
-class FermiSurface:
+class FermiSurface(NamedTuple):
     """Zero-temperature Fermi surface in electron-mass units.
 
     xF is the Fermi energy over m (>= 1), yF = sqrt(xF**2 - 1) the Fermi
@@ -107,8 +105,7 @@ def fermi_surface(xF: float) -> FermiSurface:
     return FermiSurface(xF=xF, yF=math.sqrt(xF * xF - 1.0))
 
 
-@dataclass(frozen=True)
-class SubregionLabel:
+class SubregionLabel(NamedTuple):
     """Zero-temperature absorption classification of a kinematic point.
 
     label is one of "A", "B", "C", "D" or "NONE".  For an absorbing

@@ -19,9 +19,8 @@ five integrals are one vector-valued quadrature pass over shared nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import exp, expm1, log, log1p, sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kinematics import KinematicPoint, RegionLabel, classify_region, kinematic_window
 from .numerics import _raise_nonfinite, integrate_adaptive
@@ -32,8 +31,7 @@ from .vacuum import c_star
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class ResponseScalars:
+class ResponseScalars(NamedTuple):
     """The four scalar amplitudes of the polarization tensor.
 
     B and D are the independent medium scalars, C is the vacuum scalar,
@@ -68,9 +66,11 @@ def r1(x: float, p: KinematicPoint) -> float:
 
     Vanishes at the mass shell x = 1 and decays like 1/x**2 at large x.
     It does not vanish at a = 0: its static limit carries the entire
-    Thomas-Fermi screening response.  The t = 0 closed forms call this
-    squared form; the quadrature uses the factored _log_kernels, which
-    keep the digits this form loses as b -> 0.
+    Thomas-Fermi screening response.  The t = 0 closed forms use this
+    squared form at the Fermi surface (medium_zero_t._fermi_logs, which
+    builds the arguments of r1 and r2 once); the quadrature uses the
+    factored _log_kernels, which keep the digits this form loses as
+    b -> 0.
     """
     y = math.sqrt(x * x - 1.0)
     num = (p.c2 - p.b * y) ** 2 - (p.a * x) ** 2

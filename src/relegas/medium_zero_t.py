@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kinematics import (
     FermiSurface,
@@ -30,7 +30,7 @@ from .kinematics import (
     classify_region,
     zero_t_subregion,
 )
-from .medium_finite_t import ResponseScalars, r1, r2
+from .medium_finite_t import ResponseScalars, _log_ratio
 from .occupation import MediumState
 
 _EDGE_TOL = 1e-14
@@ -42,8 +42,7 @@ class SubregionBoundaryError(ValueError):
     computable in double precision there)."""
 
 
-@dataclass(frozen=True)
-class ZeroTCoefficients:
+class ZeroTCoefficients(NamedTuple):
     """Polynomial coefficients of the zero-temperature Z terms.
 
     M_*, N_* build the quartic numerators n(s) = M + N (1 - s); C_B and
@@ -97,8 +96,7 @@ def _edge_log(t: float, t_fermi: float) -> float:
     return math.log(abs(t_fermi - t)) - math.log(t_fermi + t)
 
 
-@dataclass(frozen=True)
-class _RealBranchPieces:
+class _RealBranchPieces(NamedTuple):
     # difference-quotient building blocks: d_g ~ dG/ds, g_bar ~ mean G,
     # s_bar ~ mean squared root, with G(t) = edge_log(t)/(2 t)
     d_g: float
@@ -244,39 +242,45 @@ def _im_parts(p: KinematicPoint, sub: SubregionLabel, ms: MediumState) -> tuple[
     return im_b, im_d
 
 
-def _guard_fermi_logs(p: KinematicPoint, fs: FermiSurface) -> None:
-    # the U terms evaluate r1, r2 at the Fermi surface; a vanishing log
-    # argument there means the window edge sits exactly on the surface
+def _fermi_logs(p: KinematicPoint, fs: FermiSurface) -> tuple[float, float]:
+    """(r1, r2) at the Fermi surface from one build of their log arguments.
+
+    The arguments and logs are those of r1(xF, p) and r2(xF, p), bit for
+    bit (fs.yF is their sqrt(xF**2 - 1)).  A vanishing argument means a
+    window edge sits exactly on the surface, where the U terms diverge.
+    """
     x = fs.xF
-    y = fs.yF
-    scale = max(1.0, (p.a * x) ** 2, p.c2 * p.c2, (p.b * y) ** 2)
+    ax = p.a * x
+    by = p.b * fs.yF
+    c2 = p.c2
     args = (
-        (p.c2 - p.b * y) ** 2 - (p.a * x) ** 2,
-        (p.c2 + p.b * y) ** 2 - (p.a * x) ** 2,
-        p.c2 * p.c2 - (p.a * x - p.b * y) ** 2,
-        p.c2 * p.c2 - (p.a * x + p.b * y) ** 2,
+        (c2 - by) ** 2 - ax**2,
+        (c2 + by) ** 2 - ax**2,
+        c2 * c2 - (ax - by) ** 2,
+        c2 * c2 - (ax + by) ** 2,
     )
+    scale = max(1.0, ax**2, c2 * c2, by**2)
     for arg in args:
         if abs(arg) <= _EDGE_TOL * scale:
             raise SubregionBoundaryError(
                 f"(a, b) = ({p.a}, {p.b}) has a window edge on the Fermi surface xF = {x}"
             )
+    return _log_ratio(args[0], args[1]), 0.5 * _log_ratio(args[2], args[3])
 
 
 def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[float, float]:
     """(Re B, Re D) at T = 0 in closed form, U + W + Z pieces of both.
 
-    The Fermi-surface guard, the Z coefficients, r1 at the Fermi surface
-    and the branch pieces of the master integrals are built once.
+    The Fermi-surface logs (with their guard), the Z coefficients and the
+    branch pieces of the master integrals are built once.
     """
     if fs.yF == 0.0:
         return 0.0, 0.0
-    _guard_fermi_logs(p, fs)
+    k1, k2 = _fermi_logs(p, fs)
     x = fs.xF
     y = fs.yF
     coef = zero_t_coefficients(p)
-    k1 = r1(x, p)
-    u_b = x / (12.0 * p.b) * ((x * x + 3.0 * p.c2) * k1 + 6.0 * p.a * x * r2(x, p))
+    u_b = x / (12.0 * p.b) * ((x * x + 3.0 * p.c2) * k1 + 6.0 * p.a * x * k2)
     u_d = x * (1.0 + 2.0 * p.c2) / (8.0 * p.b) * k1
     log_xy = math.log(x + y)
     w_b = (2.0 / 3.0) * (x * y - p.b * p.b * log_xy)

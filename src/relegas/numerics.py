@@ -40,9 +40,8 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass
 from math import log10
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 # step h = 2**-(level + 1); every panel starts at _MIN_LEVEL, so that
 # two crude levels cannot agree by accident
@@ -97,8 +96,7 @@ Value = float | tuple[float, ...]
 Integrand = Callable[[list[float], Sequence[float]], Value]
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Outcome of an adaptive integration.
 
     value is the best estimate, error_estimate the summed panel error
@@ -116,8 +114,7 @@ class QuadratureResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     """An interval [lo, hi] on which a function changes sign."""
 
     lo: float

@@ -12,7 +12,7 @@ evaluated at the dimensionless fermion energy x = E/m >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .kinematics import FermiSurface, fermi_surface
@@ -54,8 +54,9 @@ class MediumState:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"coupling alpha = {self.alpha} must be positive and finite")
 
-    @property
+    @cached_property
     def e2(self) -> float:
+        """Squared coupling 4 pi alpha, built once per state."""
         return 4.0 * math.pi * self.alpha
 
     @property

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .kinematics import (
     InternalConsistencyError,
@@ -33,8 +32,7 @@ from .occupation import MediumState
 _DUAL_PATH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ResponseTensors:
+class ResponseTensors(NamedTuple):
     """Permittivity combinations of the magnetized-free gas.
 
     eps_prime = -nu_prime and tau = sigma hold identically; both members
@@ -135,8 +133,7 @@ def plasma_frequency_estimate(ms: MediumState) -> float:
     return math.sqrt(ms.e2 * fs.yF**3 / (12.0 * math.pi**2 * fs.xF))
 
 
-@dataclass(frozen=True)
-class RootSample:
+class RootSample(NamedTuple):
     """One dispersion root: mode condition satisfied at (b, root_a)."""
 
     b: float
@@ -145,8 +142,7 @@ class RootSample:
     im_at_root: float
 
 
-@dataclass(frozen=True)
-class DispersionBranch:
+class DispersionBranch(NamedTuple):
     """Plasmon branch over a b grid with its b -> 0 extrapolation.
 
     samples holds the smallest positive root found for each b (b values
@@ -262,8 +258,7 @@ def _extrapolate_to_zero_b(samples: Sequence[RootSample]) -> float:
     return p0
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """One (a, b) cell of a metamaterial scan.
 
     Skipped cells (invalid kinematics) carry NaN fields and a reason;

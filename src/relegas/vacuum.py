@@ -10,7 +10,7 @@ creation opens up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kinematics import LIGHT_CONE_CUT, PAIR_THRESHOLD_CUT, LightConeError, PairThresholdError
 from .occupation import MediumState
@@ -20,8 +20,7 @@ from .occupation import MediumState
 _SERIES_SWITCH = 0.05
 
 
-@dataclass(frozen=True)
-class VacuumScalar:
+class VacuumScalar(NamedTuple):
     """Value of the vacuum scalar together with its analytic branch.
 
     branch is "spacelike" (c2 < 0), "subthreshold" (0 < c2 < 1) or

@@ -1,6 +1,7 @@
 """Digests of every stored benchmark result and of a set of CLI runs.
 
     python3 tests/fingerprint.py [ROOT]
+    python3 tests/fingerprint.py ROOT_A ROOT_B
 
 Prints one sha256 per stored pool of ``perfbench/data`` (the four
 workloads, the dispersion defects and the long-wavelength stalls), each
@@ -13,6 +14,9 @@ stdout, and the command itself; so a change that moves only the
 whose lines are equal give bit-identical results on all of them; ROOT
 (default: the checkout holding this script) selects the relegas sources
 and pools to run, so a commit without this script can be compared too.
+With two roots, each is fingerprinted in its own interpreter, only the
+lines that differ are printed (``<`` for ROOT_A, ``>`` for ROOT_B), and
+the exit status is 1 on any difference, 0 when every line is equal.
 pytest does not collect this file.  ``perfbench`` is imported
 read-only: no bytecode is written.
 """
@@ -112,7 +116,36 @@ def cli_runs(root: Path):
         yield argv, proc.returncode, f"{argv} -> {proc.returncode}\n{proc.stdout}"
 
 
+def compare(roots: list[Path]) -> int:
+    """Fingerprint both roots concurrently; print the lines that differ."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, str(root)], env=env, stdout=subprocess.PIPE, text=True
+        )
+        for root in roots
+    ]
+    outs = [proc.communicate()[0].splitlines() for proc in procs]
+    for root, proc in zip(roots, procs):
+        if proc.returncode:
+            print(f"error: fingerprint of {root} exited with {proc.returncode}", file=sys.stderr)
+            return 2
+    # lines are keyed by their name, the first column
+    by_name = [{line.split()[0]: line for line in out} for out in outs]
+    names = list(dict.fromkeys(name for lines in by_name for name in lines))
+    n_diff = 0
+    for name in names:
+        line_a, line_b = (lines.get(name, f"{name} (missing)") for lines in by_name)
+        if line_a != line_b:
+            n_diff += 1
+            print(f"< {line_a}\n> {line_b}")
+    print(f"{n_diff} of {len(names)} lines differ", file=sys.stderr)
+    return 1 if n_diff else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) > 2:
+        return compare([Path(r).resolve() for r in argv[1:3]])
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
     sys.dont_write_bytecode = True
     with warnings.catch_warnings():

@@ -19,7 +19,7 @@ from relegas import (
     zero_t_coefficients,
 )
 from relegas.numerics import integrate_adaptive
-from conftest import complex_rel_err, per_node, rel_err
+from conftest import complex_rel_err, draw_valid_point, per_node, rel_err
 
 MS = MediumState(t=0.0, xi=1.5)  # only e2 matters; xF enters separately
 
@@ -223,6 +223,23 @@ def test_fermi_surface_on_window_edge_is_rejected():
     upper = p.a + p.b * math.sqrt(p.gamma2)
     with pytest.raises(SubregionBoundaryError, match="Fermi"):
         re_B_zero(p, fermi_surface(upper), _state(upper))
+
+
+def test_fermi_logs_are_the_public_kernels_bit_for_bit():
+    # one build of the four log arguments gives r1(xF, p) and r2(xF, p)
+    # exactly, in all three regions and at a = 0
+    from relegas.medium_finite_t import r1, r2
+    from relegas.medium_zero_t import _fermi_logs
+
+    rng = random.Random(1717)
+    points = [draw_valid_point(rng) for _ in range(300)] + [derive_point(0.0, 0.4)]
+    for p in points:
+        fs = fermi_surface(rng.uniform(1.0, 4.0))
+        try:
+            got = _fermi_logs(p, fs)
+        except SubregionBoundaryError:
+            continue
+        assert got == (r1(fs.xF, p), r2(fs.xF, p))
 
 
 def test_empty_sea_gives_zero():

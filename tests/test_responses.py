@@ -108,8 +108,9 @@ def test_scalars_at_dispatch():
 
 
 def test_one_classification_per_point(monkeypatch):
-    # a t = 0 point classifies its region and builds its subregion and
-    # the Fermi-surface r1 once, a t > 0 point classifies its region once
+    # a t = 0 point classifies its region, builds its subregion and the
+    # Fermi-surface logs once, and never calls the public r1 and r2
+    # kernels; a t > 0 point classifies its region once
     from collections import Counter
 
     from relegas import kinematics, medium_zero_t, responses
@@ -126,7 +127,9 @@ def test_one_classification_per_point(monkeypatch):
     for home, name in (
         (kinematics, "classify_region"),
         (kinematics, "zero_t_subregion"),
+        (medium_zero_t, "_fermi_logs"),
         (medium_finite_t, "r1"),
+        (medium_finite_t, "r2"),
     ):
         wrapper = counted(name, getattr(home, name))
         for mod in (kinematics, medium_finite_t, medium_zero_t, responses):
@@ -136,7 +139,9 @@ def test_one_classification_per_point(monkeypatch):
     tensors_at(0.5, 1.0, COLD)
     assert calls["classify_region"] == 1
     assert calls["zero_t_subregion"] == 1
-    assert calls["r1"] == 1
+    assert calls["_fermi_logs"] == 1
+    assert calls["r1"] == 0
+    assert calls["r2"] == 0
     calls.clear()
     tensors_at(0.5, 1.0, MediumState(t=0.05, xi=1.2))
     assert calls["classify_region"] == 1
