@@ -25,6 +25,7 @@ fermion energies sits relative to the Fermi surface.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -126,33 +127,41 @@ def derive_point(a: float, b: float) -> KinematicPoint:
     a, b : float
         Dimensionless frequency and momentum transfer.  Requires a >= 0,
         b > 0, and |a**2 - b**2| >= 1e-9 (points on the light cone are
-        rejected because gamma2 and d2 blow up there).
+        rejected because gamma2 and d2 blow up there).  b**2 must be a
+        normal double and a**2 - b**2 finite; a point outside that range
+        is refused rather than turned into inf or NaN.
     """
     if not (b > 0.0) or not math.isfinite(b):
         raise InvalidPointError(f"momentum transfer b = {b} must be positive")
     if a < 0.0 or not math.isfinite(a):
         raise InvalidPointError(f"frequency a = {a} must be >= 0")
-    c2 = a * a - b * b
+    b2 = b * b
+    if b2 < sys.float_info.min:
+        raise InvalidPointError(
+            f"momentum transfer b = {b} is too small: b**2 is below the smallest normal double"
+        )
+    c2 = a * a - b2
+    if not math.isfinite(c2):
+        raise InvalidPointError(f"(a, b) = ({a}, {b}) is too large: c2 = a**2 - b**2 = {c2}")
     if abs(c2) < LIGHT_CONE_CUT:
         raise LightConeError(
             f"(a, b) = ({a}, {b}) is on the light cone: |c2| = {abs(c2):.3e}"
         )
-    gamma2 = 1.0 - 1.0 / c2
-    d2 = c2 + b * b / c2
-    return KinematicPoint(a=a, b=b, c2=c2, gamma2=gamma2, d2=d2)
+    return KinematicPoint(a, b, c2, 1.0 - 1.0 / c2, c2 + b2 / c2)
 
 
 def classify_region(p: KinematicPoint) -> RegionLabel:
     """Classify a point into region I, II or III of the (a, b) plane."""
-    if abs(p.c2) < LIGHT_CONE_CUT:
-        raise LightConeError(f"|c2| = {abs(p.c2):.3e} is on the light cone")
-    if abs(p.c2 - 1.0) <= PAIR_THRESHOLD_CUT:
+    c2 = p.c2
+    if abs(c2) < LIGHT_CONE_CUT:
+        raise LightConeError(f"|c2| = {abs(c2):.3e} is on the light cone")
+    if abs(c2 - 1.0) <= PAIR_THRESHOLD_CUT:
         raise PairThresholdError(
-            f"c2 = {p.c2!r} sits on the pair-creation threshold c2 = 1"
+            f"c2 = {c2!r} sits on the pair-creation threshold c2 = 1"
         )
-    if p.c2 < 0.0:
+    if c2 < 0.0:
         return RegionLabel.I
-    if p.c2 < 1.0:
+    if c2 < 1.0:
         return RegionLabel.II
     return RegionLabel.III
 
@@ -164,11 +173,12 @@ def kinematic_window(p: KinematicPoint) -> tuple[float, float]:
     there the window is (|a - b*gamma|, a + b*gamma) and its lower edge
     always lies above the mass shell x = 1.
     """
-    if p.gamma2 <= 0.0:
+    a, b, _, gamma2, _ = p
+    if gamma2 <= 0.0:
         raise ValueError("kinematic window requires gamma2 > 0")
-    g = math.sqrt(p.gamma2)
-    lower = abs(p.a - p.b * g)
-    upper = p.a + p.b * g
+    bg = b * math.sqrt(gamma2)
+    lower = abs(a - bg)
+    upper = a + bg
     if lower < 1.0 - 1e-9:
         raise InternalConsistencyError(
             f"window lower edge {lower} fell below the mass shell"
@@ -193,15 +203,14 @@ def zero_t_subregion(
     if region is None:
         region = classify_region(p)
     if region is RegionLabel.II:
-        return SubregionLabel(label="NONE", x_lower=math.nan, x_upper=math.nan)
+        return SubregionLabel("NONE", math.nan, math.nan)
     lower, upper = kinematic_window(p)
-    if lower >= fs.xF - BOUNDARY_TOL:
-        return SubregionLabel(label="NONE", x_lower=math.nan, x_upper=math.nan)
-    if upper <= fs.xF + BOUNDARY_TOL:
-        label = "A" if region is RegionLabel.I else "C"
-        return SubregionLabel(label=label, x_lower=lower, x_upper=upper)
-    label = "B" if region is RegionLabel.I else "D"
-    return SubregionLabel(label=label, x_lower=lower, x_upper=fs.xF)
+    x_fermi = fs.xF
+    if lower >= x_fermi - BOUNDARY_TOL:
+        return SubregionLabel("NONE", math.nan, math.nan)
+    if upper <= x_fermi + BOUNDARY_TOL:
+        return SubregionLabel("A" if region is RegionLabel.I else "C", lower, upper)
+    return SubregionLabel("B" if region is RegionLabel.I else "D", lower, x_fermi)
 
 
 def region_boundaries(fs: FermiSurface, a: float) -> dict[str, float]:

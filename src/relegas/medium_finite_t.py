@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 from .kinematics import KinematicPoint, RegionLabel, classify_region, kinematic_window
 from .numerics import _raise_nonfinite, integrate_adaptive
 from .occupation import _EXP_CLIP, MediumState, x_cutoff
-from .vacuum import c_star
+from .vacuum import _vacuum_value
 
 # floor under the kernels' logs, and of a denominator that rounds to 0
 _TINY = 1e-300
@@ -54,11 +54,12 @@ class ResponseScalars(NamedTuple):
     ) -> ResponseScalars:
         """Build all four scalars from (Re B, Re D, Im B, Im D) at p."""
         re_b, re_d, im_b, im_d = parts
+        _, b, c2, _, _ = p
         b_val = complex(re_b, im_b)
         d_val = complex(re_d, im_d)
-        a_val = d_val + (1.0 + 3.0 * p.c2 / (2.0 * p.b * p.b)) * b_val
-        c_val = c_star(p.c2, ms).value if include_vacuum else 0.0j
-        return cls(B=b_val, D=d_val, A=a_val, C=c_val)
+        a_val = d_val + (1.0 + 3.0 * c2 / (2.0 * b * b)) * b_val
+        c_val = _vacuum_value(c2, ms) if include_vacuum else 0.0j
+        return cls(b_val, d_val, a_val, c_val)
 
 
 def r1(x: float, p: KinematicPoint) -> float:

@@ -62,26 +62,26 @@ class ZeroTCoefficients(NamedTuple):
     frakC: float
 
 
+def _z_numerators(
+    a2: float, b2: float, gamma2: float, d2: float
+) -> tuple[float, float, float, float]:
+    """(M_B, N_B, M_D, N_D) of the quartic numerators n(s) = M + N (1 - s)."""
+    d4 = d2 * d2
+    m_b = -2.0 * a2 * (1.0 + 4.0 * b2) - (1.0 - 2.0 * b2 - 2.0 * a2 * (2.0 - gamma2)) * d2
+    return m_b, -d4 * (1.0 - 2.0 * b2), 2.0 * a2 * (1.0 + gamma2) - d2, -d4
+
+
 def zero_t_coefficients(p: KinematicPoint) -> ZeroTCoefficients:
     """Coefficients entering Z_B and Z_D at the kinematic point p."""
     a2 = p.a * p.a
-    b2 = p.b * p.b
     d2 = p.d2
-    d4 = d2 * d2
-    m_b = -2.0 * a2 * (1.0 + 4.0 * b2) - (1.0 - 2.0 * b2 - 2.0 * a2 * (2.0 - p.gamma2)) * d2
-    n_b = -d4 * (1.0 - 2.0 * b2)
-    m_d = 2.0 * a2 * (1.0 + p.gamma2) - d2
-    n_d = -d4
     return ZeroTCoefficients(
-        M_B=m_b,
-        N_B=n_b,
-        M_D=m_d,
-        N_D=n_d,
+        *_z_numerators(a2, p.b * p.b, p.gamma2, d2),
         C_B=1.0 / 3.0,
         C_D=0.5 * (1.0 + 2.0 * p.c2),
         frakA=(d2 + 1.0) ** 2 - 4.0 * a2,
         frakB=-2.0 * (d2 * (d2 + 1.0) - 2.0 * a2),
-        frakC=d4,
+        frakC=d2 * d2,
     )
 
 
@@ -96,26 +96,22 @@ def _edge_log(t: float, t_fermi: float) -> float:
     return math.log(abs(t_fermi - t)) - math.log(t_fermi + t)
 
 
-class _RealBranchPieces(NamedTuple):
-    # difference-quotient building blocks: d_g ~ dG/ds, g_bar ~ mean G,
-    # s_bar ~ mean squared root, with G(t) = edge_log(t)/(2 t)
-    d_g: float
-    g_bar: float
-    s_bar: float
-    frak_c: float
+def _real_branch_pieces(
+    a: float, b: float, gamma2: float, d2: float, t_fermi: float
+) -> tuple[float, float, float, float]:
+    """(d_g, g_bar, s_bar, frak_c) of the real-root antiderivative.
 
-
-def _real_branch_pieces(p: KinematicPoint, t_fermi: float) -> _RealBranchPieces:
-    d2 = p.d2
+    Difference-quotient building blocks: d_g ~ dG/ds, g_bar ~ mean G,
+    s_bar ~ mean squared root, with G(t) = edge_log(t)/(2 t).
+    """
     frak_c = d2 * d2
-    g = math.sqrt(p.gamma2)
-    t0_sq = (d2 * (d2 + 1.0) - 2.0 * p.a * p.a) / frak_c
-    delta_s = 4.0 * p.a * p.b * g / frak_c
+    t0_sq = (d2 * (d2 + 1.0) - 2.0 * a * a) / frak_c
+    delta_s = 4.0 * a * b * math.sqrt(gamma2) / frak_c
     if delta_s == 0.0:
         # coincident roots (a = 0): use the s-derivative of G directly
         if t0_sq <= 0.0:
             raise InternalConsistencyError(
-                f"degenerate root t0^2 = {t0_sq} is not positive at (a, b) = ({p.a}, {p.b})"
+                f"degenerate root t0^2 = {t0_sq} is not positive at (a, b) = ({a}, {b})"
             )
         t0 = math.sqrt(t0_sq)
         gap = t_fermi * t_fermi - t0_sq
@@ -125,7 +121,7 @@ def _real_branch_pieces(p: KinematicPoint, t_fermi: float) -> _RealBranchPieces:
             )
         log0 = _edge_log(t0, t_fermi)
         d_g = -t_fermi / (2.0 * t0_sq * gap) - log0 / (4.0 * t0 * t0_sq)
-        return _RealBranchPieces(d_g=d_g, g_bar=log0 / (2.0 * t0), s_bar=t0_sq, frak_c=frak_c)
+        return d_g, log0 / (2.0 * t0), t0_sq, frak_c
     tp_sq = t0_sq + 0.5 * delta_s
     tm_sq = t0_sq - 0.5 * delta_s
     if tp_sq <= 0.0 or tm_sq <= 0.0:
@@ -146,19 +142,17 @@ def _real_branch_pieces(p: KinematicPoint, t_fermi: float) -> _RealBranchPieces:
         d_log = (log_p - log_m) / delta_t
     d_g = (d_log / (2.0 * tp) - log_m / (2.0 * tp * tm)) / (tp + tm)
     g_bar = 0.5 * (log_p / (2.0 * tp) + log_m / (2.0 * tm))
-    return _RealBranchPieces(d_g=d_g, g_bar=g_bar, s_bar=0.5 * (tp_sq + tm_sq), frak_c=frak_c)
+    return d_g, g_bar, 0.5 * (tp_sq + tm_sq), frak_c
 
 
 def _complex_branch_pieces(
-    p: KinematicPoint, t_fermi: float
-) -> tuple[float, float, float, float]:
-    """(lg, at, t_r, m2) of the complex-root antiderivative."""
-    d2 = p.d2
+    a: float, b: float, gamma2: float, d2: float, t_fermi: float
+) -> tuple[float, float, float, float, float]:
+    """(lg, at, t_r, m2, frak_c) of the complex-root antiderivative."""
     frak_c = d2 * d2
-    g_abs = math.sqrt(-p.gamma2)
     root_sq = complex(
-        (d2 * (d2 + 1.0) - 2.0 * p.a * p.a) / frak_c,
-        2.0 * p.a * p.b * g_abs / frak_c,
+        (d2 * (d2 + 1.0) - 2.0 * a * a) / frak_c,
+        2.0 * a * b * math.sqrt(-gamma2) / frak_c,
     )
     t_c = cmath.sqrt(root_sq)
     t_r = t_c.real
@@ -173,7 +167,7 @@ def _complex_branch_pieces(
     at = (2.0 * t_r / t_i) * (
         math.atan((t_fermi + t_r) / t_i) + math.atan((t_fermi - t_r) / t_i)
     )
-    return lg, at, t_r, m2
+    return lg, at, t_r, m2, frak_c
 
 
 def integrals_Ij(p: KinematicPoint, fs: FermiSurface) -> tuple[float, float]:
@@ -188,36 +182,27 @@ def integrals_Ij(p: KinematicPoint, fs: FermiSurface) -> tuple[float, float]:
     t_fermi = fs.yF / fs.xF
     if t_fermi == 0.0:
         return 0.0, 0.0
-    if p.gamma2 >= 0.0:
-        pieces = _real_branch_pieces(p, t_fermi)
-        i0 = pieces.d_g / pieces.frak_c
-        i2 = (pieces.s_bar * pieces.d_g + pieces.g_bar) / pieces.frak_c
-        return i0, i2
-    lg, at, t_r, m2 = _complex_branch_pieces(p, t_fermi)
-    frak_c = p.d2 * p.d2
+    a, b, _, gamma2, d2 = p
+    if gamma2 >= 0.0:
+        d_g, g_bar, s_bar, frak_c = _real_branch_pieces(a, b, gamma2, d2, t_fermi)
+        return d_g / frak_c, (s_bar * d_g + g_bar) / frak_c
+    lg, at, t_r, m2, frak_c = _complex_branch_pieces(a, b, gamma2, d2, t_fermi)
     denom = 8.0 * frak_c * t_r
     return (lg + at) / (denom * m2), (-lg + at) / denom
 
 
-def _z_terms(p: KinematicPoint, t_fermi: float, coef: ZeroTCoefficients) -> tuple[float, float]:
-    """(C_B Z_B, C_D Z_D): C ((M + N) I0 - N I2) through cancellation-safe groupings."""
-    if p.gamma2 >= 0.0:
-        pieces = _real_branch_pieces(p, t_fermi)
+def _z_real(m: float, n: float, d_g: float, g_bar: float, s_bar: float, frak_c: float) -> float:
+    """(M + N) I0 - N I2 on the real branch, through the mean root s_bar."""
+    return ((m + n * (1.0 - s_bar)) * d_g - n * g_bar) / frak_c
 
-        def z(m_coef: float, n_coef: float) -> float:
-            n_at_sbar = m_coef + n_coef * (1.0 - pieces.s_bar)
-            return (n_at_sbar * pieces.d_g - n_coef * pieces.g_bar) / pieces.frak_c
 
-    else:
-        lg, at, t_r, m2 = _complex_branch_pieces(p, t_fermi)
-        frak_c = p.d2 * p.d2
-
-        def z(m_coef: float, n_coef: float) -> float:
-            coef_lg = (m_coef + n_coef) / m2 + n_coef
-            coef_at = (m_coef + n_coef * (1.0 - m2)) / m2
-            return (coef_lg * lg + coef_at * at) / (8.0 * frak_c * t_r)
-
-    return coef.C_B * z(coef.M_B, coef.N_B), coef.C_D * z(coef.M_D, coef.N_D)
+def _z_complex(
+    m: float, n: float, lg: float, at: float, t_r: float, m2: float, frak_c: float
+) -> float:
+    """(M + N) I0 - N I2 on the complex branch, grouped by lg and at."""
+    coef_lg = (m + n) / m2 + n
+    coef_at = (m + n * (1.0 - m2)) / m2
+    return (coef_lg * lg + coef_at * at) / (8.0 * frak_c * t_r)
 
 
 def _im_parts(p: KinematicPoint, sub: SubregionLabel, ms: MediumState) -> tuple[float, float]:
@@ -229,65 +214,79 @@ def _im_parts(p: KinematicPoint, sub: SubregionLabel, ms: MediumState) -> tuple[
     v = u +- a, which has no cancellation for narrow windows; Im D is
     proportional to the window length delta.
     """
-    if sub.label == "NONE":
+    label, u, x_upper = sub
+    if label == "NONE":
         return 0.0, 0.0
+    a, b, c2, _, _ = p
     # A and B lie in region I, C and D in region III
-    shift = p.a if sub.label in ("A", "B") else -p.a
-    u = sub.x_lower
-    delta = sub.x_upper - sub.x_lower
-    v = u + shift
-    bracket = delta * (3.0 * v * v + 3.0 * delta * v + delta * delta - 3.0 * p.b * p.b)
-    im_b = -ms.e2 / (48.0 * math.pi * p.b * p.c2) * bracket
-    im_d = -ms.e2 * (1.0 + 2.0 * p.c2) / (32.0 * math.pi * p.b * p.c2) * delta
+    v = u + (a if label in ("A", "B") else -a)
+    delta = x_upper - u
+    bracket = delta * (3.0 * v * v + 3.0 * delta * v + delta * delta - 3.0 * b * b)
+    e2 = ms.e2
+    im_b = -e2 / (48.0 * math.pi * b * c2) * bracket
+    im_d = -e2 * (1.0 + 2.0 * c2) / (32.0 * math.pi * b * c2) * delta
     return im_b, im_d
 
 
-def _fermi_logs(p: KinematicPoint, fs: FermiSurface) -> tuple[float, float]:
-    """(r1, r2) at the Fermi surface from one build of their log arguments.
+def _fermi_logs(a: float, b: float, c2: float, x: float, y: float) -> tuple[float, float]:
+    """(r1, r2) at the Fermi surface x = xF, y = yF from one build of their log arguments.
 
     The arguments and logs are those of r1(xF, p) and r2(xF, p), bit for
-    bit (fs.yF is their sqrt(xF**2 - 1)).  A vanishing argument means a
+    bit (yF is their sqrt(xF**2 - 1)).  A vanishing argument means a
     window edge sits exactly on the surface, where the U terms diverge.
     """
-    x = fs.xF
-    ax = p.a * x
-    by = p.b * fs.yF
-    c2 = p.c2
-    args = (
-        (c2 - by) ** 2 - ax**2,
-        (c2 + by) ** 2 - ax**2,
-        c2 * c2 - (ax - by) ** 2,
-        c2 * c2 - (ax + by) ** 2,
-    )
-    scale = max(1.0, ax**2, c2 * c2, by**2)
-    for arg in args:
-        if abs(arg) <= _EDGE_TOL * scale:
-            raise SubregionBoundaryError(
-                f"(a, b) = ({p.a}, {p.b}) has a window edge on the Fermi surface xF = {x}"
-            )
-    return _log_ratio(args[0], args[1]), 0.5 * _log_ratio(args[2], args[3])
+    ax = a * x
+    by = b * y
+    ax_sq = ax**2
+    c2_sq = c2 * c2
+    num1 = (c2 - by) ** 2 - ax_sq
+    den1 = (c2 + by) ** 2 - ax_sq
+    num2 = c2_sq - (ax - by) ** 2
+    den2 = c2_sq - (ax + by) ** 2
+    edge = _EDGE_TOL * max(1.0, ax_sq, c2_sq, by**2)
+    if (
+        -edge <= num1 <= edge
+        or -edge <= den1 <= edge
+        or -edge <= num2 <= edge
+        or -edge <= den2 <= edge
+    ):
+        raise SubregionBoundaryError(
+            f"(a, b) = ({a}, {b}) has a window edge on the Fermi surface xF = {x}"
+        )
+    return _log_ratio(num1, den1), 0.5 * _log_ratio(num2, den2)
 
 
 def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[float, float]:
     """(Re B, Re D) at T = 0 in closed form, U + W + Z pieces of both.
 
-    The Fermi-surface logs (with their guard), the Z coefficients and the
-    branch pieces of the master integrals are built once.
+    The Fermi-surface logs (with their guard), the Z numerators and the
+    branch pieces of the master integrals are built once, from the
+    point's and the surface's fields read once.
     """
-    if fs.yF == 0.0:
+    x, y = fs
+    if y == 0.0:
         return 0.0, 0.0
-    k1, k2 = _fermi_logs(p, fs)
-    x = fs.xF
-    y = fs.yF
-    coef = zero_t_coefficients(p)
-    u_b = x / (12.0 * p.b) * ((x * x + 3.0 * p.c2) * k1 + 6.0 * p.a * x * k2)
-    u_d = x * (1.0 + 2.0 * p.c2) / (8.0 * p.b) * k1
+    a, b, c2, gamma2, d2 = p
+    k1, k2 = _fermi_logs(a, b, c2, x, y)
+    b2 = b * b
+    w = 1.0 + 2.0 * c2
+    u_b = x / (12.0 * b) * ((x * x + 3.0 * c2) * k1 + 6.0 * a * x * k2)
+    u_d = x * w / (8.0 * b) * k1
     log_xy = math.log(x + y)
-    w_b = (2.0 / 3.0) * (x * y - p.b * p.b * log_xy)
-    w_d = 0.5 * (x * y + 2.0 * p.c2 * log_xy)
-    z_b, z_d = _z_terms(p, y / x, coef)
-    pref = -ms.e2 / (4.0 * math.pi**2 * p.c2)
-    return pref * (u_b + w_b + z_b), pref * (u_d + w_d + z_d)
+    w_b = (2.0 / 3.0) * (x * y - b2 * log_xy)
+    w_d = 0.5 * (x * y + 2.0 * c2 * log_xy)
+    m_b, n_b, m_d, n_d = _z_numerators(a * a, b2, gamma2, d2)
+    if gamma2 >= 0.0:
+        pieces = _real_branch_pieces(a, b, gamma2, d2, y / x)
+        z_b = _z_real(m_b, n_b, *pieces)
+        z_d = _z_real(m_d, n_d, *pieces)
+    else:
+        pieces = _complex_branch_pieces(a, b, gamma2, d2, y / x)
+        z_b = _z_complex(m_b, n_b, *pieces)
+        z_d = _z_complex(m_d, n_d, *pieces)
+    # the weights C_B = 1/3 and C_D = (1 + 2 c2)/2 of zero_t_coefficients
+    pref = -ms.e2 / (4.0 * math.pi**2 * c2)
+    return pref * (u_b + w_b + (1.0 / 3.0) * z_b), pref * (u_d + w_d + (0.5 * w) * z_d)
 
 
 def re_B_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:

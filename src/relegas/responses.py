@@ -79,38 +79,32 @@ def assemble(s: ResponseScalars, p: KinematicPoint) -> ResponseTensors:
     their two independent compositions; disagreement beyond 1e-12
     (relative) raises InternalConsistencyError.
     """
-    a2 = p.a * p.a
-    b2 = p.b * p.b
-    c2 = p.c2
-    eps = 1.0 + (2.0 - a2 / c2) * s.C + s.A + (1.0 - a2 / b2) * s.B
-    nu = 1.0 + (2.0 + b2 / c2) * s.C + s.A - 2.0 * (a2 / b2) * s.B
-    eps_prime = (b2 / c2) * s.C - s.A
-    nu_prime = (s.A * c2 - b2 * s.C) / c2
-    tau = (p.a / p.b) * ((b2 / c2) * s.C - s.B)
-    sigma = (p.a * p.b / c2) * s.C - (p.a / p.b) * s.B
+    a, b, c2, _, _ = p
+    s_b, s_d, s_a, s_c = s
+    a2 = a * a
+    b2 = b * b
+    a2_b2 = a2 / b2
+    b2_c2 = b2 / c2
+    c2_b2 = c2 / b2
+    a_b = a / b
+    eps = 1.0 + (2.0 - a2 / c2) * s_c + s_a + (1.0 - a2_b2) * s_b
+    nu = 1.0 + (2.0 + b2_c2) * s_c + s_a - 2.0 * a2_b2 * s_b
+    eps_prime = b2_c2 * s_c - s_a
+    nu_prime = (s_a * c2 - b2 * s_c) / c2
+    tau = a_b * (b2_c2 * s_c - s_b)
+    sigma = (a * b / c2) * s_c - a_b * s_b
 
-    eps_l = 1.0 + s.C - (c2 / b2) * s.B
-    nu_l = 1.0 + 2.0 * s.C + 2.0 * s.D + (c2 / b2) * s.B
-    eps_l_sum = eps + eps_prime
-    nu_l_sum = nu + nu_prime
+    eps_l = 1.0 + s_c - c2_b2 * s_b
+    nu_l = 1.0 + 2.0 * s_c + 2.0 * s_d + c2_b2 * s_b
     for direct, summed, name in (
-        (eps_l, eps_l_sum, "eps_L"),
-        (nu_l, nu_l_sum, "nu_L"),
+        (eps_l, eps + eps_prime, "eps_L"),
+        (nu_l, nu + nu_prime, "nu_L"),
     ):
         if abs(direct - summed) > _DUAL_PATH_TOL * max(1.0, abs(direct)):
             raise InternalConsistencyError(
                 f"{name} composition mismatch: {direct!r} vs {summed!r}"
             )
-    return ResponseTensors(
-        eps=eps,
-        nu=nu,
-        eps_prime=eps_prime,
-        nu_prime=nu_prime,
-        tau=tau,
-        sigma=sigma,
-        eps_L=eps_l,
-        nu_L=nu_l,
-    )
+    return ResponseTensors(eps, nu, eps_prime, nu_prime, tau, sigma, eps_l, nu_l)
 
 
 def tensors_at(

@@ -22,7 +22,6 @@ RECORD_FIELDS = [
         medium_zero_t.ZeroTCoefficients,
         ("M_B", "N_B", "M_D", "N_D", "C_B", "C_D", "frakA", "frakB", "frakC"),
     ),
-    (medium_zero_t._RealBranchPieces, ("d_g", "g_bar", "s_bar", "frak_c")),
     (vacuum.VacuumScalar, ("value", "branch")),
     (medium_finite_t.ResponseScalars, ("B", "D", "A", "C")),
     (
