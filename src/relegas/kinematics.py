@@ -127,9 +127,8 @@ def derive_point(a: float, b: float) -> KinematicPoint:
     a, b : float
         Dimensionless frequency and momentum transfer.  Requires a >= 0,
         b > 0, and |a**2 - b**2| >= 1e-9 (points on the light cone are
-        rejected because gamma2 and d2 blow up there).  b**2 must be a
-        normal double and a**2 - b**2 finite; a point outside that range
-        is refused rather than turned into inf or NaN.
+        rejected because gamma2 and d2 blow up there); b**2 must be a
+        normal double and c2 finite, or the results would be inf or NaN.
     """
     if not (b > 0.0) or not math.isfinite(b):
         raise InvalidPointError(f"momentum transfer b = {b} must be positive")
@@ -137,9 +136,7 @@ def derive_point(a: float, b: float) -> KinematicPoint:
         raise InvalidPointError(f"frequency a = {a} must be >= 0")
     b2 = b * b
     if b2 < sys.float_info.min:
-        raise InvalidPointError(
-            f"momentum transfer b = {b} is too small: b**2 is below the smallest normal double"
-        )
+        raise InvalidPointError(f"momentum transfer b = {b} is too small: b**2 is subnormal")
     c2 = a * a - b2
     if not math.isfinite(c2):
         raise InvalidPointError(f"(a, b) = ({a}, {b}) is too large: c2 = a**2 - b**2 = {c2}")

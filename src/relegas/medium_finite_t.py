@@ -29,6 +29,8 @@ from .vacuum import _vacuum_value
 
 # floor under the kernels' logs, and of a denominator that rounds to 0
 _TINY = 1e-300
+# a Fermi edge at most this many widths t above the edge below it is smooth
+_FERMI_MERGE = 2.0
 
 
 class ResponseScalars(NamedTuple):
@@ -195,10 +197,13 @@ def _parts(
     occupation cutoff: the real parts integrate over [1, cutoff], the
     imaginary ones over the part of the kinematic window below it.  The
     window edges, where r1 and r2 have log singularities, and the Fermi
-    edge |xi| (n_F is even in xi) are panel edges.  At t > 0 the last
-    panel, the thermal tail [t0, cutoff] above the largest of 1, |xi| and
-    the window edges below the cutoff, is integrated in the variable of
-    _tail_map.  Region II has no window and exactly zero imaginary parts.
+    edge |xi| (n_F is even in xi) are panel edges; at t > 0, |xi| is not
+    when it lies within _FERMI_MERGE t above the largest of 1 and the
+    window edges below it, as n_F is smooth on the scale of the panel
+    that starts there.  At t > 0 the last panel, the thermal tail
+    [t0, cutoff] above the largest of 1, |xi| and the window edges below
+    the cutoff, is integrated in the variable of _tail_map.  Region II
+    has no window and exactly zero imaginary parts.
     """
     hi = x_cutoff(ms)
     a, b, c2 = p.a, p.b, p.c2
@@ -211,14 +216,18 @@ def _parts(
 
     t, xi = ms.t, ms.xi
     axi = abs(xi)
-    cuts = [e for e in (axi, lower, upper) if e < hi]
+    cuts = [e for e in (lower, upper) if e < hi]
+    below = max([1.0, *(e for e in cuts if e < axi)])
+    if axi < hi and not (t > 0.0 and 0.0 < axi - below <= _FERMI_MERGE * t):
+        cuts.append(axi)
     # the quadrature's axis is x up to t0, then the tail panel [t0, top] in
     # s = z - t0; without a tail (t = 0, or no double inside [t0, hi]) it
     # is x throughout.  n_F falls from |xi|, not from xi: at xi < -1 it is
-    # ~1 up to |xi|, and a tail mapped from below |xi| would lose that plateau
+    # ~1 up to |xi|, and a tail mapped from far below |xi| would lose that
+    # plateau
     t0 = top = hi
     if t > 0.0:
-        t0 = top = max(1.0, *cuts)
+        t0 = top = max([1.0, *cuts])
         if t0 < 0.5 * (t0 + hi) < hi:
             top = t0 + 1.0
             tail = _tail_map(t0, top, hi, t)

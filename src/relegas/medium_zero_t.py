@@ -243,13 +243,8 @@ def _fermi_logs(a: float, b: float, c2: float, x: float, y: float) -> tuple[floa
     den1 = (c2 + by) ** 2 - ax_sq
     num2 = c2_sq - (ax - by) ** 2
     den2 = c2_sq - (ax + by) ** 2
-    edge = _EDGE_TOL * max(1.0, ax_sq, c2_sq, by**2)
-    if (
-        -edge <= num1 <= edge
-        or -edge <= den1 <= edge
-        or -edge <= num2 <= edge
-        or -edge <= den2 <= edge
-    ):
+    tol = _EDGE_TOL * max(1.0, ax_sq, c2_sq, by**2)
+    if -tol <= num1 <= tol or -tol <= den1 <= tol or -tol <= num2 <= tol or -tol <= den2 <= tol:
         raise SubregionBoundaryError(
             f"(a, b) = ({a}, {b}) has a window edge on the Fermi surface xF = {x}"
         )

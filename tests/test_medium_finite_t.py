@@ -303,14 +303,19 @@ def _axis(p, ms, region):
     # (t0, top, tail map) of the quadrature's axis: x on [1, t0], then at
     # t > 0 the thermal tail [t0, cutoff] as the panel [t0, t0 + 1] in
     # s = z - t0, where t0 is the largest of 1, |xi| and the window edges
-    # below the cutoff; without a tail, x up to top = t0
+    # below the cutoff; without a tail, x up to top = t0.  |xi| is left
+    # out when it lies within _FERMI_MERGE t above the largest of 1 and
+    # the window edges below it
     hi = x_cutoff(ms)
     if ms.t == 0.0:
         return hi, hi, None
-    edges = [abs(ms.xi)]
-    if region is not RegionLabel.II:
-        edges += kinematic_window(p)
-    t0 = max([1.0] + [e for e in edges if e < hi])
+    edges = kinematic_window(p) if region is not RegionLabel.II else []
+    edges = [e for e in edges if e < hi]
+    axi = abs(ms.xi)
+    below = max([1.0] + [e for e in edges if e < axi])
+    if axi < hi and not 0.0 < axi - below <= medium_finite_t._FERMI_MERGE * ms.t:
+        edges.append(axi)
+    t0 = max([1.0] + edges)
     if not t0 < 0.5 * (t0 + hi) < hi:
         return t0, t0, None
     top = t0 + 1.0
@@ -530,3 +535,49 @@ def test_parts_are_even_in_xi():
             region = classify_region(p)
             parts = medium_finite_t._parts(p, MediumState(t=t, xi=xi), region)
             assert medium_finite_t._parts(p, MediumState(t=t, xi=-xi), region) == parts, (p, t, xi)
+
+
+def test_smooth_fermi_edge_joins_the_tail(monkeypatch):
+    # at t > 0 a Fermi edge |xi| within _FERMI_MERGE t above the largest of
+    # 1 and the window edges below it is no panel edge, for both signs of
+    # xi, and the five integrals still match a tight quadrature that cuts
+    # there; a sharp edge (t = 1e-3, |xi| = 1.5) and one 4 t above 1 keep
+    # their cut
+    calls = []
+    integrate = medium_finite_t.integrate_adaptive
+
+    def recorded(f, lo, hi, breakpoints=(), rel_tol=1e-10):
+        calls.append((list(breakpoints), integrate(f, lo, hi, breakpoints, rel_tol)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(medium_finite_t, "integrate_adaptive", recorded)
+    region_two = derive_point(0.3, 0.25)
+    pair = derive_point(2.0, 1.0)
+    lower, upper = kinematic_window(pair)
+    cases = [
+        (region_two, 0.2, 1.1, False),
+        (region_two, 0.05, 1.09, False),
+        (region_two, 1e-3, 1.5, True),
+        (region_two, 0.05, 1.2, True),
+        # 1 t above the lower window edge, with the upper one above |xi|
+        (pair, 0.05, lower + 0.05, False),
+    ]
+    for p, t, axi, cut in cases:
+        region = classify_region(p)
+        for xi in (axi, -axi):
+            ms = MediumState(t=t, xi=xi)
+            calls.clear()
+            got = medium_finite_t._parts(p, ms, region)
+            (breakpoints, res), = calls
+            assert (axi in breakpoints) is cut, (p, ms)
+            assert res.converged
+            if cut:
+                continue
+            edges = [axi] + (list(kinematic_window(p)) if region is not RegionLabel.II else [])
+            want = integrate(
+                per_node(lambda x: _composed_kernel(x, p, ms, region)),
+                1.0, x_cutoff(ms), breakpoints=edges, rel_tol=1e-13,
+            )
+            for g, w in zip(res.value, want.value):
+                assert abs(g - w) <= 1e-10 * max(abs(w), 1e-300), (p, ms, g, w)
+            assert got == medium_finite_t._parts(p, MediumState(t=t, xi=-xi), region)
