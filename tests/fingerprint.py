@@ -36,7 +36,8 @@ from pathlib import Path
 # point in json, csv, warm, region III, eV and on the light cone; cold
 # and warm scans serial and parallel (and a refused --jobs 0); cold and
 # warm dispersion, including runs that exit 4; nr-scan and boundaries;
-# a warm point whose occupation cutoff is 1 ulp above the mass shell
+# a warm point whose occupation cutoff is 1 ulp above the mass shell;
+# points whose b**2 is subnormal or whose c2 is not finite, refused
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -68,6 +69,9 @@ CLI_COMMANDS = [
      "--pf", "0.0316"],
     ["boundaries", "--xf", "1.5", "--a-range", "0", "2", "21"],
     ["response", "--a", "0.5", "--b", "0.3", "--t", "5.6e-18", "--xi", "1.0"],
+    ["response", "--a", "0.5", "--b", "1e-300", "--xf", "1.2"],
+    ["scan", "--a-range", "0.5", "0.6", "2", "--b-range", "1e-300", "1e-300", "1", "--xf", "1.2"],
+    ["response", "--a", "1e200", "--b", "1e199", "--xf", "1.2"],
 ]
 
 

@@ -91,6 +91,28 @@ def test_light_cone_input_fails_cleanly(capsys):
     assert "light cone" in err
 
 
+@pytest.mark.parametrize(
+    "a, b", [("0.5", "1e-300"), ("1e200", "1e199")], ids=["tiny-b", "huge-a-b"]
+)
+def test_out_of_range_point_exits_2(capsys, a, b):
+    code, out, err = run_cli(capsys, ["response", "--a", a, "--b", b, "--xf", "1.2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_out_of_range_scan_row_carries_its_reason(capsys):
+    argv = ["scan", "--a-range", "0.5", "0.6", "2", "--b-range", "1e-300", "1e-300", "1",
+            "--xf", "1.2"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert math.isnan(float(row["re_eps_L"]))
+        assert "too small" in row["reason"]
+
+
 def test_invalid_state_fails_cleanly(capsys):
     code, _, err = run_cli(capsys, ["response", "--a", "0.5", "--b", "1.0", "--xi", "0.5"])
     assert code == 2

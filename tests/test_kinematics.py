@@ -55,6 +55,27 @@ def test_bad_inputs_rejected():
         derive_point(math.nan, 1.0)
 
 
+@pytest.mark.parametrize(
+    "a, b, match",
+    [
+        (0.5, 1e-300, "too small"),
+        (0.5, 1e-155, "too small"),  # b**2 = 1e-310 is subnormal
+        (0.0, 1e-160, "too small"),  # not a light-cone refusal: b**2 rounds to 0
+        (1e200, 1e199, "too large"),  # c2 = inf - inf
+        (1e200, 1.0, "too large"),
+        (1.0, 1e160, "too large"),
+    ],
+)
+def test_out_of_range_points_refused(a, b, match):
+    # b**2 below the smallest normal double, or a c2 that is not finite,
+    # would turn into a ZeroDivisionError, an OverflowError or inf/NaN later
+    with pytest.raises(InvalidPointError, match=match):
+        derive_point(a, b)
+    # the smallest b whose square is normal, and the largest finite c2, pass
+    assert derive_point(0.5, 1.5e-154).b == 1.5e-154
+    assert math.isfinite(derive_point(1.3e154, 1.0).c2)
+
+
 def test_classify_region_basic():
     assert classify_region(derive_point(0.5, 1.0)) is RegionLabel.I
     assert classify_region(derive_point(0.9, 0.7)) is RegionLabel.II

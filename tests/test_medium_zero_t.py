@@ -279,3 +279,66 @@ def test_rejects_pair_threshold_input():
     p = KinematicPoint(a=1.1, b=0.458257569495584, c2=1.0, gamma2=0.0, d2=1.21)
     with pytest.raises(InvalidPointError):
         scalars_zero_t(p, fermi_surface(1.5), _state(1.5))
+
+
+# sha256 of the repr of tensors_at over _bit_pin_points(), one line each;
+# a change that moves any t = 0 bit must change it on purpose
+TENSORS_AT_DIGEST = "ec59567a7fa5e47c2476b6b85f5ea0c5d278511c650123a4cd832643f2a03b32"
+
+
+def _bit_pin_points() -> list[tuple[float, float, float]]:
+    """(a, b, xF) at t = 0: 40 in each of the subregions A-D, 30 with no
+    absorption in each of regions I and III, 50 in region II (the complex
+    root branch of Z; the others take the real one) and 30 at a = 0."""
+    from relegas import classify_region, zero_t_subregion
+
+    want = {"A": 40, "B": 40, "C": 40, "D": 40, "NONE-I": 30, "NONE-III": 30, "II": 50}
+    want["a=0"] = 30
+    got = dict.fromkeys(want, 0)
+    points = []
+    rng = random.Random(1818)
+    while got != want:
+        kind = rng.randrange(3)
+        if kind == 0:  # regions I and II
+            a, b = rng.uniform(0.0, 2.0), rng.uniform(0.01, 3.0)
+        elif kind == 1:  # region III
+            a = rng.uniform(1.0, 4.0)
+            b = rng.uniform(0.01, a)
+        else:
+            a, b = 0.0, rng.uniform(0.01, 3.0)
+        xf = rng.uniform(1.0, 5.0)
+        try:
+            p = derive_point(a, b)
+            region = classify_region(p)
+            label = zero_t_subregion(p, fermi_surface(xf), region).label
+            re_B_zero(p, fermi_surface(xf), _state(xf))
+        except (InvalidPointError, SubregionBoundaryError):
+            continue
+        key = "a=0" if a == 0.0 else "II" if region.value == "II" else label
+        if key == "NONE":
+            key = f"NONE-{region.value}"
+        if got[key] < want[key]:
+            got[key] += 1
+            points.append((a, b, xf))
+    return points
+
+
+def test_zero_t_bits_are_pinned():
+    # the public closed-form parts and scalars_zero_t give scalars_at's
+    # bits (repr tells -0.0 from 0.0), and tensors_at gives the pinned bits
+    import hashlib
+
+    from relegas import scalars_at, tensors_at
+
+    points = _bit_pin_points()
+    assert len(points) >= 300
+    lines = []
+    for a, b, xf in points:
+        ms = _state(xf)
+        fs = ms.fermi_surface
+        p, _, _, s = scalars_at(a, b, ms)
+        assert repr(scalars_zero_t(p, fs, ms)) == repr(s)
+        parts = [f(p, fs, ms) for f in (re_B_zero, re_D_zero, im_B_zero, im_D_zero)]
+        assert repr(parts) == repr([s.B.real, s.D.real, s.B.imag, s.D.imag])
+        lines.append(repr(tensors_at(a, b, ms)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TENSORS_AT_DIGEST

@@ -389,6 +389,10 @@ def test_scan_skips_invalid_cells_with_reason():
     assert good.reason == ""
     assert good.region == "I"
     assert good.subregion == "B"
+    # b**2 = 1e-310 is subnormal: a refusal, not re_eps_L = inf, im_eps_L = nan
+    tiny = evaluate_cell(0.5, 1e-155, COLD)
+    assert math.isnan(tiny.re_eps_L) and math.isnan(tiny.im_eps_L)
+    assert "too small" in tiny.reason
 
 
 def test_long_wavelength_cell_ends_within_budget(monkeypatch):

@@ -30,6 +30,48 @@ COMPLEX_TABLE = {
 }
 
 
+# the series branch |c2| <= 0.05: 50/70-digit mpmath quadratures of the
+# one-loop integral, printed by tests/make_vacuum_reference.py
+SERIES_REFERENCE = {
+    -0.05: -3.0326280843530805e-05,
+    -0.03667781255571899: -2.2369369312927955e-05,
+    -0.002475034464821489: -1.5314583815774719e-06,
+    -0.0017692727614431038: -1.0950901934260243e-06,
+    -0.0010742376417756019: -6.650965420164533e-07,
+    -0.0007831749664492959: -4.849503277329655e-07,
+    -0.00038903378769435213: -2.4093456486913464e-07,
+    -0.00010623957190185973: -6.580376232480347e-08,
+    -2.7574495124904337e-05: -1.7079951118004143e-08,
+    -2.6833974356039928e-05: -1.662126953476563e-08,
+    -1.0285472223299496e-05: -6.3709838991007276e-09,
+    -1.9067468082284938e-06: -1.1810733209463623e-09,
+    -4.048659009598368e-07: -2.50781393683404e-10,
+    -2.5602872862381556e-07: -1.5858891877695927e-10,
+    -6.280302118528624e-08: -3.890135339117134e-11,
+    -5.518496658201461e-08: -3.4182589521646015e-11,
+    -4.870361333992655e-08: -3.016791946715884e-11,
+    -1e-08: -6.194185174107154e-12,
+    1e-08: 6.1941852272001695e-12,
+    3.245373816812928e-08: 2.0102446746291332e-11,
+    3.131674006683068e-07: 1.939817138898597e-10,
+    4.840371974406763e-07: 2.998216666916558e-10,
+    2.324545069876218e-05: 1.4398806116371357e-08,
+    4.674901923452701e-05: 2.8957788491011644e-08,
+    5.3502268128757644e-05: 3.314105566040109e-08,
+    5.4243090531323603e-05: 3.3599955967113796e-08,
+    8.493477831389827e-05: 5.2612089824606645e-08,
+    0.00013017753775352084: 8.063887675014289e-08,
+    0.00035580016754939144: 2.2042282653228593e-07,
+    0.0013982393124227633: 8.666147597046314e-07,
+    0.002871248689497974: 1.7806968574520946e-06,
+    0.002961145881021942: 1.8365203921305225e-06,
+    0.005769233815139604: 3.582436354080667e-06,
+    0.016806168179136553: 1.0485787118498474e-05,
+    0.04973548866891211: 3.148377722186343e-05,
+    0.05: 3.165494890477738e-05,
+}
+
+
 def test_frozen_values_below_threshold():
     for c2, want in REAL_TABLE.items():
         got = c_star(c2, MS)
@@ -94,3 +136,12 @@ def test_linear_in_coupling():
     weak = c_star(0.3, MediumState(t=0.0, xi=1.5, alpha=0.01))
     strong = c_star(0.3, MediumState(t=0.0, xi=1.5, alpha=0.02))
     assert strong.value.real / weak.value.real == 2.0
+
+
+def test_series_matches_the_high_precision_reference():
+    # 36 points of the series branch, seeded in +-[1e-8, 0.05] and its ends
+    assert len(SERIES_REFERENCE) >= 24
+    for c2, want in SERIES_REFERENCE.items():
+        got = c_star(c2, MS)
+        assert rel_err(got.value.real, want) <= 1e-14, c2
+        assert got.value.imag == 0.0
