@@ -62,23 +62,22 @@ class ZeroTCoefficients(NamedTuple):
     frakC: float
 
 
-def _z_numerators(
-    a2: float, b2: float, gamma2: float, d2: float
-) -> tuple[float, float, float, float]:
-    """(M_B, N_B, M_D, N_D) of the quartic numerators n(s) = M + N (1 - s)."""
+def _z_coefficients(
+    a2: float, b2: float, c2: float, gamma2: float, d2: float
+) -> tuple[float, float, float, float, float, float]:
+    """(M_B, N_B, M_D, N_D, C_B, C_D) of zero_t_coefficients, from a**2 and b**2."""
     d4 = d2 * d2
     m_b = -2.0 * a2 * (1.0 + 4.0 * b2) - (1.0 - 2.0 * b2 - 2.0 * a2 * (2.0 - gamma2)) * d2
-    return m_b, -d4 * (1.0 - 2.0 * b2), 2.0 * a2 * (1.0 + gamma2) - d2, -d4
+    m_d = 2.0 * a2 * (1.0 + gamma2) - d2
+    return m_b, -d4 * (1.0 - 2.0 * b2), m_d, -d4, 1.0 / 3.0, 0.5 * (1.0 + 2.0 * c2)
 
 
 def zero_t_coefficients(p: KinematicPoint) -> ZeroTCoefficients:
     """Coefficients entering Z_B and Z_D at the kinematic point p."""
-    a2 = p.a * p.a
-    d2 = p.d2
+    a, b, c2, gamma2, d2 = p
+    a2 = a * a
     return ZeroTCoefficients(
-        *_z_numerators(a2, p.b * p.b, p.gamma2, d2),
-        C_B=1.0 / 3.0,
-        C_D=0.5 * (1.0 + 2.0 * p.c2),
+        *_z_coefficients(a2, b * b, c2, gamma2, d2),
         frakA=(d2 + 1.0) ** 2 - 4.0 * a2,
         frakB=-2.0 * (d2 * (d2 + 1.0) - 2.0 * a2),
         frakC=d2 * d2,
@@ -254,7 +253,7 @@ def _fermi_logs(a: float, b: float, c2: float, x: float, y: float) -> tuple[floa
 def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[float, float]:
     """(Re B, Re D) at T = 0 in closed form, U + W + Z pieces of both.
 
-    The Fermi-surface logs (with their guard), the Z numerators and the
+    The Fermi-surface logs (with their guard), the Z coefficients and the
     branch pieces of the master integrals are built once, from the
     point's and the surface's fields read once.
     """
@@ -264,13 +263,12 @@ def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[flo
     a, b, c2, gamma2, d2 = p
     k1, k2 = _fermi_logs(a, b, c2, x, y)
     b2 = b * b
-    w = 1.0 + 2.0 * c2
     u_b = x / (12.0 * b) * ((x * x + 3.0 * c2) * k1 + 6.0 * a * x * k2)
-    u_d = x * w / (8.0 * b) * k1
+    u_d = x * (1.0 + 2.0 * c2) / (8.0 * b) * k1
     log_xy = math.log(x + y)
     w_b = (2.0 / 3.0) * (x * y - b2 * log_xy)
     w_d = 0.5 * (x * y + 2.0 * c2 * log_xy)
-    m_b, n_b, m_d, n_d = _z_numerators(a * a, b2, gamma2, d2)
+    m_b, n_b, m_d, n_d, c_b, c_d = _z_coefficients(a * a, b2, c2, gamma2, d2)
     if gamma2 >= 0.0:
         pieces = _real_branch_pieces(a, b, gamma2, d2, y / x)
         z_b = _z_real(m_b, n_b, *pieces)
@@ -279,9 +277,8 @@ def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[flo
         pieces = _complex_branch_pieces(a, b, gamma2, d2, y / x)
         z_b = _z_complex(m_b, n_b, *pieces)
         z_d = _z_complex(m_d, n_d, *pieces)
-    # the weights C_B = 1/3 and C_D = (1 + 2 c2)/2 of zero_t_coefficients
     pref = -ms.e2 / (4.0 * math.pi**2 * c2)
-    return pref * (u_b + w_b + (1.0 / 3.0) * z_b), pref * (u_d + w_d + (0.5 * w) * z_d)
+    return pref * (u_b + w_b + c_b * z_b), pref * (u_d + w_d + c_d * z_d)
 
 
 def re_B_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:

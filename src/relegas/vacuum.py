@@ -74,15 +74,16 @@ def _vacuum_value(c2: float, ms: MediumState) -> complex:
     if c2 < 0.0:
         k = math.sqrt(1.0 - 1.0 / c2)
         hcot = 0.5 * k * math.log((k + 1.0) / (k - 1.0))
-        return complex(pref * (1.0 / 3.0 + 2.0 * u * (hcot - 1.0)), 0.0)
-    if c2 < 1.0:
+    elif c2 < 1.0:
         h = math.sqrt(1.0 / c2 - 1.0)
         hcot = h * math.atan(1.0 / h)
-        return complex(pref * (1.0 / 3.0 + 2.0 * u * (hcot - 1.0)), 0.0)
-    kappa = math.sqrt(1.0 - 1.0 / c2)
-    re_bracket = 1.0 / 3.0 + 2.0 * u * (kappa * math.atanh(kappa) - 1.0)
-    im_bracket = -math.pi * kappa * u
-    return pref * complex(re_bracket, im_bracket)
+    else:
+        kappa = math.sqrt(1.0 - 1.0 / c2)
+        hcot = kappa * math.atanh(kappa)
+    bracket = 1.0 / 3.0 + 2.0 * u * (hcot - 1.0)
+    if c2 < 1.0:
+        return complex(pref * bracket, 0.0)
+    return pref * complex(bracket, -math.pi * kappa * u)
 
 
 def c_star(c2: float, ms: MediumState) -> VacuumScalar:
