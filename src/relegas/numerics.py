@@ -41,7 +41,7 @@ import operator
 import sys
 import warnings
 from math import log10
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # step h = 2**-(level + 1); every panel starts at _MIN_LEVEL, so that
 # two crude levels cannot agree by accident
@@ -287,7 +287,7 @@ def integrate_adaptive(
 
 
 def iter_sign_changes(
-    g: Callable[[float], float], grid: Sequence[float]
+    g: Callable[[float], float], grid: Iterable[float]
 ) -> Iterator[Bracket]:
     """Walk a grid lazily and yield the intervals on which g changes sign.
 

@@ -11,10 +11,13 @@ are simultaneously negative.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import closing
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .kinematics import (
+    LIGHT_CONE_CUT,
+    PAIR_THRESHOLD_CUT,
     InternalConsistencyError,
     InvalidPointError,
     KinematicPoint,
@@ -30,6 +33,20 @@ from .numerics import find_root_bracketed, iter_sign_changes
 from .occupation import MediumState
 
 _DUAL_PATH_TOL = 1e-12
+# Points with |c2| at or above this are refused.  The vacuum closed form
+# needs k - 1 = sqrt(1 - 1/c2) - 1 (or 1 - kappa) to keep a few bits, and
+# 1/|c2| falls below 2**-52 near 4.5e15, where k rounds to 1.  The bound
+# also keeps a and b below 2**51, far from where the t = 0 squares and
+# the t > 0 kernel products overflow.
+_MAX_ABS_C2 = 2.0**50
+# The longitudinal search bisects only over a <= _BAND_GATE * b.  Above
+# that the t = 0 closed forms lose Re eps_L's rise to roundoff (ROADMAP
+# item 3).  Over xF - 1 in [1e-3, 3] the rise over one grid step
+# (window/160) is smallest at xF = 1.001: there it falls below the
+# spread of Re eps_L under ulp changes of a near a = 100 b, where it
+# first fails on the grid; up to a = 32 b it stays >= 32 times that
+# spread, which grows like (a/b)**3.
+_BAND_GATE = 32.0
 
 
 class ResponseTensors(NamedTuple):
@@ -59,6 +76,10 @@ def scalars_at(
     and the scalars: closed forms at t = 0, one quadrature pass else.
     """
     p = derive_point(a, b)
+    if not abs(p.c2) < _MAX_ABS_C2:
+        raise InvalidPointError(
+            f"(a, b) = ({a}, {b}) is too large: |c2| = {abs(p.c2):.3e} is not below 2**50"
+        )
     region = classify_region(p)
     if ms.is_degenerate:
         fs = ms.fermi_surface
@@ -164,9 +185,15 @@ def dispersion(
     points of a_search_range, and each sign change is refined by Brent's
     method as the scan reaches it.  The scan stops at the first root that
     is positive and not a light-cone pole: that is the smallest accepted
-    root, as before, and the points above its bracket are never
-    evaluated.  Kinematically invalid scan points (light cone, pair
-    threshold, subregion boundaries) are skipped as NaN.
+    root.  Kinematically invalid scan points (light cone, pair threshold,
+    subregion boundaries) are skipped as NaN.
+
+    The transverse scan visits every grid point up to the upper edge of
+    that root's bracket and none above it.  The longitudinal scan skips
+    grid points of the transparent band (region II below a = 32 b), where
+    Re eps_L rises with a and so changes sign at most once: galloping and
+    bisection over grid indices find the band's bracket, probing points
+    above it, and return the root the full scan would.
     """
     if mode not in ("longitudinal", "transverse"):
         raise ValueError(f"unknown dispersion mode {mode!r}")
@@ -197,7 +224,7 @@ def dispersion(
 
         step = (a_hi - a_lo) / n_scan
         grid = [a_lo + i * step for i in range(n_scan + 1)]
-        root = _first_zero(gap, grid)
+        root = _first_zero(gap, _band_walk(gap, grid, b) if longitudinal else grid)
         if root is None:
             continue
         tens = tens_at(root)
@@ -207,13 +234,13 @@ def dispersion(
     return DispersionBranch(mode=mode, samples=tuple(samples), plasma_frequency=plasma)
 
 
-def _first_zero(g: Callable[[float], float], grid: Sequence[float]) -> float | None:
+def _first_zero(g: Callable[[float], float], grid: Iterable[float]) -> float | None:
     """Smallest accepted zero of g on grid, or None.
 
     The brackets arrive in increasing a and do not overlap, so the first
     one whose Brent root is positive and passes the pole filter holds the
     smallest accepted root: the scan stops there, and the grid points
-    above that bracket are never evaluated.
+    above that bracket are never visited.
     """
     with closing(iter_sign_changes(g, grid)) as brackets:
         for br in brackets:
@@ -229,6 +256,56 @@ def _first_zero(g: Callable[[float], float], grid: Sequence[float]) -> float | N
                 continue
             return root
     return None
+
+
+def _band_walk(g: Callable[[float], float], grid: Sequence[float], b: float) -> Iterator[float]:
+    """The points of grid that the longitudinal scan visits, in order.
+
+    The band is the run of grid points in region II, off the light-cone
+    and pair-threshold cuts, with a <= _BAND_GATE * b.  There Im eps_L is
+    0, and by Kramers-Kronig with Im eps_L >= 0 the gap g = Re eps_L
+    rises with a: it changes sign at most once, from - to +.  The walk
+    visits every point up to the band's first, lo.  If g < 0 there, it
+    resumes at the last band point known to be negative (_band_resume)
+    and goes on linearly from there; otherwise it goes on from lo.  The
+    points it skips lie between two negative ones, so the sign changes
+    it meets, and their brackets, are those of the full grid.  g is
+    cached by the caller, so a resumed point costs nothing twice.
+    """
+    b2 = b * b
+    lo = bisect_left(grid, True, key=lambda a: a * a - b2 >= LIGHT_CONE_CUT)
+    end = bisect_left(
+        grid,
+        True,
+        lo=lo,
+        key=lambda a: a > _BAND_GATE * b or a * a - b2 - 1.0 >= -PAIR_THRESHOLD_CUT,
+    )
+    yield from grid[: lo + 1]
+    resume = lo
+    if end > lo and g(grid[lo]) < 0.0:
+        resume = _band_resume(g, grid, lo, end - 1)
+    yield from grid[max(resume, lo + 1) :]
+
+
+def _band_resume(g: Callable[[float], float], grid: Sequence[float], lo: int, hi: int) -> int:
+    """Last index in [lo, hi] known to hold g < 0, given g(grid[lo]) < 0.
+
+    Gallops upwards from lo (offsets 1, 2, 4, ...) until a probe is
+    positive or would pass hi, then bisects, so the result j has
+    g(grid[j + 1]) > 0 unless j = hi.  A probe that is NaN or exactly 0
+    stops the search at the last negative point found.
+    """
+    neg, pos, offset = lo, hi + 1, 1
+    while pos - neg > 1:
+        k = lo + offset if lo + offset < pos else (neg + pos) // 2
+        val = g(grid[k])
+        if val < 0.0:
+            neg, offset = k, 2 * offset
+        elif val > 0.0:
+            pos = k
+        else:
+            return neg
+    return neg
 
 
 def _extrapolate_to_zero_b(samples: Sequence[RootSample]) -> float:

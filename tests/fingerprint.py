@@ -37,7 +37,10 @@ from pathlib import Path
 # and warm scans serial and parallel (and a refused --jobs 0); cold and
 # warm dispersion, including runs that exit 4; nr-scan and boundaries;
 # a warm point whose occupation cutoff is 1 ulp above the mass shell;
-# points whose b**2 is subnormal or whose c2 is not finite, refused
+# points whose b**2 is subnormal or whose c2 is not finite, refused; a
+# longitudinal branch whose b runs from below the band-search gate
+# (root above a = 32 b) to above the window's start (a region-I prefix
+# and the light-cone pole); points with |c2| >= 2**50, refused
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -72,6 +75,10 @@ CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1e-300", "--xf", "1.2"],
     ["scan", "--a-range", "0.5", "0.6", "2", "--b-range", "1e-300", "1e-300", "1", "--xf", "1.2"],
     ["response", "--a", "1e200", "--b", "1e199", "--xf", "1.2"],
+    ["dispersion", "--mode", "longitudinal", "--b-range", "2e-4", "2e-2", "5", "--log-b",
+     "--xf", "1.2"],
+    ["response", "--a", "1e150", "--b", "1e100", "--xf", "1.2"],
+    ["scan", "--a-range", "1e150", "1e151", "2", "--b-range", "1e100", "1e100", "1", "--xf", "1.2"],
 ]
 
 

@@ -92,7 +92,9 @@ def test_light_cone_input_fails_cleanly(capsys):
 
 
 @pytest.mark.parametrize(
-    "a, b", [("0.5", "1e-300"), ("1e200", "1e199")], ids=["tiny-b", "huge-a-b"]
+    "a, b",
+    [("0.5", "1e-300"), ("1e200", "1e199"), ("1e150", "1e100")],
+    ids=["tiny-b", "huge-a-b", "huge-c2"],
 )
 def test_out_of_range_point_exits_2(capsys, a, b):
     code, out, err = run_cli(capsys, ["response", "--a", a, "--b", b, "--xf", "1.2"])
@@ -111,6 +113,19 @@ def test_out_of_range_scan_row_carries_its_reason(capsys):
     for row in rows:
         assert math.isnan(float(row["re_eps_L"]))
         assert "too small" in row["reason"]
+
+
+def test_huge_scan_row_carries_its_reason(capsys):
+    # c2 = 1e300 is finite, but its square at the Fermi surface is not
+    argv = ["scan", "--a-range", "1e150", "1e151", "2", "--b-range", "1e100", "1e100", "1",
+            "--xf", "1.2"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert math.isnan(float(row["re_eps_L"]))
+        assert "too large" in row["reason"]
 
 
 def test_invalid_state_fails_cleanly(capsys):

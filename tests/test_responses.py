@@ -19,7 +19,8 @@ from relegas import (
     scalars_at,
     tensors_at,
 )
-from relegas import medium_finite_t
+from relegas import medium_finite_t, responses
+from relegas.kinematics import LIGHT_CONE_CUT, PAIR_THRESHOLD_CUT
 from relegas.numerics import PANEL_BUDGET, find_root_bracketed, scan_sign_changes
 from relegas.responses import _extrapolate_to_zero_b, evaluate_cell
 from conftest import draw_valid_point, rel_err
@@ -207,8 +208,6 @@ def test_dispersion_evaluates_each_abscissa_once(monkeypatch):
     # reuse what the sign scan already evaluated at the same b
     from collections import Counter
 
-    from relegas import responses
-
     seen: Counter = Counter()
     inner = responses.tensors_at
 
@@ -309,10 +308,75 @@ def test_dispersion_early_stop_keeps_smallest_root():
         )
 
 
+def _band(grid, b):
+    # region II off the light-cone and pair-threshold cuts, a <= gate * b
+    b2 = b * b
+    return [
+        a
+        for a in grid
+        if a * a - b2 >= LIGHT_CONE_CUT
+        and a * a - b2 - 1.0 < -PAIR_THRESHOLD_CUT
+        and a <= responses._BAND_GATE * b
+    ]
+
+
+@pytest.mark.parametrize("t, n_draws, n_scan", [(0.0, 40, 160), (0.05, 4, 40)])
+def test_longitudinal_gap_rises_across_the_band(t, n_draws, n_scan):
+    # the premise of the band search: Im eps_L = 0 and Re eps_L strictly
+    # increasing on every grid point the gate admits; without the gate
+    # the t = 0 closed forms break the rise at a > ~100 b for xF near 1
+    rng = random.Random(1901)
+    n_points = 0
+    for _ in range(n_draws):
+        xF = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(3.0)))
+        a_e = plasma_frequency_estimate(MediumState(t=0.0, xi=xF))
+        ms = MediumState(t=t, xi=xF)
+        b0 = a_e * math.exp(rng.uniform(math.log(1e-5), math.log(2.0)))
+        step = 3.75 * a_e / n_scan
+        grid = [0.25 * a_e + i * step for i in range(n_scan + 1)]
+        for b in (b0, 2.0 * b0, 4.0 * b0):
+            prev = -math.inf
+            for a in _band(grid, b):
+                eps_l = tensors_at(a, b, ms)[3].eps_L
+                assert eps_l.imag == 0.0, (xF, b, a)
+                assert eps_l.real > prev, (xF, b, a, prev, eps_l.real)
+                prev = eps_l.real
+                n_points += 1
+    assert n_points >= 10 * n_draws
+
+
+@pytest.mark.filterwarnings("ignore:sign scan skipped")
+def test_dispersion_band_search_keeps_smallest_root():
+    rng = random.Random(1902)
+    compared = below_gate = above_gate = 0
+    for _ in range(16):
+        xF = rng.uniform(1.02, 3.0)
+        ms = MediumState(t=0.0, xi=xF)
+        a_e = plasma_frequency_estimate(ms)
+        # b on both sides of the gate: the root at ~a_e lies in the band
+        # or above its top, 32 b
+        b0 = a_e * math.exp(rng.uniform(math.log(2e-3), math.log(0.2)))
+        below_gate += responses._BAND_GATE * b0 > a_e
+        above_gate += responses._BAND_GATE * 4.0 * b0 < a_e
+        compared += _assert_matches_full_scan(
+            "longitudinal", [b0, 2.0 * b0, 4.0 * b0], ms, (0.25 * a_e, 4.0 * a_e)
+        )
+        # b above the window's start: a region-I prefix, then the light-cone pole
+        b0 = a_e * rng.uniform(0.3, 1.5)
+        compared += _assert_matches_full_scan(
+            "longitudinal", [b0, 2.0 * b0], ms, (0.25 * a_e, 4.0 * a_e)
+        )
+    assert compared >= 28
+    assert below_gate >= 3 and above_gate >= 3
+    # warm: the band is transparent at every t; 2e-4 puts the root above the gate
+    warm = MediumState(t=0.05, xi=1.2)
+    assert _assert_matches_full_scan(
+        "longitudinal", [2e-4, 1e-3, 4e-3, 1.2e-2], warm, (0.003, 0.06), n_scan=40
+    )
+
+
 def test_dispersion_scan_stops_at_first_accepted_root(monkeypatch):
     from collections import defaultdict
-
-    from relegas import responses
 
     seen: dict = defaultdict(list)
     inner = responses.tensors_at
@@ -336,7 +400,13 @@ def test_dispersion_scan_stops_at_first_accepted_root(monkeypatch):
             assert len(calls) <= 80, (mode, s.b, len(calls))
             hi = min(x for x in grid if x > s.root_a)
             scanned = set(calls) & set(grid)
-            assert max(scanned) == hi, (mode, s.b)
+            if mode == "transverse":
+                assert max(scanned) == hi, (mode, s.b)
+            else:
+                # the band search probes above the root's bracket: 19 and
+                # 17 calls here, against 39 for the scan up to the bracket
+                assert hi in scanned, (mode, s.b)
+                assert len(calls) <= 24, (mode, s.b, len(calls))
 
 
 def test_dispersion_extrapolations_agree():
@@ -393,6 +463,33 @@ def test_scan_skips_invalid_cells_with_reason():
     tiny = evaluate_cell(0.5, 1e-155, COLD)
     assert math.isnan(tiny.re_eps_L) and math.isnan(tiny.im_eps_L)
     assert "too small" in tiny.reason
+
+
+@pytest.mark.parametrize(
+    "a, b, t",
+    [
+        (1e150, 1e100, 0.0),  # (c2 - b yF)**2 overflowed at the Fermi surface
+        (1e150, 1e100, 0.05),  # the integrand returned NaN
+        (1e20, 5e19, 0.0),  # the vacuum's atanh(kappa) met kappa = 1
+        (1e8, 2e8, 0.05),  # the vacuum's k - 1 was 0
+    ],
+)
+def test_huge_points_refused(a, b, t):
+    ms = MediumState(t=t, xi=1.2)
+    with pytest.raises(InvalidPointError, match="too large"):
+        tensors_at(a, b, ms)
+    cell = evaluate_cell(a, b, ms)
+    assert math.isnan(cell.re_eps_L) and "too large" in cell.reason
+
+
+def test_large_points_below_the_refusal_are_finite():
+    # |c2| just below 2**50 = 1.13e15, in regions I and III, cold and warm
+    for t in (0.0, 0.05):
+        ms = MediumState(t=t, xi=1.2)
+        for a, b in ((3.3e7, 1e6), (1e6, 3.3e7), (3e7, 2e7)):
+            eps_l, nu_l = tensors_at(a, b, ms)[3][6:]
+            parts = (eps_l.real, eps_l.imag, nu_l.real, nu_l.imag)
+            assert all(map(math.isfinite, parts)), (t, a, b, parts)
 
 
 def test_long_wavelength_cell_ends_within_budget(monkeypatch):
