@@ -22,15 +22,11 @@ from .kinematics import (
     region_boundaries,
     zero_t_subregion,
 )
-from .medium_finite_t import ResponseScalars, im_scalars, r1, r2, re_scalars, scalars
+from .medium_finite_t import ResponseScalars, im_scalars, r1, r2, re_scalars
 from .medium_zero_t import (
     SubregionBoundaryError,
     ZeroTCoefficients,
-    im_B_zero,
-    im_D_zero,
     integrals_Ij,
-    re_B_zero,
-    re_D_zero,
     scalars_zero_t,
     zero_t_coefficients,
 )
@@ -87,8 +83,6 @@ __all__ = [
     "dispersion",
     "fermi_surface",
     "find_root_bracketed",
-    "im_B_zero",
-    "im_D_zero",
     "im_scalars",
     "integrals_Ij",
     "integrate_adaptive",
@@ -100,11 +94,8 @@ __all__ = [
     "plasma_frequency_estimate",
     "r1",
     "r2",
-    "re_B_zero",
-    "re_D_zero",
     "re_scalars",
     "region_boundaries",
-    "scalars",
     "scalars_at",
     "scalars_zero_t",
     "scan_sign_changes",

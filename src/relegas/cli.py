@@ -21,22 +21,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import sys
 
-from .kinematics import (
-    InternalConsistencyError,
-    InvalidPointError,
-    fermi_surface,
-    region_boundaries,
-)
-from .medium_zero_t import SubregionBoundaryError
+from .kinematics import InternalConsistencyError, fermi_surface, region_boundaries
 from .nr_oracle import NRPoint, nr_case, nr_im_B
 from .occupation import MediumState
 from .responses import (
+    GridCell,
     assemble,
     dispersion,
     evaluate_cell,
@@ -47,18 +43,7 @@ from .responses import (
 ELECTRON_MASS_EV = 510998.95
 OUTPUT_DIR_ENV = "RELEGAS_OUTPUT_DIR"
 
-SCAN_COLUMNS = (
-    "a",
-    "b",
-    "region",
-    "subregion",
-    "re_eps_L",
-    "im_eps_L",
-    "re_nu_L",
-    "im_nu_L",
-    "metamaterial",
-    "reason",
-)
+SCAN_COLUMNS = GridCell._fields
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -249,48 +234,31 @@ def _cmd_response(args: argparse.Namespace) -> str:
     return _csv_text(tuple(header), [tuple(row)])
 
 
-def _scan_cell_task(task: tuple) -> tuple:
-    a, b, t, xi, alpha, include_vacuum = task
-    ms = MediumState(t=t, xi=xi, alpha=alpha)
-    cell = evaluate_cell(a, b, ms, include_vacuum=include_vacuum)
-    return (
-        cell.a,
-        cell.b,
-        cell.region,
-        cell.subregion,
-        cell.re_eps_L,
-        cell.im_eps_L,
-        cell.re_nu_L,
-        cell.im_nu_L,
-        "true" if cell.metamaterial else "false",
-        cell.reason,
-    )
+def _scan_row(ab: tuple[float, float], ms: MediumState, include_vacuum: bool) -> GridCell:
+    """The scan cell at ab = (a, b), its flag spelled as in the CSV."""
+    cell = evaluate_cell(*ab, ms, include_vacuum=include_vacuum)
+    return cell._replace(metamaterial="true" if cell.metamaterial else "false")
 
 
 def _cmd_scan(args: argparse.Namespace) -> str:
     scale_ab, _ = _resolve_units(args)
     a_grid = [a / scale_ab for a in _grid_from_range(args.a_range)]
     b_grid = [b / scale_ab for b in _grid_from_range(args.b_range)]
-    ms = _medium_state(args)
-    include_vacuum = not args.no_vacuum
-    tasks = [
-        (a, b, ms.t, ms.xi, ms.alpha, include_vacuum)
-        for b in b_grid
-        for a in a_grid
-    ]
+    row = functools.partial(_scan_row, ms=_medium_state(args), include_vacuum=not args.no_vacuum)
+    cells = [(a, b) for b in b_grid for a in a_grid]
     # the pool may start every worker at once, so never ask for more than
     # there are cells or CPUs
-    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    jobs = min(args.jobs, len(cells), os.cpu_count() or 1)
     if jobs == 1:
-        rows = [_scan_cell_task(t) for t in tasks]
+        rows = list(map(row, cells))
     else:
         # imported here: multiprocessing adds ~2 MB and start-up time to
         # every command, and only a parallel scan uses it
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(tasks) // (jobs * 4))
+        chunk = max(1, len(cells) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_cell_task, tasks, chunksize=chunk))
+            rows = list(pool.map(row, cells, chunksize=chunk))
     return _csv_text(SCAN_COLUMNS, rows)
 
 
@@ -370,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         text = _DISPATCH[args.command](args)
-    except (InvalidPointError, SubregionBoundaryError, ValueError) as exc:
+    except ValueError as exc:  # InvalidPointError and SubregionBoundaryError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

@@ -31,6 +31,12 @@ from typing import NamedTuple
 
 LIGHT_CONE_CUT = 1e-9
 PAIR_THRESHOLD_CUT = 1e-12
+# Points with |c2| at or above this are refused.  The vacuum closed form
+# needs k - 1 = sqrt(1 - 1/c2) - 1 (or 1 - kappa) to keep a few bits, and
+# 1/|c2| falls below 2**-52 near 4.5e15, where k rounds to 1.  The bound
+# also keeps a and b below 2**51, far from where the t = 0 squares and
+# the t > 0 kernel products overflow.
+_MAX_ABS_C2 = 2.0**50
 BOUNDARY_TOL = 1e-12
 
 

@@ -364,9 +364,3 @@ def re_scalars(p: KinematicPoint, ms: MediumState) -> tuple[float, float]:
     """
     return _parts(p, ms, classify_region(p))[:2]
 
-
-def scalars(
-    p: KinematicPoint, ms: MediumState, include_vacuum: bool = True
-) -> ResponseScalars:
-    """All four response scalars at p from one finite-T quadrature pass."""
-    return ResponseScalars.from_parts(p, ms, _parts(p, ms, classify_region(p)), include_vacuum)

@@ -281,32 +281,14 @@ def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[flo
     return pref * (u_b + w_b + c_b * z_b), pref * (u_d + w_d + c_d * z_d)
 
 
-def re_B_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
-    """Dispersive part of B at T = 0 in closed form (U + W + Z pieces)."""
-    classify_region(p)
-    return _re_parts(p, fs, ms)[0]
-
-
-def re_D_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
-    """Dispersive part of D at T = 0 in closed form (U + W + Z pieces)."""
-    classify_region(p)
-    return _re_parts(p, fs, ms)[1]
-
-
-def im_B_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
-    """Absorptive part of B at T = 0 (closed cubic bracket)."""
-    return _im_parts(p, zero_t_subregion(p, fs), ms)[0]
-
-
-def im_D_zero(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> float:
-    """Absorptive part of D at T = 0 (proportional to the window length)."""
-    return _im_parts(p, zero_t_subregion(p, fs), ms)[1]
-
-
 def scalars_zero_t(
-    p: KinematicPoint, fs: FermiSurface, ms: MediumState, include_vacuum: bool = True
+    p: KinematicPoint, ms: MediumState, include_vacuum: bool = True
 ) -> ResponseScalars:
-    """All four response scalars at p from the T = 0 closed forms."""
+    """All four response scalars at p from the T = 0 closed forms.
+
+    The Fermi surface is ms.fermi_surface, so it cannot contradict ms.
+    """
+    fs = ms.fermi_surface
     region = classify_region(p)
     # the real half runs (and may raise) before the subregion is built
     parts = _re_parts(p, fs, ms) + _im_parts(p, zero_t_subregion(p, fs, region), ms)

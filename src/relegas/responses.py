@@ -16,6 +16,7 @@ from contextlib import closing
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .kinematics import (
+    _MAX_ABS_C2,
     LIGHT_CONE_CUT,
     PAIR_THRESHOLD_CUT,
     InternalConsistencyError,
@@ -33,12 +34,6 @@ from .numerics import find_root_bracketed, iter_sign_changes
 from .occupation import MediumState
 
 _DUAL_PATH_TOL = 1e-12
-# Points with |c2| at or above this are refused.  The vacuum closed form
-# needs k - 1 = sqrt(1 - 1/c2) - 1 (or 1 - kappa) to keep a few bits, and
-# 1/|c2| falls below 2**-52 near 4.5e15, where k rounds to 1.  The bound
-# also keeps a and b below 2**51, far from where the t = 0 squares and
-# the t > 0 kernel products overflow.
-_MAX_ABS_C2 = 2.0**50
 # The longitudinal search bisects only over a <= _BAND_GATE * b.  Above
 # that the t = 0 closed forms lose Re eps_L's rise to roundoff (ROADMAP
 # item 3).  Over xF - 1 in [1e-3, 3] the rise over one grid step
@@ -351,10 +346,14 @@ class GridCell(NamedTuple):
 def evaluate_cell(
     a: float, b: float, ms: MediumState, include_vacuum: bool = True
 ) -> GridCell:
-    """Evaluate one scan cell, trapping invalid kinematics into a reason."""
+    """Evaluate one scan cell, trapping a refused or failed evaluation into a reason.
+
+    A ValueError (refused kinematics, a subregion boundary, a non-finite
+    integrand) becomes the reason; InternalConsistencyError propagates.
+    """
     try:
         _, region, sub, tens = tensors_at(a, b, ms, include_vacuum=include_vacuum)
-    except (InvalidPointError, SubregionBoundaryError) as exc:
+    except ValueError as exc:
         return GridCell(
             a=a,
             b=b,

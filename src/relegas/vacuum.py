@@ -12,7 +12,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .kinematics import LIGHT_CONE_CUT, PAIR_THRESHOLD_CUT, LightConeError, PairThresholdError
+from .kinematics import (
+    _MAX_ABS_C2,
+    LIGHT_CONE_CUT,
+    PAIR_THRESHOLD_CUT,
+    InvalidPointError,
+    LightConeError,
+    PairThresholdError,
+)
 from .occupation import MediumState
 
 # below this |c2| the closed form loses digits to cancellation and a
@@ -89,10 +96,13 @@ def _vacuum_value(c2: float, ms: MediumState) -> complex:
 def c_star(c2: float, ms: MediumState) -> VacuumScalar:
     """Vacuum polarization scalar at squared invariant c2.
 
-    Requires |c2| >= 1e-9 (off the light cone) and |c2 - 1| > 1e-12
-    (off the pair threshold).  The prefactor is -e2/(12 pi**2); above
-    threshold the imaginary part is positive, as passivity demands.
+    Requires |c2| >= 1e-9 (off the light cone), |c2 - 1| > 1e-12 (off
+    the pair threshold) and |c2| < 2**50 (where the closed form still
+    resolves k - 1).  The prefactor is -e2/(12 pi**2); above threshold
+    the imaginary part is positive, as passivity demands.
     """
+    if abs(c2) >= _MAX_ABS_C2:
+        raise InvalidPointError(f"|c2| = {abs(c2):.3e} is too large: it is not below 2**50")
     value = _vacuum_value(c2, ms)
     branch = "spacelike" if c2 < 0.0 else "subthreshold" if c2 < 1.0 else "above_threshold"
     return VacuumScalar(value, branch)

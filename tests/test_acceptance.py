@@ -25,17 +25,11 @@ from relegas import (
     plasma_frequency_estimate,
 )
 from relegas.kinematics import RegionLabel, classify_region, kinematic_window, zero_t_subregion
-from relegas.medium_finite_t import im_scalars, scalars
-from relegas.medium_zero_t import (
-    im_B_zero,
-    im_D_zero,
-    integrals_Ij,
-    scalars_zero_t,
-    zero_t_coefficients,
-)
+from relegas.medium_finite_t import im_scalars
+from relegas.medium_zero_t import integrals_Ij, scalars_zero_t, zero_t_coefficients
 from relegas.nr_oracle import NRPoint, nr_im_B
 from relegas.numerics import integrate_adaptive
-from relegas.responses import tensors_at
+from relegas.responses import scalars_at, tensors_at
 from conftest import per_node
 
 
@@ -65,8 +59,8 @@ def test_criterion_01_zero_t_absorption_matches_quadrature():
             continue
         ms = MediumState(t=0.0, xi=xf)
         quad_b, quad_d = im_scalars(p, ms)
-        closed_b = im_B_zero(p, fs, ms)
-        closed_d = im_D_zero(p, fs, ms)
+        closed = scalars_zero_t(p, ms, include_vacuum=False)
+        closed_b, closed_d = closed.B.imag, closed.D.imag
         worst = max(
             worst,
             abs(quad_b - closed_b) / abs(closed_b),
@@ -139,13 +133,17 @@ def test_criterion_02_master_integrals_match_quadrature():
 def test_criterion_03_low_t_matches_zero_t():
     # B and D at t = 1e-3, xF = 1.5, 20 points per region, against the
     # zero-temperature closed forms: max(1e-3 relative, 1e-8 absolute),
-    # under 1 min.  Points keep 0.03 away from window-edge/Fermi-surface
-    # collisions, where the t -> 0 limit is nonuniform
+    # and against the closed forms plus the Sommerfeld t**2 term
+    # (pi**2/6) t**2 d2F/dxF2 (a central difference with step h) within
+    # 1e-6 relative; under 1 min.  Points keep 0.03 away from
+    # window-edge/Fermi-surface collisions, where the t -> 0 limit is
+    # nonuniform
     start = time.monotonic()
     xf = 1.5
-    fs = fermi_surface(xf)
-    cold = MediumState(t=0.0, xi=xf)
+    h = 2e-3
+    cold, cold_lo, cold_hi = (MediumState(t=0.0, xi=x) for x in (xf, xf - h, xf + h))
     warm = MediumState(t=1e-3, xi=xf)
+    sommerfeld = math.pi**2 / 6.0 * warm.t**2 / h**2
     rng = random.Random(303)
 
     def draw(region: RegionLabel):
@@ -167,11 +165,15 @@ def test_criterion_03_low_t_matches_zero_t():
     for region in (RegionLabel.I, RegionLabel.II, RegionLabel.III):
         for _ in range(20):
             p = draw(region)
-            w = scalars(p, warm, include_vacuum=False)
-            c = scalars_zero_t(p, fs, cold, include_vacuum=False)
-            for warm_val, cold_val in ((w.B, c.B), (w.D, c.D)):
+            w = scalars_at(p.a, p.b, warm, include_vacuum=False)[3]
+            c, lo, hi = (
+                scalars_zero_t(p, ms, include_vacuum=False) for ms in (cold, cold_lo, cold_hi)
+            )
+            for warm_val, cold_val, lo_val, hi_val in zip(w[:2], c[:2], lo[:2], hi[:2]):
                 limit = max(1e-3 * abs(cold_val), 1e-8)
                 assert abs(warm_val - cold_val) <= limit, (p.a, p.b, region)
+                bridged = cold_val + sommerfeld * (hi_val - 2.0 * cold_val + lo_val)
+                assert abs(warm_val - bridged) <= 1e-6 * abs(cold_val), (p.a, p.b, region)
     assert time.monotonic() - start < 60.0
 
 
@@ -194,9 +196,9 @@ def test_criterion_04_region_two_exactly_transparent():
         ms = states[n % len(states)]
         assert im_scalars(p, ms) == (0.0, 0.0)
         if ms.is_degenerate:
-            fs = ms.fermi_surface
-            assert im_B_zero(p, fs, ms) == 0.0
-            assert im_D_zero(p, fs, ms) == 0.0
+            closed = scalars_zero_t(p, ms, include_vacuum=False)
+            assert closed.B.imag == 0.0
+            assert closed.D.imag == 0.0
 
 
 def test_criterion_05_lindhard_limit():
@@ -225,7 +227,7 @@ def test_criterion_05_lindhard_limit():
             if fs.yF - onset < 0.1 * q:
                 skipped += 1
                 continue
-            rel = im_B_zero(derive_point(0.5 * omega, 0.5 * q), fs, ms)
+            rel = scalars_zero_t(derive_point(0.5 * omega, 0.5 * q), ms).B.imag
             worst = max(worst, abs(rel - nr) / nr)
             compared += 1
     elapsed = time.monotonic() - start
@@ -254,7 +256,7 @@ def test_criterion_06_tensor_identities():
         scale = max(1.0, abs(tens.eps_prime))
         assert abs(tens.eps_prime + tens.nu_prime) <= 1e-14 * scale
         assert abs(tens.tau - tens.sigma) <= 1e-14 * max(1.0, abs(tens.tau))
-        s = scalars_zero_t(p, cold.fermi_surface, cold)
+        s = scalars_zero_t(p, cold)
         residual = s.A - s.D - (1.0 + 3.0 * p.c2 / (2.0 * b * b)) * s.B
         assert abs(residual) <= 1e-14 * max(1.0, abs(s.A))
         checked += 1
@@ -365,7 +367,7 @@ def test_criterion_10_passivity():
         ms = states[n % len(states)]
         p = derive_point(a, b)
         if ms.is_degenerate:
-            im_b = im_B_zero(p, ms.fermi_surface, ms)
+            im_b = scalars_zero_t(p, ms, include_vacuum=False).B.imag
         else:
             im_b, _ = im_scalars(p, ms)
         im_c = c_star(c2, ms).value.imag

@@ -202,6 +202,25 @@ def test_scan_grid_order_and_invalid_cells(capsys):
     assert float(good["im_nu_L"]) == cell.im_nu_L
 
 
+def test_scan_reports_a_failed_cell_and_goes_on(capsys):
+    # at (3162.28, 3165.44), t = 1 the integrand returns NaN: that cell gets
+    # a reason, and the scan still writes every row and exits 0
+    a, b = "3162.2776601683795", "3165.443103271651"
+    code, out, err = run_cli(
+        capsys,
+        ["scan", "--a-range", "3000", a, "2", "--b-range", b, b, "1", "--t", "1", "--xi", "0"],
+    )
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert tuple(header) == SCAN_COLUMNS and len(rows) == 2
+    ms = MediumState(t=1.0, xi=0.0)
+    first = evaluate_cell(3000.0, float(b), ms)
+    assert rows[0]["reason"] == "" and float(rows[0]["re_eps_L"]) == first.re_eps_L
+    assert math.isnan(float(rows[1]["re_eps_L"]))
+    assert rows[1]["metamaterial"] == "false"
+    assert rows[1]["reason"] == "integrand returned nan at x = 3.244459510319254"
+
+
 def test_scan_jobs_output_identical(tmp_path, capsys):
     argv = [
         "scan",

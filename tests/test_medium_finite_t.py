@@ -5,10 +5,10 @@ from operator import mul
 
 import pytest
 
-from relegas import MediumState, derive_point, n_fermi, x_cutoff
+from relegas import MediumState, derive_point, n_fermi, scalars_at, x_cutoff
 from relegas import medium_finite_t
 from relegas.kinematics import RegionLabel, classify_region, kinematic_window
-from relegas.medium_finite_t import im_scalars, r1, r2, re_scalars, scalars
+from relegas.medium_finite_t import im_scalars, r1, r2, re_scalars
 from relegas.numerics import QuadratureResult, integrate_adaptive
 from conftest import complex_rel_err, draw_valid_point, per_node, rel_err
 
@@ -121,7 +121,7 @@ def test_frozen_scalar_values():
     for table in (FROZEN, MPMATH_REFERENCE):
         for (a, b, t, xi), (want_b, want_d) in table.items():
             ms = MediumState(t=t, xi=xi)
-            got = scalars(derive_point(a, b), ms, include_vacuum=False)
+            got = scalars_at(a, b, ms, include_vacuum=False)[3]
             assert complex_rel_err(got.B, want_b) < 5e-9
             assert complex_rel_err(got.D, want_d) < 5e-9
             if want_b.imag == 0.0:
@@ -165,7 +165,7 @@ def test_cutoff_one_ulp_above_the_shell_is_an_empty_sea():
     # vanish as for the empty sea at t = 0
     ms = MediumState(t=5.6e-18, xi=1.0)
     assert x_cutoff(ms) == math.nextafter(1.0, 2.0)
-    got = scalars(derive_point(0.5, 0.3), ms, include_vacuum=False)
+    got = scalars_at(0.5, 0.3, ms, include_vacuum=False)[3]
     assert (got.B, got.D, got.A, got.C) == (0j, 0j, 0j, 0j)
 
 
@@ -222,22 +222,16 @@ def test_absorption_signs():
 def test_combination_a_identity():
     ms = MediumState(t=0.05, xi=1.2)
     for a, b in ((0.5, 1.0), (2.0, 1.0), (0.9, 0.7)):
-        p = derive_point(a, b)
-        s = scalars(p, ms, include_vacuum=False)
+        p, _, _, s = scalars_at(a, b, ms, include_vacuum=False)
         want = s.D + (1.0 + 3.0 * p.c2 / (2.0 * b * b)) * s.B
         assert complex_rel_err(s.A, want) < 1e-13
 
 
 def test_low_t_converges_to_step_result():
-    from relegas.kinematics import fermi_surface
-    from relegas.medium_zero_t import scalars_zero_t
-
-    p = derive_point(0.5, 1.0)
-    fs = fermi_surface(1.5)
-    cold = scalars_zero_t(p, fs, MediumState(t=0.0, xi=1.5), include_vacuum=False)
+    cold = scalars_at(0.5, 1.0, MediumState(t=0.0, xi=1.5), include_vacuum=False)[3]
     errs = []
     for t in (4e-3, 1e-3):
-        warm = scalars(p, MediumState(t=t, xi=1.5), include_vacuum=False)
+        warm = scalars_at(0.5, 1.0, MediumState(t=t, xi=1.5), include_vacuum=False)[3]
         errs.append(abs(warm.B - cold.B) / abs(cold.B))
     # Sommerfeld corrections are O(t^2): quartering t cuts the error
     assert errs[1] <= errs[0] / 2.0

@@ -10,19 +10,12 @@ from relegas import (
     SubregionBoundaryError,
     derive_point,
     fermi_surface,
-    im_B_zero,
-    im_D_zero,
     integrals_Ij,
-    re_B_zero,
-    re_D_zero,
     scalars_zero_t,
     zero_t_coefficients,
 )
 from relegas.numerics import integrate_adaptive
 from conftest import complex_rel_err, draw_valid_point, per_node, rel_err
-
-MS = MediumState(t=0.0, xi=1.5)  # only e2 matters; xF enters separately
-
 
 def _state(xf: float) -> MediumState:
     return MediumState(t=0.0, xi=xf)
@@ -151,8 +144,7 @@ FROZEN_BD = {
 def test_frozen_scalar_values():
     for (a, b, xf), (want_b, want_d) in FROZEN_BD.items():
         p = derive_point(a, b)
-        fs = fermi_surface(xf)
-        got = scalars_zero_t(p, fs, _state(xf), include_vacuum=False)
+        got = scalars_zero_t(p, _state(xf), include_vacuum=False)
         assert rel_err(got.B.real, want_b.real) < 5e-11
         assert rel_err(got.D.real, want_d.real) < 5e-11
         if want_b.imag == 0.0:
@@ -165,13 +157,8 @@ def test_frozen_scalar_values():
 
 def test_near_pair_threshold_values():
     # c2 = 1 +- 1e-6: the absorptive parts must switch on continuously
-    fs = fermi_surface(1.6)
-    above = scalars_zero_t(
-        derive_point(1.118034435963401, 0.5), fs, _state(1.6), include_vacuum=False
-    )
-    below = scalars_zero_t(
-        derive_point(1.11803354153621, 0.5), fs, _state(1.6), include_vacuum=False
-    )
+    above = scalars_zero_t(derive_point(1.118034435963401, 0.5), _state(1.6), include_vacuum=False)
+    below = scalars_zero_t(derive_point(1.11803354153621, 0.5), _state(1.6), include_vacuum=False)
     assert complex_rel_err(above.B, complex(0.0007005179212749196, 9.121673927276871e-07)) < 2e-6
     assert complex_rel_err(above.D, complex(-0.00440232310507689, -5.473009829370478e-06)) < 2e-6
     assert complex_rel_err(below.B, complex(0.000699609341037755, 0.0)) < 2e-6
@@ -184,16 +171,15 @@ def test_im_bracket_identity():
     # at (0.5, 1.0, xF = 3) the cubic bracket evaluates to a known constant
     p = derive_point(0.5, 1.0)
     ms = _state(3.0)
-    got = im_B_zero(p, fermi_surface(3.0), ms)
+    got = scalars_zero_t(p, ms).B.imag
     want = -ms.e2 / (48.0 * math.pi * p.b * p.c2) * 9.5825756949558398
     assert rel_err(got, want) < 1e-12
 
 
 def test_im_window_length_rule():
     p = derive_point(2.0, 1.0)
-    fs = fermi_surface(2.5)
     ms = _state(2.5)
-    got = im_D_zero(p, fs, ms)
+    got = scalars_zero_t(p, ms).D.imag
     g = math.sqrt(p.gamma2)
     length = 2.5 - (p.a - p.b * g)  # straddling window, cut off at xF
     want = -ms.e2 * (1.0 + 2.0 * p.c2) / (32.0 * math.pi * p.b * p.c2) * length
@@ -201,19 +187,17 @@ def test_im_window_length_rule():
 
 
 def test_im_zero_without_window_overlap():
-    fs = fermi_surface(1.02)
-    p = derive_point(0.5, 1.0)
-    assert im_B_zero(p, fs, _state(1.02)) == 0.0
-    assert im_D_zero(p, fs, _state(1.02)) == 0.0
-    p2 = derive_point(0.9, 0.7)
-    assert im_B_zero(p2, fermi_surface(2.0), _state(2.0)) == 0.0
+    s = scalars_zero_t(derive_point(0.5, 1.0), _state(1.02))
+    assert s.B.imag == 0.0
+    assert s.D.imag == 0.0
+    assert scalars_zero_t(derive_point(0.9, 0.7), _state(2.0)).B.imag == 0.0
 
 
 def test_continuity_across_contained_straddling_boundary():
     p = derive_point(0.5, 1.0)
     upper = p.a + p.b * math.sqrt(p.gamma2)
-    lo = scalars_zero_t(p, fermi_surface(upper - 1e-7), _state(upper - 1e-7), include_vacuum=False)
-    hi = scalars_zero_t(p, fermi_surface(upper + 1e-7), _state(upper + 1e-7), include_vacuum=False)
+    lo = scalars_zero_t(p, _state(upper - 1e-7), include_vacuum=False)
+    hi = scalars_zero_t(p, _state(upper + 1e-7), include_vacuum=False)
     assert abs(lo.B - hi.B) < 1e-6 * max(1.0, abs(hi.B))
     assert abs(lo.D - hi.D) < 1e-6 * max(1.0, abs(hi.D))
 
@@ -222,7 +206,7 @@ def test_fermi_surface_on_window_edge_is_rejected():
     p = derive_point(0.5, 1.0)
     upper = p.a + p.b * math.sqrt(p.gamma2)
     with pytest.raises(SubregionBoundaryError, match="Fermi"):
-        re_B_zero(p, fermi_surface(upper), _state(upper))
+        scalars_zero_t(p, _state(upper))
 
 
 def test_fermi_logs_are_the_public_kernels_bit_for_bit():
@@ -243,33 +227,28 @@ def test_fermi_logs_are_the_public_kernels_bit_for_bit():
 
 
 def test_empty_sea_gives_zero():
-    p = derive_point(0.5, 1.0)
-    fs = fermi_surface(1.0)
-    assert re_B_zero(p, fs, MS) == 0.0
-    assert re_D_zero(p, fs, MS) == 0.0
+    s = scalars_zero_t(derive_point(0.5, 1.0), MediumState(t=0.0, xi=1.0))
+    assert s.B.real == 0.0
+    assert s.D.real == 0.0
 
 
 def test_static_limit_continuity():
     # a -> 0 switches to the coincident-root evaluation; it must agree
     # with the generic path just off the limit
-    fs = fermi_surface(1.5)
-    at_zero = re_B_zero(derive_point(0.0, 0.4), fs, _state(1.5))
-    near_zero = re_B_zero(derive_point(1e-9, 0.4), fs, _state(1.5))
-    assert rel_err(at_zero, near_zero) < 1e-7
-    at_zero_d = re_D_zero(derive_point(0.0, 0.4), fs, _state(1.5))
-    near_zero_d = re_D_zero(derive_point(1e-9, 0.4), fs, _state(1.5))
-    assert rel_err(at_zero_d, near_zero_d) < 1e-7
+    at_zero = scalars_zero_t(derive_point(0.0, 0.4), _state(1.5))
+    near_zero = scalars_zero_t(derive_point(1e-9, 0.4), _state(1.5))
+    assert rel_err(at_zero.B.real, near_zero.B.real) < 1e-7
+    assert rel_err(at_zero.D.real, near_zero.D.real) < 1e-7
 
 
 def test_scalar_assembly():
     p = derive_point(0.5, 1.0)
-    fs = fermi_surface(3.0)
     ms = _state(3.0)
-    s = scalars_zero_t(p, fs, ms, include_vacuum=False)
+    s = scalars_zero_t(p, ms, include_vacuum=False)
     assert s.C == 0.0
     want_a = s.D + (1.0 + 3.0 * p.c2 / (2.0 * p.b**2)) * s.B
     assert s.A == want_a
-    s_vac = scalars_zero_t(p, fs, ms, include_vacuum=True)
+    s_vac = scalars_zero_t(p, ms, include_vacuum=True)
     assert s_vac.C != 0.0
     assert s_vac.B == s.B
 
@@ -278,7 +257,7 @@ def test_rejects_pair_threshold_input():
     # a hand-built point sitting on c2 = 1 must be refused, not evaluated
     p = KinematicPoint(a=1.1, b=0.458257569495584, c2=1.0, gamma2=0.0, d2=1.21)
     with pytest.raises(InvalidPointError):
-        scalars_zero_t(p, fermi_surface(1.5), _state(1.5))
+        scalars_zero_t(p, _state(1.5))
 
 
 # sha256 of the repr of tensors_at over _bit_pin_points(), one line each;
@@ -311,7 +290,7 @@ def _bit_pin_points() -> list[tuple[float, float, float]]:
             p = derive_point(a, b)
             region = classify_region(p)
             label = zero_t_subregion(p, fermi_surface(xf), region).label
-            re_B_zero(p, fermi_surface(xf), _state(xf))
+            scalars_zero_t(p, _state(xf))
         except (InvalidPointError, SubregionBoundaryError):
             continue
         key = "a=0" if a == 0.0 else "II" if region.value == "II" else label
@@ -324,8 +303,8 @@ def _bit_pin_points() -> list[tuple[float, float, float]]:
 
 
 def test_zero_t_bits_are_pinned():
-    # the public closed-form parts and scalars_zero_t give scalars_at's
-    # bits (repr tells -0.0 from 0.0), and tensors_at gives the pinned bits
+    # scalars_zero_t gives scalars_at's bits (repr tells -0.0 from 0.0),
+    # and tensors_at gives the pinned bits
     import hashlib
 
     from relegas import scalars_at, tensors_at
@@ -335,10 +314,7 @@ def test_zero_t_bits_are_pinned():
     lines = []
     for a, b, xf in points:
         ms = _state(xf)
-        fs = ms.fermi_surface
         p, _, _, s = scalars_at(a, b, ms)
-        assert repr(scalars_zero_t(p, fs, ms)) == repr(s)
-        parts = [f(p, fs, ms) for f in (re_B_zero, re_D_zero, im_B_zero, im_D_zero)]
-        assert repr(parts) == repr([s.B.real, s.D.real, s.B.imag, s.D.imag])
+        assert repr(scalars_zero_t(p, ms)) == repr(s)
         lines.append(repr(tensors_at(a, b, ms)))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TENSORS_AT_DIGEST

@@ -65,22 +65,24 @@ def test_longitudinal_composition():
 def test_scalars_at_dispatch():
     # degenerate states use the closed forms, warm states the quadratures
     from relegas import (
+        ResponseScalars,
         classify_region,
         derive_point,
-        fermi_surface,
-        im_B_zero,
-        im_D_zero,
-        re_B_zero,
-        re_D_zero,
+        im_scalars,
+        re_scalars,
         scalars_zero_t,
         zero_t_subregion,
     )
-    from relegas.medium_finite_t import scalars as scalars_warm
+
+    def scalars_warm(p, ms):
+        # the two public quadrature halves, joined as scalars_at joins its pass
+        parts = re_scalars(p, ms) + im_scalars(p, ms)
+        return ResponseScalars.from_parts(p, ms, parts, include_vacuum=True)
 
     p = derive_point(0.5, 1.0)
     cold = MediumState(t=0.0, xi=1.5)
     _, _, _, got = scalars_at(0.5, 1.0, cold)
-    want = scalars_zero_t(p, fermi_surface(1.5), cold)
+    want = scalars_zero_t(p, cold)
     assert got == want
 
     warm = MediumState(t=0.1, xi=1.5)
@@ -100,12 +102,8 @@ def test_scalars_at_dispatch():
             assert sub is None
             assert got == scalars_warm(p, ms)
             continue
-        fs = ms.fermi_surface
-        assert sub == zero_t_subregion(p, fs)
-        want = scalars_zero_t(p, fs, ms)
-        assert got == want
-        assert want.B == complex(re_B_zero(p, fs, ms), im_B_zero(p, fs, ms))
-        assert want.D == complex(re_D_zero(p, fs, ms), im_D_zero(p, fs, ms))
+        assert sub == zero_t_subregion(p, ms.fermi_surface)
+        assert got == scalars_zero_t(p, ms)
 
 
 def test_one_classification_per_point(monkeypatch):
@@ -490,6 +488,35 @@ def test_large_points_below_the_refusal_are_finite():
             eps_l, nu_l = tensors_at(a, b, ms)[3][6:]
             parts = (eps_l.real, eps_l.imag, nu_l.real, nu_l.imag)
             assert all(map(math.isfinite, parts)), (t, a, b, parts)
+
+
+# a region-I cell hugging the light cone (a/b = 0.999) at large a, where
+# the t > 0 integrand returns NaN and the quadrature raises ValueError
+NAN_CELL = (3162.2776601683795, 3165.443103271651)
+
+
+def test_failed_cell_becomes_a_reason():
+    ms = MediumState(t=1.0, xi=0.0)
+    with pytest.raises(ValueError, match="integrand returned nan"):
+        tensors_at(*NAN_CELL, ms)
+    cell = evaluate_cell(*NAN_CELL, ms)
+    assert (cell.a, cell.b) == NAN_CELL
+    assert math.isnan(cell.re_eps_L) and math.isnan(cell.im_nu_L)
+    assert not cell.metamaterial
+    assert cell.reason == "integrand returned nan at x = 3.244459510319254"
+    # the cell beside it is evaluated as before
+    assert metamaterial_scan([3000.0, NAN_CELL[0]], [NAN_CELL[1]], ms)[0].reason == ""
+
+
+def test_consistency_failure_still_propagates(monkeypatch):
+    # only ValueError becomes a reason: a failed dual-path check of the
+    # tensors is a fault of the program and must stop the scan
+    def broken(a, b, ms, include_vacuum=True):
+        raise InternalConsistencyError("eps_L composition mismatch")
+
+    monkeypatch.setattr(responses, "tensors_at", broken)
+    with pytest.raises(InternalConsistencyError):
+        evaluate_cell(0.5, 1.0, COLD)
 
 
 def test_long_wavelength_cell_ends_within_budget(monkeypatch):

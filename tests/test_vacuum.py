@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from relegas import LightConeError, MediumState, PairThresholdError, c_star
+from relegas import InvalidPointError, LightConeError, MediumState, PairThresholdError, c_star
 from conftest import rel_err
 
 MS = MediumState(t=0.0, xi=1.5)
@@ -130,6 +130,17 @@ def test_cut_arguments_rejected():
         c_star(0.0, MS)
     with pytest.raises(PairThresholdError):
         c_star(1.0, MS)
+
+
+def test_huge_arguments_refused():
+    # from |c2| ~ 4.5e15 on, k = sqrt(1 - 1/c2) rounds to 1 and the closed
+    # form divides by k - 1 = 0 (or takes atanh(1)): refuse |c2| >= 2**50
+    for c2 in (1e16, -1e16, 1e17, -1e17):
+        with pytest.raises(InvalidPointError, match="too large"):
+            c_star(c2, MS)
+    for c2 in (0.99 * 2.0**50, -0.99 * 2.0**50):
+        got = c_star(c2, MS).value
+        assert math.isfinite(got.real) and math.isfinite(got.imag)
 
 
 def test_linear_in_coupling():
