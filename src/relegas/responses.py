@@ -34,7 +34,7 @@ from .numerics import find_root_bracketed, iter_sign_changes
 from .occupation import MediumState
 
 _DUAL_PATH_TOL = 1e-12
-# The longitudinal search bisects only over a <= _BAND_GATE * b.  Above
+# The band search bisects only over a <= _BAND_GATE * b.  Above
 # that the t = 0 closed forms lose Re eps_L's rise to roundoff (ROADMAP
 # item 3).  Over xF - 1 in [1e-3, 3] the rise over one grid step
 # (window/160) is smallest at xF = 1.001: there it falls below the
@@ -183,20 +183,25 @@ def dispersion(
     root.  Kinematically invalid scan points (light cone, pair threshold,
     subregion boundaries) are skipped as NaN.
 
-    The transverse scan visits every grid point up to the upper edge of
-    that root's bracket and none above it.  The longitudinal scan skips
-    grid points of the transparent band (region II below a = 32 b), where
-    Re eps_L rises with a and so changes sign at most once: galloping and
-    bisection over grid indices find the band's bracket, probing points
-    above it, and return the root the full scan would.
+    Both modes skip grid points of the transparent band (region II below
+    a = 32 b), where Re eps_L and Re nu_L both rise with a and so change
+    sign at most once: galloping and bisection over grid indices find the
+    band's bracket, probing points above it, and return the root the full
+    scan would.  From the second b on, the search starts at the grid
+    interval of the last accepted root, where the next root usually lies.
     """
     if mode not in ("longitudinal", "transverse"):
         raise ValueError(f"unknown dispersion mode {mode!r}")
+    if not isinstance(n_scan, int) or n_scan < 1:
+        raise ValueError(f"n_scan {n_scan!r} must be an int >= 1")
     a_lo, a_hi = a_search_range
-    if not (0.0 <= a_lo < a_hi):
-        raise ValueError(f"bad search range ({a_lo}, {a_hi})")
+    if not (0.0 <= a_lo < a_hi < math.inf):
+        raise ValueError(f"bad search range ({a_lo}, {a_hi}): need 0 <= lo < hi, both finite")
     longitudinal = mode == "longitudinal"
+    step = (a_hi - a_lo) / n_scan
+    grid = [a_lo + i * step for i in range(n_scan + 1)]
     samples: list[RootSample] = []
+    start = None
     for b in b_grid:
         # tensors per abscissa: Brent's bracket edges and the pole filter
         # revisit points the scan (or Brent) has already evaluated
@@ -217,11 +222,10 @@ def dispersion(
                 return math.nan
             return tens.eps_L.real if longitudinal else tens.nu_L.real + 1.0
 
-        step = (a_hi - a_lo) / n_scan
-        grid = [a_lo + i * step for i in range(n_scan + 1)]
-        root = _first_zero(gap, _band_walk(gap, grid, b) if longitudinal else grid)
+        root = _first_zero(gap, _band_walk(gap, grid, b, start))
         if root is None:
             continue
+        start = root
         tens = tens_at(root)
         im_val = tens.eps_L.imag if longitudinal else tens.nu_L.imag
         samples.append(RootSample(b=b, root_a=root, residual=gap(root), im_at_root=im_val))
@@ -253,19 +257,24 @@ def _first_zero(g: Callable[[float], float], grid: Iterable[float]) -> float | N
     return None
 
 
-def _band_walk(g: Callable[[float], float], grid: Sequence[float], b: float) -> Iterator[float]:
-    """The points of grid that the longitudinal scan visits, in order.
+def _band_walk(
+    g: Callable[[float], float], grid: Sequence[float], b: float, start: float | None = None
+) -> Iterator[float]:
+    """The points of grid that the dispersion scan visits, in order.
 
     The band is the run of grid points in region II, off the light-cone
-    and pair-threshold cuts, with a <= _BAND_GATE * b.  There Im eps_L is
-    0, and by Kramers-Kronig with Im eps_L >= 0 the gap g = Re eps_L
-    rises with a: it changes sign at most once, from - to +.  The walk
-    visits every point up to the band's first, lo.  If g < 0 there, it
-    resumes at the last band point known to be negative (_band_resume)
-    and goes on linearly from there; otherwise it goes on from lo.  The
-    points it skips lie between two negative ones, so the sign changes
-    it meets, and their brackets, are those of the full grid.  g is
-    cached by the caller, so a resumed point costs nothing twice.
+    and pair-threshold cuts, with a <= _BAND_GATE * b.  There Im eps_L and
+    Im nu_L are 0, and the gap g (Re eps_L, or Re nu_L + 1) rises with a:
+    for eps_L by Kramers-Kronig with Im eps_L >= 0, for nu_L as measured
+    and pinned on every band point of the test draws.  So g changes sign
+    at most once there, from - to +.  The walk visits every point up to
+    the band's first, lo.  If g < 0 there, it resumes at the last band
+    point known to be negative (_band_resume, started at the grid
+    interval of start, the previous b's root) and goes on linearly from
+    there; otherwise it goes on from lo.  The points it skips lie between
+    two negative ones, so the sign changes it meets, and their brackets,
+    are those of the full grid.  g is cached by the caller, so a resumed
+    point costs nothing twice.
     """
     b2 = b * b
     lo = bisect_left(grid, True, key=lambda a: a * a - b2 >= LIGHT_CONE_CUT)
@@ -278,28 +287,49 @@ def _band_walk(g: Callable[[float], float], grid: Sequence[float], b: float) -> 
     yield from grid[: lo + 1]
     resume = lo
     if end > lo and g(grid[lo]) < 0.0:
-        resume = _band_resume(g, grid, lo, end - 1)
+        first = None if start is None else bisect_left(grid, start) - 1
+        resume = _band_resume(g, grid, lo, end - 1, first)
     yield from grid[max(resume, lo + 1) :]
 
 
-def _band_resume(g: Callable[[float], float], grid: Sequence[float], lo: int, hi: int) -> int:
+def _band_resume(
+    g: Callable[[float], float],
+    grid: Sequence[float],
+    lo: int,
+    hi: int,
+    start: int | None = None,
+) -> int:
     """Last index in [lo, hi] known to hold g < 0, given g(grid[lo]) < 0.
 
-    Gallops upwards from lo (offsets 1, 2, 4, ...) until a probe is
-    positive or would pass hi, then bisects, so the result j has
-    g(grid[j + 1]) > 0 unless j = hi.  A probe that is NaN or exactly 0
-    stops the search at the last negative point found.
+    With start in (lo, hi] it probes start first and gallops from there
+    (offsets 1, 2, 4, ...): upwards if g < 0 there, downwards towards lo
+    if g > 0.  Otherwise it gallops upwards from lo.  Once a probe lies
+    across the sign change or past lo or hi, it bisects, so the result j
+    has g(grid[j + 1]) > 0 unless j = hi.  A probe that is NaN or exactly
+    0 stops the search at the last negative point found.
     """
-    neg, pos, offset = lo, hi + 1, 1
+    neg, pos, anchor, offset = lo, hi + 1, lo, 1
+    if start is not None and lo < start <= hi:
+        anchor = start
+        val = g(grid[start])
+        if val < 0.0:
+            neg = start
+        elif val > 0.0:
+            pos, offset = start, -1
+        else:
+            return neg
     while pos - neg > 1:
-        k = lo + offset if lo + offset < pos else (neg + pos) // 2
+        k = anchor + offset
+        if not neg < k < pos:
+            k = (neg + pos) // 2
         val = g(grid[k])
         if val < 0.0:
-            neg, offset = k, 2 * offset
+            neg = k
         elif val > 0.0:
             pos = k
         else:
             return neg
+        offset *= 2
     return neg
 
 

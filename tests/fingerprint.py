@@ -40,7 +40,9 @@ from pathlib import Path
 # points whose b**2 is subnormal or whose c2 is not finite, refused; a
 # longitudinal branch whose b runs from below the band-search gate
 # (root above a = 32 b) to above the window's start (a region-I prefix
-# and the light-cone pole); points with |c2| >= 2**50, refused
+# and the light-cone pole); points with |c2| >= 2**50, refused; both
+# branches over a descending b grid, where each search starts above the
+# next b's root
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -79,6 +81,7 @@ CLI_COMMANDS = [
      "--xf", "1.2"],
     ["response", "--a", "1e150", "--b", "1e100", "--xf", "1.2"],
     ["scan", "--a-range", "1e150", "1e151", "2", "--b-range", "1e100", "1e100", "1", "--xf", "1.2"],
+    ["dispersion", "--mode", "both", "--b-range", "4e-3", "1e-3", "3", "--xf", "1.2"],
 ]
 
 

@@ -300,8 +300,10 @@ def test_non_finite_grid_size_exits_2(capsys, argv):
         ["dispersion", "--b-range", "1e-3", "inf", "3", "--log-b", "--xf", "1.2"],
         ["nr-scan", "--omega-range", "2e-4", "1.2e-3", "3", "--q-range", "0.01", "0.05", "2",
          "--pf", "nan"],
+        ["dispersion", "--b-range", "1e-3", "4e-3", "3", "--xf", "1.2", "--a-range", "0.003",
+         "inf"],
     ],
-    ids=["scan-nan", "boundaries-inf", "dispersion-inf", "nr-scan-pf-nan"],
+    ids=["scan-nan", "boundaries-inf", "dispersion-inf", "nr-scan-pf-nan", "dispersion-a-inf"],
 )
 def test_non_finite_range_or_pf_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
