@@ -30,18 +30,21 @@ from .kinematics import (
 )
 from .medium_finite_t import ResponseScalars, _parts
 from .medium_zero_t import SubregionBoundaryError, _im_parts, _re_parts
-from .numerics import find_root_bracketed, iter_sign_changes
-from .occupation import MediumState
+from .numerics import find_root_bracketed, integrate_adaptive, iter_sign_changes
+from .occupation import MediumState, n_fermi, x_cutoff
 
 _DUAL_PATH_TOL = 1e-12
-# The band search bisects only over a <= _BAND_GATE * b.  Above
-# that the t = 0 closed forms lose Re eps_L's rise to roundoff (ROADMAP
-# item 3).  Over xF - 1 in [1e-3, 3] the rise over one grid step
-# (window/160) is smallest at xF = 1.001: there it falls below the
-# spread of Re eps_L under ulp changes of a near a = 100 b, where it
-# first fails on the grid; up to a = 32 b it stays >= 32 times that
-# spread, which grows like (a/b)**3.
+# The band search bisects only over a <= gate * b (_band_gate).  Above
+# that the t = 0 closed forms lose the rise of Re eps_L and Re nu_L to
+# roundoff (ROADMAP item 3), and where they lose it moves with the Fermi
+# velocity v_F = yF/xF: on the dispersion grid (window/160) the rise
+# first breaks near a/b = C v_F**1.5, C ~ 9,700 at small v_F and
+# ~20,000 at xF = 4 (a/b ~ 95 at xF = 1.001, 3,200 at xF = 1.1).  The
+# gate 32 (v_F/_GATE_V_F)**1.5 keeps that break more than 3.4 gates up
+# at every xF measured (xF - 1 in [1e-3, 3]), and shrinks to nothing as
+# xF -> 1.  At t > 0 the gate is _BAND_GATE.
 _BAND_GATE = 32.0
+_GATE_V_F = 0.05
 
 
 class ResponseTensors(NamedTuple):
@@ -131,16 +134,39 @@ def tensors_at(
     return p, region, sub, assemble(s, p)
 
 
-def plasma_frequency_estimate(ms: MediumState) -> float:
-    """Leading-order plasma frequency a_e of a cold gas.
-
-    At t = 0 the small-b limit of eps_L = 0 gives
-    a_e**2 = e2 * yF**3 / (12 pi**2 xF); the transverse condition
-    nu_L = -1 approaches the same frequency as b -> 0.  Used to seed
-    dispersion search ranges.
-    """
+def _band_gate(ms: MediumState) -> float:
+    """Top of the transparent band that dispersion searches, in units of b."""
+    if not ms.is_degenerate:
+        return _BAND_GATE
     fs = ms.fermi_surface
-    return math.sqrt(ms.e2 * fs.yF**3 / (12.0 * math.pi**2 * fs.xF))
+    return _BAND_GATE * (fs.yF / fs.xF / _GATE_V_F) ** 1.5
+
+
+def plasma_frequency_estimate(ms: MediumState) -> float:
+    """Leading-order plasma frequency a_e of the gas.
+
+    a_e is the b -> 0 limit of both plasmon branches (eps_L = 0 and
+    nu_L = -1): a_e**2 = e2/(4 pi**2) * integral over x >= 1 of
+    n_F(x) y (1 - y**2/(3 x**2)) dx, with y = sqrt(x**2 - 1), which is
+    Braaten & Segel's omega_p**2/4.  At t = 0 that is the closed form
+    e2 * yF**3 / (12 pi**2 xF); at t > 0 it is one quadrature over
+    [1, x_cutoff] with the Fermi edge |xi| as a breakpoint.  Used to seed
+    dispersion search ranges, and where dispersion's first search starts.
+    """
+    if ms.is_degenerate:
+        fs = ms.fermi_surface
+        return math.sqrt(ms.e2 * fs.yF**3 / (12.0 * math.pi**2 * fs.xF))
+
+    def moment(xs: Sequence[float], ws: Sequence[float]) -> float:
+        # y (1 - y**2/(3 x**2)) = y (2 x**2 + 1)/(3 x**2)
+        total = 0.0
+        for x, w in zip(xs, ws):
+            y = math.sqrt((x - 1.0) * (x + 1.0))
+            total += w * n_fermi(x, ms) * y * (2.0 * x * x + 1.0) / (3.0 * x * x)
+        return total
+
+    res = integrate_adaptive(moment, 1.0, x_cutoff(ms), breakpoints=(abs(ms.xi),))
+    return math.sqrt(ms.e2 / (4.0 * math.pi**2) * res.value)
 
 
 class RootSample(NamedTuple):
@@ -184,11 +210,15 @@ def dispersion(
     subregion boundaries) are skipped as NaN.
 
     Both modes skip grid points of the transparent band (region II below
-    a = 32 b), where Re eps_L and Re nu_L both rise with a and so change
-    sign at most once: galloping and bisection over grid indices find the
-    band's bracket, probing points above it, and return the root the full
-    scan would.  From the second b on, the search starts at the grid
-    interval of the last accepted root, where the next root usually lies.
+    a = gate * b), where Re eps_L and Re nu_L both rise with a and so
+    change sign at most once: galloping and bisection over grid indices
+    find the band's bracket, probing points above it, and return the root
+    the full scan would.  At t = 0 the gate is 32 (v_F/0.05)**1.5 with
+    v_F = yF/xF, which keeps it >= 3 times below where roundoff breaks the
+    rise; at t > 0 it is 32.  The first b's search starts at the grid
+    interval of plasma_frequency_estimate(ms), the b -> 0 limit of both
+    branches; each later b's at that of the last accepted root, where the
+    next root usually lies.
     """
     if mode not in ("longitudinal", "transverse"):
         raise ValueError(f"unknown dispersion mode {mode!r}")
@@ -201,7 +231,8 @@ def dispersion(
     step = (a_hi - a_lo) / n_scan
     grid = [a_lo + i * step for i in range(n_scan + 1)]
     samples: list[RootSample] = []
-    start = None
+    gate = _band_gate(ms)
+    start = plasma_frequency_estimate(ms)
     for b in b_grid:
         # tensors per abscissa: Brent's bracket edges and the pole filter
         # revisit points the scan (or Brent) has already evaluated
@@ -222,7 +253,7 @@ def dispersion(
                 return math.nan
             return tens.eps_L.real if longitudinal else tens.nu_L.real + 1.0
 
-        root = _first_zero(gap, _band_walk(gap, grid, b, start))
+        root = _first_zero(gap, _band_walk(gap, grid, b, gate, start))
         if root is None:
             continue
         start = root
@@ -258,23 +289,28 @@ def _first_zero(g: Callable[[float], float], grid: Iterable[float]) -> float | N
 
 
 def _band_walk(
-    g: Callable[[float], float], grid: Sequence[float], b: float, start: float | None = None
+    g: Callable[[float], float],
+    grid: Sequence[float],
+    b: float,
+    gate: float,
+    start: float | None = None,
 ) -> Iterator[float]:
     """The points of grid that the dispersion scan visits, in order.
 
     The band is the run of grid points in region II, off the light-cone
-    and pair-threshold cuts, with a <= _BAND_GATE * b.  There Im eps_L and
+    and pair-threshold cuts, with a <= gate * b (_band_gate: above it the
+    t = 0 closed forms lose the rise to roundoff).  There Im eps_L and
     Im nu_L are 0, and the gap g (Re eps_L, or Re nu_L + 1) rises with a:
     for eps_L by Kramers-Kronig with Im eps_L >= 0, for nu_L as measured
     and pinned on every band point of the test draws.  So g changes sign
     at most once there, from - to +.  The walk visits every point up to
     the band's first, lo.  If g < 0 there, it resumes at the last band
     point known to be negative (_band_resume, started at the grid
-    interval of start, the previous b's root) and goes on linearly from
-    there; otherwise it goes on from lo.  The points it skips lie between
-    two negative ones, so the sign changes it meets, and their brackets,
-    are those of the full grid.  g is cached by the caller, so a resumed
-    point costs nothing twice.
+    interval of start: a_e for the first b, then the previous b's root)
+    and goes on linearly from there; otherwise it goes on from lo.  The
+    points it skips lie between two negative ones, so the sign changes it
+    meets, and their brackets, are those of the full grid.  g is cached
+    by the caller, so a resumed point costs nothing twice.
     """
     b2 = b * b
     lo = bisect_left(grid, True, key=lambda a: a * a - b2 >= LIGHT_CONE_CUT)
@@ -282,7 +318,7 @@ def _band_walk(
         grid,
         True,
         lo=lo,
-        key=lambda a: a > _BAND_GATE * b or a * a - b2 - 1.0 >= -PAIR_THRESHOLD_CUT,
+        key=lambda a: a > gate * b or a * a - b2 - 1.0 >= -PAIR_THRESHOLD_CUT,
     )
     yield from grid[: lo + 1]
     resume = lo

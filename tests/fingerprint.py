@@ -42,7 +42,8 @@ from pathlib import Path
 # (root above a = 32 b) to above the window's start (a region-I prefix
 # and the light-cone pole); points with |c2| >= 2**50, refused; both
 # branches over a descending b grid, where each search starts above the
-# next b's root
+# next b's root; both branches at xF = 2, whose roots lie near a = 90 b,
+# above a gate of 32 and below one set by the Fermi velocity
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -82,6 +83,7 @@ CLI_COMMANDS = [
     ["response", "--a", "1e150", "--b", "1e100", "--xf", "1.2"],
     ["scan", "--a-range", "1e150", "1e151", "2", "--b-range", "1e100", "1e100", "1", "--xf", "1.2"],
     ["dispersion", "--mode", "both", "--b-range", "4e-3", "1e-3", "3", "--xf", "1.2"],
+    ["dispersion", "--mode", "both", "--b-range", "5e-4", "2e-3", "3", "--log-b", "--xf", "2"],
 ]
 
 

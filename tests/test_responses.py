@@ -181,6 +181,28 @@ def test_plasma_frequency_estimate_frozen():
     assert rel_err(got, 0.013722902697010606) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "t, xi, want",
+    [
+        (0.05, 1.2, 0.014228572325299106707),
+        (0.3, 0.5, 0.0090620218240542073706),
+        (1.0, 0.0, 0.043289358164043467566),
+        (0.2, -1.1, 0.016485364550529822091),
+        (1e-3, -1.5, 0.026858699678873389896),
+        (1e-4, 1.2, 0.013722904602731855191),
+    ],
+)
+def test_plasma_frequency_estimate_at_finite_t(t, xi, want):
+    # a_e**2 = e2/(4 pi**2) * integral of n_F y (1 - y**2/(3 x**2)) dx,
+    # against mpmath quadratures of that moment at 30 digits
+    got = plasma_frequency_estimate(MediumState(t=t, xi=xi))
+    assert rel_err(got, want) < 1e-12
+    if t == 1e-4:
+        # the moment reduces to the t = 0 closed form
+        cold = plasma_frequency_estimate(MediumState(t=0.0, xi=xi))
+        assert rel_err(got, cold) < 1e-6
+
+
 def test_longitudinal_dispersion_root():
     ms = MediumState(t=0.0, xi=1.2)
     a_e = plasma_frequency_estimate(ms)
@@ -206,26 +228,32 @@ def test_transverse_dispersion_crosses_light_cone_pole():
     assert rel_err(root, 0.014326596) < 1e-3
 
 
-def test_dispersion_evaluates_each_abscissa_once(monkeypatch):
-    # Brent's bracket edges, the pole filter and the root's own tensors
-    # reuse what the sign scan already evaluated at the same b
-    from collections import Counter
+def _calls_per_b(mode, b_grid, ms, window):
+    # the branch, and the abscissae of the tensors_at calls at each b
+    from collections import defaultdict
 
-    seen: Counter = Counter()
+    seen: dict = defaultdict(list)
     inner = responses.tensors_at
 
     def counted(a, b, ms, include_vacuum=True):
-        seen[(a, b)] += 1
+        seen[b].append(a)
         return inner(a, b, ms, include_vacuum=include_vacuum)
 
-    monkeypatch.setattr(responses, "tensors_at", counted)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(responses, "tensors_at", counted)
+        branch = dispersion(mode, b_grid, ms, window)
+    return branch, seen
+
+
+def test_dispersion_evaluates_each_abscissa_once():
+    # Brent's bracket edges, the pole filter and the root's own tensors
+    # reuse what the sign scan already evaluated at the same b
     ms = MediumState(t=0.0, xi=1.2)
     a_e = plasma_frequency_estimate(ms)
     for mode in ("longitudinal", "transverse"):
-        seen.clear()
-        branch = dispersion(mode, [1e-3, 4e-3], ms, (0.25 * a_e, 4.0 * a_e))
+        branch, seen = _calls_per_b(mode, [1e-3, 4e-3], ms, (0.25 * a_e, 4.0 * a_e))
         assert len(branch.samples) == 2
-        assert max(seen.values()) == 1
+        assert all(len(set(calls)) == len(calls) for calls in seen.values())
 
 
 def _full_scan_branch(mode, b_grid, ms, window, n_scan=160):
@@ -311,7 +339,7 @@ def test_dispersion_early_stop_keeps_smallest_root():
         )
 
 
-def _band(grid, b):
+def _band(grid, b, gate):
     # region II off the light-cone and pair-threshold cuts, a <= gate * b
     b2 = b * b
     return [
@@ -319,25 +347,27 @@ def _band(grid, b):
         for a in grid
         if a * a - b2 >= LIGHT_CONE_CUT
         and a * a - b2 - 1.0 < -PAIR_THRESHOLD_CUT
-        and a <= responses._BAND_GATE * b
+        and a <= gate * b
     ]
 
 
 def _assert_gap_rises(component, t, n_draws, n_scan):
     # the premise of the band search: Im = 0 and Re strictly increasing
-    # on every grid point the gate admits, over the draws of seed 1901
+    # on every grid point the gate of dispersion admits, over the draws
+    # of seed 1901
     rng = random.Random(1901)
     n_points = 0
     for _ in range(n_draws):
         xF = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(3.0)))
         a_e = plasma_frequency_estimate(MediumState(t=0.0, xi=xF))
         ms = MediumState(t=t, xi=xF)
+        gate = responses._band_gate(ms)
         b0 = a_e * math.exp(rng.uniform(math.log(1e-5), math.log(2.0)))
         step = 3.75 * a_e / n_scan
         grid = [0.25 * a_e + i * step for i in range(n_scan + 1)]
         for b in (b0, 2.0 * b0, 4.0 * b0):
             prev = -math.inf
-            for a in _band(grid, b):
+            for a in _band(grid, b, gate):
                 val = getattr(tensors_at(a, b, ms)[3], component)
                 assert val.imag == 0.0, (xF, b, a)
                 assert val.real > prev, (xF, b, a, prev, val.real)
@@ -374,13 +404,25 @@ def test_dispersion_band_search_keeps_smallest_root():
         ("transverse", 24, [2e-4, 1e-3, 2e-3, 4e-3]),
     ):
         assert _compare_band_search_draws(mode) >= at_least
-        # the previous root lies above the next b's band (32 b < a_e)
-        assert _assert_matches_full_scan(mode, [4e-3, 2e-4, 4e-3], ms, window)
+        # the previous root lies above the next b's band (gate * 1e-5 < a_e)
+        assert _assert_matches_full_scan(mode, [4e-3, 1e-5, 4e-3], ms, window)
         # warm: the band is transparent at every t; 2e-4 puts the root above the gate
         for b_grid in (warm_grid, warm_grid[::-1]):
             assert _assert_matches_full_scan(mode, b_grid, warm, (0.003, 0.06), n_scan=40)
     # the previous root lies below the next b's light cone (b > a_e)
     assert _assert_matches_full_scan("longitudinal", [1e-3, 2e-2, 1e-3], ms, window)
+    # xF near 1, where the rise breaks near a = 20 b: a gate of 32 kept
+    # a "root" with residual -0.037 (longitudinal) and -1.7e-5
+    # (transverse) here; the gate that shrinks with v_F keeps the roots
+    # of the full scan
+    for mode, xF, b0 in (
+        ("longitudinal", 1.0000883889880614, 1.8570059631587826e-06),
+        ("transverse", 1.0000857151416338, 1.4895586194768785e-06),
+    ):
+        near_one = MediumState(t=0.0, xi=xF)
+        a_e = plasma_frequency_estimate(near_one)
+        window = (0.25 * a_e, 4.0 * a_e)
+        assert _assert_matches_full_scan(mode, [b0, 2.0 * b0, 4.0 * b0], near_one, window)
 
 
 def _compare_band_search_draws(mode):
@@ -392,11 +434,13 @@ def _compare_band_search_draws(mode):
         a_e = plasma_frequency_estimate(ms)
         window = (0.25 * a_e, 4.0 * a_e)
         # b on both sides of the gate: the root at ~a_e lies in the band
-        # or above its top, 32 b; descending, each search starts above
-        # the next b's root
-        b0 = a_e * math.exp(rng.uniform(math.log(2e-3), math.log(0.2)))
-        below_gate += responses._BAND_GATE * b0 > a_e
-        above_gate += responses._BAND_GATE * 4.0 * b0 < a_e
+        # or above its top, gate * b; descending, each search starts
+        # above the next b's root.  These are the draws of a gate of 32,
+        # scaled to the state's gate.
+        gate = responses._band_gate(ms)
+        b0 = a_e * math.exp(rng.uniform(math.log(2e-3), math.log(0.2))) * 32.0 / gate
+        below_gate += gate * b0 > a_e
+        above_gate += gate * 4.0 * b0 < a_e
         compared += _assert_matches_full_scan(mode, [b0, 2.0 * b0, 4.0 * b0], ms, window)
         compared += _assert_matches_full_scan(mode, [4.0 * b0, 2.0 * b0, b0], ms, window)
         # b above the window's start: a region-I prefix, then the light-cone pole
@@ -443,7 +487,7 @@ def test_band_resume_stops_at_an_undefined_or_zero_probe(bad_value):
     b = 0.1
     grid = [0.05 * i for i in range(48)]
     index = {a: i for i, a in enumerate(grid)}
-    band = _band(grid, b)
+    band = _band(grid, b, responses._BAND_GATE)
     lo, hi = index[band[0]], index[band[-1]]
     assert 0 < lo and hi < len(grid) - 1
     for cross in range(lo, len(grid)):
@@ -467,37 +511,24 @@ def test_band_resume_stops_at_an_undefined_or_zero_probe(bad_value):
                     assert j == hi or values[j + 1] > 0.0
                 root = None if start is None else grid[start] + 0.01
                 probed = []
-                walk = responses._band_walk(g, grid, b, root)
+                walk = responses._band_walk(g, grid, b, responses._BAND_GATE, root)
                 assert list(iter_sign_changes(g, walk)) == want, (cross, bad, start)
                 if start is not None and lo < start <= hi:
                     # the prefix up to lo, lo again, then the previous root's interval
                     assert probed[lo + 2] == start
 
 
-def test_dispersion_scan_stops_at_first_accepted_root(monkeypatch):
-    from collections import defaultdict
-
-    seen: dict = defaultdict(list)
-    inner = responses.tensors_at
-
-    def counted(a, b, ms, include_vacuum=True):
-        seen[b].append(a)
-        return inner(a, b, ms, include_vacuum=include_vacuum)
-
-    monkeypatch.setattr(responses, "tensors_at", counted)
+def test_dispersion_scan_stops_at_first_accepted_root():
     ms = MediumState(t=0.0, xi=1.2)
     a_e = plasma_frequency_estimate(ms)
     a_lo, a_hi = 0.25 * a_e, 4.0 * a_e
     step = (a_hi - a_lo) / 160
     grid = [a_lo + i * step for i in range(161)]
-    # the band search probes above the root's bracket, and at 4e-3 starts
-    # from the 1e-3 root; the linear scan up to the bracket took 39 and
-    # 71 transverse calls, the longitudinal search from the band's foot
-    # 19 and 17
-    most = {"longitudinal": (19, 9), "transverse": (18, 42)}
+    # the band search probes above the root's bracket; at 1e-3 it starts
+    # from a_e, at 4e-3 from the 1e-3 root
+    most = {"longitudinal": (10, 9), "transverse": (9, 42)}
     for mode in ("longitudinal", "transverse"):
-        seen.clear()
-        branch = dispersion(mode, [1e-3, 4e-3], ms, (a_lo, a_hi))
+        branch, seen = _calls_per_b(mode, [1e-3, 4e-3], ms, (a_lo, a_hi))
         assert len(branch.samples) == 2
         for s, cap in zip(branch.samples, most[mode]):
             calls = seen[s.b]
@@ -508,6 +539,22 @@ def test_dispersion_scan_stops_at_first_accepted_root(monkeypatch):
             assert len(calls) <= cap, (mode, s.b, len(calls))
             if mode == "longitudinal":
                 assert len(calls) <= 24, (mode, s.b, len(calls))
+
+
+def test_dispersion_searches_the_band_above_32_b():
+    # at xF = 2 the roots lie near a = 90 b, 45 b and 22 b: a gate of 32
+    # left the first two to the linear scan (85 longitudinal and 77
+    # transverse calls in all); the gate set by v_F holds them in the band
+    ms = MediumState(t=0.0, xi=2.0)
+    a_e = plasma_frequency_estimate(ms)
+    b_grid = [5e-4, 1e-3, 2e-3]
+    window = (0.25 * a_e, 4.0 * a_e)
+    for mode, most in (("longitudinal", 37), ("transverse", 29)):
+        branch, seen = _calls_per_b(mode, b_grid, ms, window)
+        assert [s.b for s in branch.samples] == b_grid
+        assert branch.samples[0].root_a > 80.0 * b_grid[0]
+        assert sum(map(len, seen.values())) <= most, (mode, {b: len(v) for b, v in seen.items()})
+        assert _assert_matches_full_scan(mode, b_grid, ms, window)
 
 
 def test_dispersion_extrapolations_agree():
