@@ -125,6 +125,10 @@ class SubregionLabel(NamedTuple):
     x_upper: float
 
 
+# the label of every point without absorption, shared: it is immutable
+_NO_ABSORPTION = SubregionLabel("NONE", math.nan, math.nan)
+
+
 def derive_point(a: float, b: float) -> KinematicPoint:
     """Validate (a, b) and derive the dependent kinematic quantities.
 
@@ -206,11 +210,11 @@ def zero_t_subregion(
     if region is None:
         region = classify_region(p)
     if region is RegionLabel.II:
-        return SubregionLabel("NONE", math.nan, math.nan)
+        return _NO_ABSORPTION
     lower, upper = kinematic_window(p)
     x_fermi = fs.xF
     if lower >= x_fermi - BOUNDARY_TOL:
-        return SubregionLabel("NONE", math.nan, math.nan)
+        return _NO_ABSORPTION
     if upper <= x_fermi + BOUNDARY_TOL:
         return SubregionLabel("A" if region is RegionLabel.I else "C", lower, upper)
     return SubregionLabel("B" if region is RegionLabel.I else "D", lower, x_fermi)

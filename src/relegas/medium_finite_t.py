@@ -55,13 +55,20 @@ class ResponseScalars(NamedTuple):
         include_vacuum: bool,
     ) -> ResponseScalars:
         """Build all four scalars from (Re B, Re D, Im B, Im D) at p."""
-        re_b, re_d, im_b, im_d = parts
-        _, b, c2, _, _ = p
-        b_val = complex(re_b, im_b)
-        d_val = complex(re_d, im_d)
-        a_val = d_val + (1.0 + 3.0 * c2 / (2.0 * b * b)) * b_val
-        c_val = _vacuum_value(c2, ms) if include_vacuum else 0.0j
-        return cls(b_val, d_val, a_val, c_val)
+        return cls(*_scalars(p, ms, parts, include_vacuum))
+
+
+def _scalars(
+    p: KinematicPoint, ms: MediumState, parts: tuple[float, ...], include_vacuum: bool
+) -> tuple[complex, complex, complex, complex]:
+    """(B, D, A, C) of ResponseScalars.from_parts, as a plain tuple."""
+    re_b, re_d, im_b, im_d = parts
+    _, b, c2, _, _ = p
+    b_val = complex(re_b, im_b)
+    d_val = complex(re_d, im_d)
+    a_val = d_val + (1.0 + 3.0 * c2 / (2.0 * b * b)) * b_val
+    c_val = _vacuum_value(c2, ms) if include_vacuum else 0.0j
+    return b_val, d_val, a_val, c_val
 
 
 def r1(x: float, p: KinematicPoint) -> float:

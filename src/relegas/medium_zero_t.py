@@ -190,20 +190,6 @@ def integrals_Ij(p: KinematicPoint, fs: FermiSurface) -> tuple[float, float]:
     return (lg + at) / (denom * m2), (-lg + at) / denom
 
 
-def _z_real(m: float, n: float, d_g: float, g_bar: float, s_bar: float, frak_c: float) -> float:
-    """(M + N) I0 - N I2 on the real branch, through the mean root s_bar."""
-    return ((m + n * (1.0 - s_bar)) * d_g - n * g_bar) / frak_c
-
-
-def _z_complex(
-    m: float, n: float, lg: float, at: float, t_r: float, m2: float, frak_c: float
-) -> float:
-    """(M + N) I0 - N I2 on the complex branch, grouped by lg and at."""
-    coef_lg = (m + n) / m2 + n
-    coef_at = (m + n * (1.0 - m2)) / m2
-    return (coef_lg * lg + coef_at * at) / (8.0 * frak_c * t_r)
-
-
 def _im_parts(p: KinematicPoint, sub: SubregionLabel, ms: MediumState) -> tuple[float, float]:
     """(Im B, Im D) at T = 0 over the subregion's active window.
 
@@ -255,7 +241,9 @@ def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[flo
 
     The Fermi-surface logs (with their guard), the Z coefficients and the
     branch pieces of the master integrals are built once, from the
-    point's and the surface's fields read once.
+    point's and the surface's fields read once.  Each Z is
+    (M + N) I0 - N I2: on the real branch through the mean root s_bar,
+    on the complex one grouped by lg and at.
     """
     x, y = fs
     if y == 0.0:
@@ -270,13 +258,16 @@ def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[flo
     w_d = 0.5 * (x * y + 2.0 * c2 * log_xy)
     m_b, n_b, m_d, n_d, c_b, c_d = _z_coefficients(a * a, b2, c2, gamma2, d2)
     if gamma2 >= 0.0:
-        pieces = _real_branch_pieces(a, b, gamma2, d2, y / x)
-        z_b = _z_real(m_b, n_b, *pieces)
-        z_d = _z_real(m_d, n_d, *pieces)
+        d_g, g_bar, s_bar, frak_c = _real_branch_pieces(a, b, gamma2, d2, y / x)
+        one_s = 1.0 - s_bar
+        z_b = ((m_b + n_b * one_s) * d_g - n_b * g_bar) / frak_c
+        z_d = ((m_d + n_d * one_s) * d_g - n_d * g_bar) / frak_c
     else:
-        pieces = _complex_branch_pieces(a, b, gamma2, d2, y / x)
-        z_b = _z_complex(m_b, n_b, *pieces)
-        z_d = _z_complex(m_d, n_d, *pieces)
+        lg, at, t_r, m2, frak_c = _complex_branch_pieces(a, b, gamma2, d2, y / x)
+        one_m2 = 1.0 - m2
+        den = 8.0 * frak_c * t_r
+        z_b = (((m_b + n_b) / m2 + n_b) * lg + (m_b + n_b * one_m2) / m2 * at) / den
+        z_d = (((m_d + n_d) / m2 + n_d) * lg + (m_d + n_d * one_m2) / m2 * at) / den
     pref = -ms.e2 / (4.0 * math.pi**2 * c2)
     return pref * (u_b + w_b + c_b * z_b), pref * (u_d + w_d + c_d * z_d)
 

@@ -28,7 +28,7 @@ from .kinematics import (
     derive_point,
     zero_t_subregion,
 )
-from .medium_finite_t import ResponseScalars, _parts
+from .medium_finite_t import ResponseScalars, _parts, _scalars
 from .medium_zero_t import SubregionBoundaryError, _im_parts, _re_parts
 from .numerics import find_root_bracketed, integrate_adaptive, iter_sign_changes
 from .occupation import MediumState, n_fermi, x_cutoff
@@ -73,6 +73,14 @@ def scalars_at(
     Returns the point, its region, its T = 0 subregion (None at t > 0)
     and the scalars: closed forms at t = 0, one quadrature pass else.
     """
+    p, region, sub, s = _evaluate(a, b, ms, include_vacuum)
+    return p, region, sub, ResponseScalars(*s)
+
+
+def _evaluate(
+    a: float, b: float, ms: MediumState, include_vacuum: bool
+) -> tuple[KinematicPoint, RegionLabel, SubregionLabel | None, tuple[complex, ...]]:
+    """scalars_at with the scalars (B, D, A, C) as a plain tuple."""
     p = derive_point(a, b)
     if not abs(p.c2) < _MAX_ABS_C2:
         raise InvalidPointError(
@@ -88,11 +96,11 @@ def scalars_at(
     else:
         sub = None
         parts = _parts(p, ms, region)
-    return p, region, sub, ResponseScalars.from_parts(p, ms, parts, include_vacuum)
+    return p, region, sub, _scalars(p, ms, parts, include_vacuum)
 
 
 def assemble(s: ResponseScalars, p: KinematicPoint) -> ResponseTensors:
-    """Combine the scalars into the permittivity tensors at p.
+    """Combine the scalars (B, D, A, C), any 4-sequence, into the tensors at p.
 
     The longitudinal/transverse combinations are cross-checked against
     their two independent compositions; disagreement beyond 1e-12
@@ -114,15 +122,13 @@ def assemble(s: ResponseScalars, p: KinematicPoint) -> ResponseTensors:
     sigma = (a * b / c2) * s_c - a_b * s_b
 
     eps_l = 1.0 + s_c - c2_b2 * s_b
+    summed = eps + eps_prime
+    if abs(eps_l - summed) > _DUAL_PATH_TOL * max(1.0, abs(eps_l)):
+        raise InternalConsistencyError(f"eps_L composition mismatch: {eps_l!r} vs {summed!r}")
     nu_l = 1.0 + 2.0 * s_c + 2.0 * s_d + c2_b2 * s_b
-    for direct, summed, name in (
-        (eps_l, eps + eps_prime, "eps_L"),
-        (nu_l, nu + nu_prime, "nu_L"),
-    ):
-        if abs(direct - summed) > _DUAL_PATH_TOL * max(1.0, abs(direct)):
-            raise InternalConsistencyError(
-                f"{name} composition mismatch: {direct!r} vs {summed!r}"
-            )
+    summed = nu + nu_prime
+    if abs(nu_l - summed) > _DUAL_PATH_TOL * max(1.0, abs(nu_l)):
+        raise InternalConsistencyError(f"nu_L composition mismatch: {nu_l!r} vs {summed!r}")
     return ResponseTensors(eps, nu, eps_prime, nu_prime, tau, sigma, eps_l, nu_l)
 
 
@@ -130,7 +136,7 @@ def tensors_at(
     a: float, b: float, ms: MediumState, include_vacuum: bool = True
 ) -> tuple[KinematicPoint, RegionLabel, SubregionLabel | None, ResponseTensors]:
     """Full evaluation at (a, b): point, region, T=0 subregion, tensors."""
-    p, region, sub, s = scalars_at(a, b, ms, include_vacuum=include_vacuum)
+    p, region, sub, s = _evaluate(a, b, ms, include_vacuum)
     return p, region, sub, assemble(s, p)
 
 
@@ -420,30 +426,14 @@ def evaluate_cell(
     try:
         _, region, sub, tens = tensors_at(a, b, ms, include_vacuum=include_vacuum)
     except ValueError as exc:
-        return GridCell(
-            a=a,
-            b=b,
-            region="",
-            subregion="",
-            re_eps_L=math.nan,
-            im_eps_L=math.nan,
-            re_nu_L=math.nan,
-            im_nu_L=math.nan,
-            metamaterial=False,
-            reason=str(exc),
-        )
-    meta = tens.eps_L.real < 0.0 and tens.nu_L.real < 0.0
+        return GridCell(a, b, "", "", math.nan, math.nan, math.nan, math.nan, False, str(exc))
+    # positional: keyword construction of a NamedTuple costs twice as much
+    eps_l = tens.eps_L
+    nu_l = tens.nu_L
+    meta = eps_l.real < 0.0 and nu_l.real < 0.0
+    subregion = sub.label if sub is not None else ""
     return GridCell(
-        a=a,
-        b=b,
-        region=region.value,
-        subregion=sub.label if sub is not None else "",
-        re_eps_L=tens.eps_L.real,
-        im_eps_L=tens.eps_L.imag,
-        re_nu_L=tens.nu_L.real,
-        im_nu_L=tens.nu_L.imag,
-        metamaterial=meta,
-        reason="",
+        a, b, region.value, subregion, eps_l.real, eps_l.imag, nu_l.real, nu_l.imag, meta, ""
     )
 
 

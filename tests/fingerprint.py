@@ -43,7 +43,9 @@ from pathlib import Path
 # and the light-cone pole); points with |c2| >= 2**50, refused; both
 # branches over a descending b grid, where each search starts above the
 # next b's root; both branches at xF = 2, whose roots lie near a = 90 b,
-# above a gate of 32 and below one set by the Fermi velocity
+# above a gate of 32 and below one set by the Fermi velocity; every
+# scalar and tensor of two points where the vacuum term is its series
+# (|c2| <= 0.05), one in region II (json) and one in subregion B (csv)
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -84,6 +86,8 @@ CLI_COMMANDS = [
     ["scan", "--a-range", "1e150", "1e151", "2", "--b-range", "1e100", "1e100", "1", "--xf", "1.2"],
     ["dispersion", "--mode", "both", "--b-range", "4e-3", "1e-3", "3", "--xf", "1.2"],
     ["dispersion", "--mode", "both", "--b-range", "5e-4", "2e-3", "3", "--log-b", "--xf", "2"],
+    ["response", "--a", "0.02", "--b", "0.001", "--xf", "1.2"],
+    ["response", "--a", "0.3", "--b", "0.32", "--xf", "3", "--format", "csv"],
 ]
 
 

@@ -111,6 +111,53 @@ def test_scalars_at_dispatch():
         assert got == scalars_zero_t(p, ms)
 
 
+def test_public_records_agree_with_the_private_path():
+    # scalars_at, tensors_at and evaluate_cell share one evaluation of
+    # plain tuples; the records they return carry its bits, and
+    # from_parts rebuilds them from the four parts
+    from relegas import GridCell, ResponseScalars, ResponseTensors, RegionLabel
+
+    rng = random.Random(2424)
+    regions = {"I": RegionLabel.I, "II": RegionLabel.II, "III": RegionLabel.III}
+    n_checked = 0
+    for t, per_region in ((0.0, 30), (0.05, 2)):
+        for name, region in regions.items():
+            for _ in range(per_region):
+                ms = MediumState(t=t, xi=rng.uniform(1.0, 3.0))
+                b = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+                # c2 = a**2 - b**2 below 0, in (0, 1), or above 1
+                c2 = {"I": -rng.uniform(1e-3, 1.0) * b * b,
+                      "II": rng.uniform(1e-3, 0.999),
+                      "III": rng.uniform(1.001, 4.0)}[name]
+                a = math.sqrt(b * b + c2)
+                for vac in (True, False):
+                    try:
+                        p, reg, sub, s = scalars_at(a, b, ms, include_vacuum=vac)
+                    except SubregionBoundaryError:
+                        continue
+                    assert reg is region
+                    _, _, sub_t, tens = tensors_at(a, b, ms, include_vacuum=vac)
+                    assert type(s) is ResponseScalars and type(tens) is ResponseTensors
+                    assert repr(sub_t) == repr(sub)
+                    assert repr(assemble(s, p)) == repr(tens)
+                    parts = (s.B.real, s.D.real, s.B.imag, s.D.imag)
+                    assert repr(ResponseScalars.from_parts(p, ms, parts, vac)) == repr(s)
+                    cell = evaluate_cell(a, b, ms, include_vacuum=vac)
+                    assert type(cell) is GridCell
+                    assert (cell.re_eps_L, cell.im_eps_L) == (tens.eps_L.real, tens.eps_L.imag)
+                    assert (cell.re_nu_L, cell.im_nu_L) == (tens.nu_L.real, tens.nu_L.imag)
+                    assert cell.region == name and cell.reason == ""
+                    assert cell.subregion == ("" if sub is None else sub.label)
+                    assert cell.metamaterial == (tens.eps_L.real < 0.0 and tens.nu_L.real < 0.0)
+                    if t > 0.0:
+                        assert sub is None
+                    elif region is RegionLabel.II:
+                        assert sub.label == "NONE"
+                        assert math.isnan(sub.x_lower) and math.isnan(sub.x_upper)
+                    n_checked += 1
+    assert n_checked >= 180
+
+
 def test_one_classification_per_point(monkeypatch):
     # a t = 0 point classifies its region, builds its subregion and the
     # Fermi-surface logs once, and never calls the public r1 and r2
@@ -351,18 +398,36 @@ def _band(grid, b, gate):
     ]
 
 
-def _assert_gap_rises(component, t, n_draws, n_scan):
-    # the premise of the band search: Im = 0 and Re strictly increasing
-    # on every grid point the gate of dispersion admits, over the draws
-    # of seed 1901
+# (xF, b0) whose t = 0 rise breaks just above the gate on the 160-step
+# grid, at b = b0: Re eps_L at 3.90 gates on the first, Re nu_L at 4.85
+# on the second.  The seeded draws span b0 over 12 e-folds and seldom
+# put the band's top there, so they pass with the gate raised 4.5 times.
+_NEAR_GATE_DRAWS = (
+    (1.0011170495753678, 2.7861704619474233e-06),
+    (1.0016110986012516, 1.113151328303638e-06),
+)
+
+
+def _rise_draws(t, n_draws):
+    # (xF, b0): the draws of seed 1901, then at t = 0 the stored ones
     rng = random.Random(1901)
-    n_points = 0
     for _ in range(n_draws):
         xF = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(3.0)))
         a_e = plasma_frequency_estimate(MediumState(t=0.0, xi=xF))
+        yield xF, a_e * math.exp(rng.uniform(math.log(1e-5), math.log(2.0)))
+    if t == 0.0:
+        yield from _NEAR_GATE_DRAWS
+
+
+def _assert_gap_rises(component, t, n_draws, n_scan):
+    # the premise of the band search: Im = 0 and Re strictly increasing
+    # on every grid point the gate of dispersion admits, over the draws
+    # of _rise_draws
+    n_points = 0
+    for xF, b0 in _rise_draws(t, n_draws):
+        a_e = plasma_frequency_estimate(MediumState(t=0.0, xi=xF))
         ms = MediumState(t=t, xi=xF)
         gate = responses._band_gate(ms)
-        b0 = a_e * math.exp(rng.uniform(math.log(1e-5), math.log(2.0)))
         step = 3.75 * a_e / n_scan
         grid = [0.25 * a_e + i * step for i in range(n_scan + 1)]
         for b in (b0, 2.0 * b0, 4.0 * b0):
