@@ -198,27 +198,12 @@ def _cmd_response(args: argparse.Namespace) -> str:
         "region": region.value,
         "subregion": sub.label if sub is not None else None,
         "scalars": {
-            "ReB": s.B.real,
-            "ImB": s.B.imag,
-            "ReD": s.D.real,
-            "ImD": s.D.imag,
-            "ReA": s.A.real,
-            "ImA": s.A.imag,
-            "ReC": s.C.real,
-            "ImC": s.C.imag,
+            key: part
+            for name, val in zip(s._fields, s)
+            for key, part in ((f"Re{name}", val.real), (f"Im{name}", val.imag))
         },
         "tensors": {
-            name: {"re": val.real, "im": val.imag}
-            for name, val in (
-                ("eps", tens.eps),
-                ("nu", tens.nu),
-                ("eps_prime", tens.eps_prime),
-                ("nu_prime", tens.nu_prime),
-                ("tau", tens.tau),
-                ("sigma", tens.sigma),
-                ("eps_L", tens.eps_L),
-                ("nu_L", tens.nu_L),
-            )
+            name: {"re": val.real, "im": val.imag} for name, val in zip(tens._fields, tens)
         },
     }
     if args.fmt == "json":

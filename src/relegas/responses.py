@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from contextlib import closing
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .kinematics import (
     _MAX_ABS_C2,
@@ -30,7 +29,7 @@ from .kinematics import (
 )
 from .medium_finite_t import ResponseScalars, _parts, _scalars
 from .medium_zero_t import SubregionBoundaryError, _im_parts, _re_parts
-from .numerics import find_root_bracketed, integrate_adaptive, iter_sign_changes
+from .numerics import Bracket, _warn_skipped, find_root_bracketed, integrate_adaptive
 from .occupation import MediumState, n_fermi, x_cutoff
 
 _DUAL_PATH_TOL = 1e-12
@@ -259,7 +258,7 @@ def dispersion(
                 return math.nan
             return tens.eps_L.real if longitudinal else tens.nu_L.real + 1.0
 
-        root = _first_zero(gap, _band_walk(gap, grid, b, gate, start))
+        root = _first_zero(gap, grid, b, gate, start)
         if root is None:
             continue
         start = root
@@ -270,38 +269,21 @@ def dispersion(
     return DispersionBranch(mode=mode, samples=tuple(samples), plasma_frequency=plasma)
 
 
-def _first_zero(g: Callable[[float], float], grid: Iterable[float]) -> float | None:
-    """Smallest accepted zero of g on grid, or None.
-
-    The brackets arrive in increasing a and do not overlap, so the first
-    one whose Brent root is positive and passes the pole filter holds the
-    smallest accepted root: the scan stops there, and the grid points
-    above that bracket are never visited.
-    """
-    with closing(iter_sign_changes(g, grid)) as brackets:
-        for br in brackets:
-            root = find_root_bracketed(g, br)
-            if root <= 0.0:
-                continue
-            # a sign change across the light cone is a pole, not a zero:
-            # there the refined point has a larger residual than the
-            # bracket edges (or none at all)
-            g_root = g(root)
-            g_edges = min(abs(g(br.lo)), abs(g(br.hi)))
-            if math.isnan(g_root) or abs(g_root) >= g_edges:
-                continue
-            return root
-    return None
-
-
-def _band_walk(
+def _first_zero(
     g: Callable[[float], float],
     grid: Sequence[float],
     b: float,
     gate: float,
-    start: float | None = None,
-) -> Iterator[float]:
-    """The points of grid that the dispersion scan visits, in order.
+    start: float,
+) -> float | None:
+    """Smallest accepted zero of g on grid, or None.
+
+    The scan walks grid upwards and refines each strict sign change
+    between two consecutive defined points with Brent's method.  The
+    brackets arrive in increasing a and do not overlap, so the first one
+    whose root is positive and passes the pole filter holds the smallest
+    accepted root: the scan stops there, and the grid points above that
+    bracket are never visited.  A warning counts the NaN points visited.
 
     The band is the run of grid points in region II, off the light-cone
     and pair-threshold cuts, with a <= gate * b (_band_gate: above it the
@@ -309,14 +291,16 @@ def _band_walk(
     Im nu_L are 0, and the gap g (Re eps_L, or Re nu_L + 1) rises with a:
     for eps_L by Kramers-Kronig with Im eps_L >= 0, for nu_L as measured
     and pinned on every band point of the test draws.  So g changes sign
-    at most once there, from - to +.  The walk visits every point up to
+    at most once there, from - to +.  The scan visits every point up to
     the band's first, lo.  If g < 0 there, it resumes at the last band
     point known to be negative (_band_resume, started at the grid
     interval of start: a_e for the first b, then the previous b's root)
     and goes on linearly from there; otherwise it goes on from lo.  The
     points it skips lie between two negative ones, so the sign changes it
-    meets, and their brackets, are those of the full grid.  g is cached
-    by the caller, so a resumed point costs nothing twice.
+    meets, and their brackets, are those of the full grid.  g is memoised
+    by dispersion, so the band points _band_resume probed, and the
+    bracket edges and root that Brent and the pole filter read again, are
+    evaluated once.
     """
     b2 = b * b
     lo = bisect_left(grid, True, key=lambda a: a * a - b2 >= LIGHT_CONE_CUT)
@@ -326,12 +310,32 @@ def _band_walk(
         lo=lo,
         key=lambda a: a > gate * b or a * a - b2 - 1.0 >= -PAIR_THRESHOLD_CUT,
     )
-    yield from grid[: lo + 1]
-    resume = lo
-    if end > lo and g(grid[lo]) < 0.0:
-        first = None if start is None else bisect_left(grid, start) - 1
-        resume = _band_resume(g, grid, lo, end - 1, first)
-    yield from grid[max(resume, lo + 1) :]
+    n_bad = 0
+    # NaN compares false: no bracket before the first defined point
+    prev_a = prev_g = math.nan
+    root = None
+    i = 0
+    while i < len(grid):
+        a = grid[i]
+        val = g(a)
+        if math.isnan(val):
+            n_bad += 1
+        else:
+            if prev_g < 0.0 < val or val < 0.0 < prev_g:
+                root = find_root_bracketed(g, Bracket(prev_a, a))
+                # a sign change across the light cone is a pole, not a
+                # zero: there the refined point has a larger residual
+                # than the bracket edges (or none at all)
+                if root > 0.0 and abs(g(root)) < min(abs(prev_g), abs(val)):
+                    break
+                root = None
+            prev_a, prev_g = a, val
+        if i == lo and end > lo and val < 0.0:
+            i = max(_band_resume(g, grid, lo, end - 1, bisect_left(grid, start) - 1), lo + 1)
+        else:
+            i += 1
+    _warn_skipped(n_bad)
+    return root
 
 
 def _band_resume(

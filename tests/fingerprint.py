@@ -45,7 +45,9 @@ from pathlib import Path
 # next b's root; both branches at xF = 2, whose roots lie near a = 90 b,
 # above a gate of 32 and below one set by the Fermi velocity; every
 # scalar and tensor of two points where the vacuum term is its series
-# (|c2| <= 0.05), one in region II (json) and one in subregion B (csv)
+# (|c2| <= 0.05), one in region II (json) and one in subregion B (csv);
+# both warm branches over a descending b grid, where each later
+# transverse search starts above the next b's root and gallops downwards
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -88,6 +90,8 @@ CLI_COMMANDS = [
     ["dispersion", "--mode", "both", "--b-range", "5e-4", "2e-3", "3", "--log-b", "--xf", "2"],
     ["response", "--a", "0.02", "--b", "0.001", "--xf", "1.2"],
     ["response", "--a", "0.3", "--b", "0.32", "--xf", "3", "--format", "csv"],
+    ["dispersion", "--mode", "both", "--b-range", "4e-3", "1e-3", "3", "--t", "0.05",
+     "--xi", "1.2", "--a-range", "0.003", "0.06"],
 ]
 
 

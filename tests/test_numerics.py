@@ -10,7 +10,8 @@ from relegas import (
     integrate_adaptive,
     scan_sign_changes,
 )
-from relegas.numerics import PANEL_BUDGET, iter_sign_changes
+from relegas.numerics import PANEL_BUDGET
+from relegas.responses import _first_zero
 from conftest import per_node
 
 
@@ -129,19 +130,23 @@ def test_scan_finds_sine_roots():
 
 
 def test_scan_skips_undefined_points():
-    def g(x: float) -> float:
-        return math.nan if 0.9 < x < 1.1 else x - 0.5
+    for undefined in (math.nan, None):
 
-    grid = [0.2 * k for k in range(10)]
-    with pytest.warns(UserWarning, match="skipped"):
-        brackets = scan_sign_changes(g, grid)
-    assert len(brackets) == 1
-    assert brackets[0].lo < 0.5 < brackets[0].hi
+        def g(x: float) -> float:
+            return undefined if 0.9 < x < 1.1 else x - 0.5
+
+        grid = [0.2 * k for k in range(10)]
+        with pytest.warns(UserWarning, match="skipped 1 grid points"):
+            brackets = scan_sign_changes(g, grid)
+        assert len(brackets) == 1
+        assert brackets[0].lo < 0.5 < brackets[0].hi
 
 
 def test_lazy_scan_stops_at_first_bracket():
-    # closing early evaluates nothing past the bracket and warns about
-    # the undefined points visited so far (0.0 and 0.2), not the later one
+    # b = 10 puts the whole grid below the light cone, so there is no
+    # band to search: the scan stops at the first accepted root, evaluates
+    # nothing past its bracket, and warns about the undefined points
+    # visited so far (0.0 and 0.2), not the later one
     seen = []
 
     def g(x: float) -> float:
@@ -149,12 +154,14 @@ def test_lazy_scan_stops_at_first_bracket():
         return math.nan if x in (0.0, 0.2, 1.4) else math.sin(8.0 * x)
 
     grid = [0.2 * k for k in range(10)]
-    scan = iter_sign_changes(g, grid)
-    br = next(scan)
-    assert br.lo < math.pi / 4.0 < br.hi
-    assert seen == grid[: grid.index(br.hi) + 1]
     with pytest.warns(UserWarning, match="skipped 2 grid points"):
-        scan.close()
+        root = _first_zero(g, grid, 10.0, 32.0, 0.0)
+    assert abs(root - math.pi / 4.0) < 1e-12
+    hi = grid[4]
+    assert grid[3] < root < hi
+    # the grid up to the bracket, then Brent inside it
+    assert seen[:5] == grid[:5]
+    assert max(seen) == hi
 
 
 def test_scan_requires_strict_sign_change():

@@ -21,12 +21,7 @@ from relegas import (
 )
 from relegas import medium_finite_t, responses
 from relegas.kinematics import LIGHT_CONE_CUT, PAIR_THRESHOLD_CUT
-from relegas.numerics import (
-    PANEL_BUDGET,
-    find_root_bracketed,
-    iter_sign_changes,
-    scan_sign_changes,
-)
+from relegas.numerics import PANEL_BUDGET, find_root_bracketed, scan_sign_changes
 from relegas.responses import _extrapolate_to_zero_b, evaluate_cell
 from conftest import draw_valid_point, rel_err
 
@@ -548,7 +543,8 @@ def test_band_resume_finds_the_same_index_from_any_start():
 def test_band_resume_stops_at_an_undefined_or_zero_probe(bad_value):
     # b = 0.1 puts the band of this grid between the light cone and the
     # pair threshold; wherever the bad point and the sign change lie, and
-    # from any start, the walk meets the brackets of the full grid
+    # from any start, the scan finds the root that refining the full
+    # grid's brackets gives
     b = 0.1
     grid = [0.05 * i for i in range(48)]
     index = {a: i for i, a in enumerate(grid)}
@@ -558,13 +554,23 @@ def test_band_resume_stops_at_an_undefined_or_zero_probe(bad_value):
     for cross in range(lo, len(grid)):
         for bad in range(lo + 1, hi + 1):
             values = _synthetic_gap(len(grid), cross, bad, bad_value)
-            want = list(iter_sign_changes(lambda a: values[index[a]], grid))
+            probed = []
+
+            def g(a):
+                k = index.get(a)
+                probed.append(k)
+                # off the grid, the line through the points' unspoilt
+                # values, so that Brent can run
+                return values[k] if k is not None else a / 0.05 - cross - 0.5
+
+            want = None
+            for br in scan_sign_changes(g, grid):
+                root = find_root_bracketed(g, br)
+                if root > 0.0 and abs(g(root)) < min(abs(g(br.lo)), abs(g(br.hi))):
+                    want = root
+                    break
             for start in [None, *range(lo - 2, hi + 3)]:
                 probed = []
-
-                def g(a):
-                    probed.append(index[a])
-                    return values[index[a]]
 
                 j = responses._band_resume(g, grid, lo, hi, start)
                 assert lo <= j <= hi and values[j] < 0.0, (cross, bad, start, j)
@@ -574,13 +580,14 @@ def test_band_resume_stops_at_an_undefined_or_zero_probe(bad_value):
                     assert j == max(k for k in [lo, *probed] if values[k] < 0.0)
                 else:
                     assert j == hi or values[j + 1] > 0.0
-                root = None if start is None else grid[start] + 0.01
+                # a start below the grid gallops from lo, as start=None does
+                root = -1.0 if start is None else grid[start] + 0.01
                 probed = []
-                walk = responses._band_walk(g, grid, b, responses._BAND_GATE, root)
-                assert list(iter_sign_changes(g, walk)) == want, (cross, bad, start)
+                got = responses._first_zero(g, grid, b, responses._BAND_GATE, root)
+                assert got == want, (cross, bad, start)
                 if start is not None and lo < start <= hi:
-                    # the prefix up to lo, lo again, then the previous root's interval
-                    assert probed[lo + 2] == start
+                    # the prefix up to lo, then the previous root's interval
+                    assert probed[lo + 1] == start
 
 
 def test_dispersion_scan_stops_at_first_accepted_root():
