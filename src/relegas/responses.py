@@ -186,10 +186,10 @@ class RootSample(NamedTuple):
 class DispersionBranch(NamedTuple):
     """Plasmon branch over a b grid with its b -> 0 extrapolation.
 
-    samples holds the smallest positive root found for each b (b values
-    with no root are simply absent); plasma_frequency is the quadratic-
-    in-b**2 extrapolation of root_a through the three smallest sampled b
-    (nan when fewer than three roots exist).
+    samples holds the smallest timelike root (root_a > b) found for each
+    b (b values with no root are simply absent); plasma_frequency is the
+    quadratic-in-b**2 extrapolation of root_a through the three smallest
+    sampled b (nan when fewer than three roots exist).
     """
 
     mode: str
@@ -207,12 +207,12 @@ def dispersion(
 ) -> DispersionBranch:
     """Trace a plasmon branch over b_grid.
 
-    For each b the mode condition is scanned upwards over the n_scan + 1
-    points of a_search_range, and each sign change is refined by Brent's
-    method as the scan reaches it.  The scan stops at the first root that
-    is positive and not a light-cone pole: that is the smallest accepted
-    root.  Kinematically invalid scan points (light cone, pair threshold,
-    subregion boundaries) are skipped as NaN.
+    Each b must be finite and positive.  For each b the mode condition is
+    scanned upwards over the points of the n_scan + 1 point grid of
+    a_search_range above the light-cone cut (a plasmon is timelike), and
+    each sign change is refined by Brent's method as the scan reaches it.
+    The scan stops at the first root, the smallest timelike one.  Invalid
+    points (pair threshold, subregion boundaries) are skipped as NaN.
 
     Both modes skip grid points of the transparent band (region II below
     a = gate * b), where Re eps_L and Re nu_L both rise with a and so
@@ -232,6 +232,9 @@ def dispersion(
     a_lo, a_hi = a_search_range
     if not (0.0 <= a_lo < a_hi < math.inf):
         raise ValueError(f"bad search range ({a_lo}, {a_hi}): need 0 <= lo < hi, both finite")
+    for b in b_grid:
+        if not 0.0 < b < math.inf:
+            raise ValueError(f"b = {b!r} must be finite and positive")
     longitudinal = mode == "longitudinal"
     step = (a_hi - a_lo) / n_scan
     grid = [a_lo + i * step for i in range(n_scan + 1)]
@@ -239,8 +242,8 @@ def dispersion(
     gate = _band_gate(ms)
     start = plasma_frequency_estimate(ms)
     for b in b_grid:
-        # tensors per abscissa: Brent's bracket edges and the pole filter
-        # revisit points the scan (or Brent) has already evaluated
+        # tensors per abscissa: Brent's bracket edges and the root's own
+        # tensors revisit points the scan (or Brent) has already evaluated
         cache: dict[float, ResponseTensors | None] = {}
 
         def tens_at(a: float) -> ResponseTensors | None:
@@ -276,14 +279,16 @@ def _first_zero(
     gate: float,
     start: float,
 ) -> float | None:
-    """Smallest accepted zero of g on grid, or None.
+    """Smallest timelike zero of g on grid, or None.
 
-    The scan walks grid upwards and refines each strict sign change
-    between two consecutive defined points with Brent's method.  The
-    brackets arrive in increasing a and do not overlap, so the first one
-    whose root is positive and passes the pole filter holds the smallest
-    accepted root: the scan stops there, and the grid points above that
-    bracket are never visited.  A warning counts the NaN points visited.
+    The walk starts at lo, the first grid point above the light-cone cut
+    (a > b > 0), and refines each strict sign change between two
+    consecutive defined points with Brent's method; no bracket spans the
+    light cone and its pole.  The brackets arrive in increasing a, so the
+    first root whose gap is defined is the smallest: the walk stops there
+    and never visits the grid above it.  A root whose gap is NaN (Brent
+    met a point that raised) is skipped like an undefined grid point; a
+    warning counts the NaN points visited.
 
     The band is the run of grid points in region II, off the light-cone
     and pair-threshold cuts, with a <= gate * b (_band_gate: above it the
@@ -291,15 +296,14 @@ def _first_zero(
     Im nu_L are 0, and the gap g (Re eps_L, or Re nu_L + 1) rises with a:
     for eps_L by Kramers-Kronig with Im eps_L >= 0, for nu_L as measured
     and pinned on every band point of the test draws.  So g changes sign
-    at most once there, from - to +.  The scan visits every point up to
-    the band's first, lo.  If g < 0 there, it resumes at the last band
-    point known to be negative (_band_resume, started at the grid
-    interval of start: a_e for the first b, then the previous b's root)
-    and goes on linearly from there; otherwise it goes on from lo.  The
-    points it skips lie between two negative ones, so the sign changes it
-    meets, and their brackets, are those of the full grid.  g is memoised
-    by dispersion, so the band points _band_resume probed, and the
-    bracket edges and root that Brent and the pole filter read again, are
+    at most once there, from - to +.  If g < 0 at lo, the walk's first
+    step goes to the last band point known to be negative (_band_resume,
+    started at the grid interval of start: a_e for the first b, then the
+    previous b's root), and it goes on linearly from there.  The points
+    it skips lie between two negative ones, so the sign changes it meets,
+    and their brackets, are those of the full timelike grid.  g is
+    memoised by dispersion, so the band points _band_resume probed, and
+    the bracket edges and root that Brent and dispersion read again, are
     evaluated once.
     """
     b2 = b * b
@@ -310,30 +314,24 @@ def _first_zero(
         lo=lo,
         key=lambda a: a > gate * b or a * a - b2 - 1.0 >= -PAIR_THRESHOLD_CUT,
     )
+    i = lo
+    if end > lo and g(grid[lo]) < 0.0:
+        i = _band_resume(g, grid, lo, end - 1, bisect_left(grid, start) - 1)
     n_bad = 0
     # NaN compares false: no bracket before the first defined point
     prev_a = prev_g = math.nan
     root = None
-    i = 0
-    while i < len(grid):
-        a = grid[i]
+    for a in grid[i:]:
         val = g(a)
         if math.isnan(val):
             n_bad += 1
-        else:
-            if prev_g < 0.0 < val or val < 0.0 < prev_g:
-                root = find_root_bracketed(g, Bracket(prev_a, a))
-                # a sign change across the light cone is a pole, not a
-                # zero: there the refined point has a larger residual
-                # than the bracket edges (or none at all)
-                if root > 0.0 and abs(g(root)) < min(abs(prev_g), abs(val)):
-                    break
-                root = None
-            prev_a, prev_g = a, val
-        if i == lo and end > lo and val < 0.0:
-            i = max(_band_resume(g, grid, lo, end - 1, bisect_left(grid, start) - 1), lo + 1)
-        else:
-            i += 1
+            continue
+        if prev_g < 0.0 < val or val < 0.0 < prev_g:
+            root = find_root_bracketed(g, Bracket(prev_a, a))
+            if not math.isnan(g(root)):
+                break
+            root = None
+        prev_a, prev_g = a, val
     _warn_skipped(n_bad)
     return root
 

@@ -375,3 +375,27 @@ def test_criterion_10_passivity():
         floor = min(floor, im_eps_l)
         n += 1
     assert floor >= -1e-12
+
+
+@pytest.mark.parametrize(
+    "t, xi, b_over_a_e, n_steps",
+    [(0.0, xF, f, 1000) for xF in (1.2, 3.0) for f in (0.05, 0.2, 0.5, 0.9)]
+    + [(t, xi, f, 200) for t, xi in ((0.05, 1.2), (1.0, 0.0), (0.2, -1.1)) for f in (0.2, 0.9)],
+)
+def test_criterion_13_metamaterial_band_ends_at_the_plasmon(t, xi, b_over_a_e, n_steps):
+    # the paper's threshold claim: the collective mode bounds the
+    # metamaterial regime.  Over the timelike part of (a_e/4, 4 a_e),
+    # the largest cell with Re eps_L < 0 and Re nu_L < 0 lies within one
+    # scan step below the longitudinal plasmon, at t = 0 and t > 0
+    # (xi < 0 included).  A branch that kept a spacelike root put it
+    # 25-177 steps below the band's top, in 6 of these 14 cases.
+    ms = MediumState(t=t, xi=xi)
+    a_e = plasma_frequency_estimate(ms)
+    b = b_over_a_e * a_e
+    lo, hi = 0.25 * a_e, 4.0 * a_e
+    step = (hi - lo) / n_steps
+    a_grid = [a for a in (lo + i * step for i in range(n_steps + 1)) if a > b]
+    top = max(c.a for c in metamaterial_scan(a_grid, [b], ms) if c.metamaterial)
+    (sample,) = dispersion("longitudinal", [b], ms, (lo, hi)).samples
+    assert sample.root_a > b and sample.im_at_root == 0.0
+    assert sample.root_a - step <= top < sample.root_a

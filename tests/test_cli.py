@@ -302,8 +302,10 @@ def test_non_finite_grid_size_exits_2(capsys, argv):
          "--pf", "nan"],
         ["dispersion", "--b-range", "1e-3", "4e-3", "3", "--xf", "1.2", "--a-range", "0.003",
          "inf"],
+        ["dispersion", "--b-range", "0", "2e-3", "3", "--xf", "1.2"],
     ],
-    ids=["scan-nan", "boundaries-inf", "dispersion-inf", "nr-scan-pf-nan", "dispersion-a-inf"],
+    ids=["scan-nan", "boundaries-inf", "dispersion-inf", "nr-scan-pf-nan", "dispersion-a-inf",
+         "dispersion-b-zero"],
 )
 def test_non_finite_range_or_pf_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -372,20 +374,20 @@ def test_dispersion_warm_requires_a_range(capsys):
 
 
 def test_consistency_failure_exits_4_without_traceback(capsys):
-    # Brent's iterate comes within |c2| ~ 1.5e-9 of the light cone, where
-    # the dual-path check of eps_L trips
+    # a region-I cell at a/b < 0.015, where B ~ 2e5 and D ~ 1e5 cancel to
+    # nu_L ~ 1 and the dual-path check of nu_L trips
     code, out, err = run_cli(
         capsys,
         [
-            "dispersion", "--mode", "transverse",
-            "--b-range", "0.0023440953085322224", "0.00937638123412889", "3",
-            "--log-b", "--xf", "1.0756775835320047",
+            "scan", "--a-range", "1e-7", "2e-7", "3",
+            "--b-range", "0.0002577222927035676", "0.0002577222927035676", "1",
+            "--xf", "2.478869771651514",
         ],
     )
     assert code == 4
     assert out == ""
     assert "Traceback" not in err
-    assert err.startswith("error: eps_L composition mismatch")
+    assert err.startswith("error: nu_L composition mismatch")
     assert err.count("\n") == 1
 
 

@@ -143,10 +143,10 @@ def test_scan_skips_undefined_points():
 
 
 def test_lazy_scan_stops_at_first_bracket():
-    # b = 10 puts the whole grid below the light cone, so there is no
-    # band to search: the scan stops at the first accepted root, evaluates
-    # nothing past its bracket, and warns about the undefined points
-    # visited so far (0.0 and 0.2), not the later one
+    # b = 0.1 puts every grid point but 0.0 above the light cone, and a
+    # gate of 1 leaves no band to search: the walk starts at 0.2, stops
+    # at the first root, evaluates nothing past its bracket, and warns
+    # about the undefined points visited so far (0.2), not the later one
     seen = []
 
     def g(x: float) -> float:
@@ -154,13 +154,14 @@ def test_lazy_scan_stops_at_first_bracket():
         return math.nan if x in (0.0, 0.2, 1.4) else math.sin(8.0 * x)
 
     grid = [0.2 * k for k in range(10)]
-    with pytest.warns(UserWarning, match="skipped 2 grid points"):
-        root = _first_zero(g, grid, 10.0, 32.0, 0.0)
+    with pytest.warns(UserWarning, match="skipped 1 grid points"):
+        root = _first_zero(g, grid, 0.1, 1.0, 0.0)
     assert abs(root - math.pi / 4.0) < 1e-12
     hi = grid[4]
     assert grid[3] < root < hi
-    # the grid up to the bracket, then Brent inside it
-    assert seen[:5] == grid[:5]
+    # the timelike grid up to the bracket, then Brent inside it
+    assert seen[:4] == grid[1:5]
+    assert grid[0] not in seen
     assert max(seen) == hi
 
 
