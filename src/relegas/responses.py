@@ -186,10 +186,10 @@ class RootSample(NamedTuple):
 class DispersionBranch(NamedTuple):
     """Plasmon branch over a b grid with its b -> 0 extrapolation.
 
-    samples holds the smallest timelike root (root_a > b) found for each
-    b (b values with no root are simply absent); plasma_frequency is the
-    quadratic-in-b**2 extrapolation of root_a through the three smallest
-    sampled b (nan when fewer than three roots exist).
+    samples holds the smallest accepted timelike root (root_a > b) for
+    each b (b values with no root are simply absent); plasma_frequency
+    is the quadratic-in-b**2 extrapolation of root_a through the three
+    smallest sampled b (nan when fewer than three roots exist).
     """
 
     mode: str
@@ -211,7 +211,7 @@ def dispersion(
     scanned upwards over the points of the n_scan + 1 point grid of
     a_search_range above the light-cone cut (a plasmon is timelike), and
     each sign change is refined by Brent's method as the scan reaches it.
-    The scan stops at the first root, the smallest timelike one.  Invalid
+    The scan stops at the first accepted root (_first_zero).  Invalid
     points (pair threshold, subregion boundaries) are skipped as NaN.
 
     Both modes skip grid points of the transparent band (region II below
@@ -284,11 +284,11 @@ def _first_zero(
     The walk starts at lo, the first grid point above the light-cone cut
     (a > b > 0), and refines each strict sign change between two
     consecutive defined points with Brent's method; no bracket spans the
-    light cone and its pole.  The brackets arrive in increasing a, so the
-    first root whose gap is defined is the smallest: the walk stops there
-    and never visits the grid above it.  A root whose gap is NaN (Brent
-    met a point that raised) is skipped like an undefined grid point; a
-    warning counts the NaN points visited.
+    light cone and its pole.  A root is accepted when its residual lies
+    below its bracket edges', which a crossing of roundoff noise (t = 0,
+    b << a_e) or a NaN gap (Brent met a point that raised) fails.  The
+    brackets arrive in increasing a, so the walk stops at the first
+    accepted root, the smallest; a warning counts the NaN points visited.
 
     The band is the run of grid points in region II, off the light-cone
     and pair-threshold cuts, with a <= gate * b (_band_gate: above it the
@@ -328,7 +328,7 @@ def _first_zero(
             continue
         if prev_g < 0.0 < val or val < 0.0 < prev_g:
             root = find_root_bracketed(g, Bracket(prev_a, a))
-            if not math.isnan(g(root)):
+            if abs(g(root)) < min(abs(prev_g), abs(val)):
                 break
             root = None
         prev_a, prev_g = a, val
