@@ -8,12 +8,13 @@ by the occupation n_F(x).
 Real parts integrate n_F against smooth kernels built from the two log
 ratios r1 and r2; on the real branch (gamma2 > 0) those logs have
 integrable singularities at the kinematic window edges, which are handed
-to the quadrature engine as breakpoints.  The quadrature evaluates the
-logs in factored form (``_log_kernels``), which loses no digits as
-b -> 0.  Imaginary parts are integrals of polynomial kernels over the
-part of the kinematic window below the occupation cutoff; they vanish
-identically in region II, where no real absorption process exists.  All
-five integrals are one vector-valued quadrature pass over shared nodes.
+to the quadrature engine as breakpoints.  The logs have one formula, the
+factored form of ``_log_kernels``, which loses no digits as b -> 0: the
+quadrature, the public r1 and r2 and the t = 0 closed forms all use it.
+Imaginary parts are integrals of polynomial kernels over the part of the
+kinematic window below the occupation cutoff; they vanish identically in
+region II, where no real absorption process exists.  All five integrals
+are one vector-valued quadrature pass over shared nodes.
 """
 
 from __future__ import annotations
@@ -76,39 +77,20 @@ def r1(x: float, p: KinematicPoint) -> float:
 
     Vanishes at the mass shell x = 1 and decays like 1/x**2 at large x.
     It does not vanish at a = 0: its static limit carries the entire
-    Thomas-Fermi screening response.  The t = 0 closed forms use this
-    squared form at the Fermi surface (medium_zero_t._fermi_logs, which
-    builds the arguments of r1 and r2 once); the quadrature uses the
-    factored _log_kernels, which keep the digits this form loses as
-    b -> 0.
+    Thomas-Fermi screening response.  The first component of
+    _log_kernels, the one formula that the quadrature and the t = 0
+    closed forms (medium_zero_t._fermi_logs) use too.
     """
-    y = math.sqrt(x * x - 1.0)
-    num = (p.c2 - p.b * y) ** 2 - (p.a * x) ** 2
-    den = (p.c2 + p.b * y) ** 2 - (p.a * x) ** 2
-    return _log_ratio(num, den)
+    return _log_kernels(x, p)[0]
 
 
 def r2(x: float, p: KinematicPoint) -> float:
     """Second log kernel, (1/2) log|(c2^2 - (a x - b y)^2)/(c2^2 - (a x + b y)^2)|.
 
-    Odd under a -> -a, hence identically zero at a = 0.
+    Odd under a -> -a, hence identically zero at a = 0.  The second
+    component of _log_kernels.
     """
-    y = math.sqrt(x * x - 1.0)
-    num = p.c2 * p.c2 - (p.a * x - p.b * y) ** 2
-    den = p.c2 * p.c2 - (p.a * x + p.b * y) ** 2
-    return 0.5 * _log_ratio(num, den)
-
-
-def _log_ratio(num: float, den: float) -> float:
-    # the ratio crosses zero/inf at the window edges; quadrature never
-    # lands exactly there, but guard the log anyway
-    anum = abs(num)
-    aden = abs(den)
-    if anum < _TINY:
-        anum = _TINY
-    if aden < _TINY:
-        aden = _TINY
-    return math.log(anum) - math.log(aden)
+    return _log_kernels(x, p)[1]
 
 
 def _log_kernels(x: float, p: KinematicPoint) -> tuple[float, float]:
@@ -123,8 +105,9 @@ def _log_kernels(x: float, p: KinematicPoint) -> tuple[float, float]:
     Below that the ratio is under 1/2 (a factor near its zero, or a sign
     change inside the window) and the kernel is one log of |ratio|,
     floored at _TINY; a denominator that rounds to 0 counts as _TINY.
-    Unlike the squared forms of r1 and r2, nothing cancels as b -> 0, so
-    the kernels keep their relative accuracy where they are O(b).
+    Unlike the squared arguments of the defining ratios, nothing cancels
+    as b -> 0, so the kernels keep their relative accuracy where they are
+    O(b).
     """
     a, b = p.a, p.b
     y = sqrt(x * x - 1.0)

@@ -30,7 +30,7 @@ from .kinematics import (
     classify_region,
     zero_t_subregion,
 )
-from .medium_finite_t import ResponseScalars, _log_ratio
+from .medium_finite_t import ResponseScalars, _log_kernels
 from .occupation import MediumState
 
 _EDGE_TOL = 1e-14
@@ -213,27 +213,33 @@ def _im_parts(p: KinematicPoint, sub: SubregionLabel, ms: MediumState) -> tuple[
     return im_b, im_d
 
 
-def _fermi_logs(a: float, b: float, c2: float, x: float, y: float) -> tuple[float, float]:
-    """(r1, r2) at the Fermi surface x = xF, y = yF from one build of their log arguments.
+def _fermi_logs(p: KinematicPoint, x: float, y: float) -> tuple[float, float]:
+    """(r1, r2) at the Fermi surface x = xF, y = yF, from _log_kernels.
 
-    The arguments and logs are those of r1(xF, p) and r2(xF, p), bit for
-    bit (yF is their sqrt(xF**2 - 1)).  A vanishing argument means a
-    window edge sits exactly on the surface, where the U terms diverge.
+    The guard reads the products L1 L3, L2 L4, L2 L3 and L1 L4 of the
+    four linear factors L1..L4 = a (a -+ x) - b (b +- y): the numerators
+    and denominators of the defining log ratios.  One of them within
+    _EDGE_TOL max(1, (a x)**2, c2**2, (b y)**2) of 0 means a window edge
+    sits on the surface, where the U terms diverge.
     """
+    a, b, c2 = p.a, p.b, p.c2
     ax = a * x
     by = b * y
-    ax_sq = ax**2
-    c2_sq = c2 * c2
-    num1 = (c2 - by) ** 2 - ax_sq
-    den1 = (c2 + by) ** 2 - ax_sq
-    num2 = c2_sq - (ax - by) ** 2
-    den2 = c2_sq - (ax + by) ** 2
-    tol = _EDGE_TOL * max(1.0, ax_sq, c2_sq, by**2)
-    if -tol <= num1 <= tol or -tol <= den1 <= tol or -tol <= num2 <= tol or -tol <= den2 <= tol:
+    am = a * (a - x)
+    ap = a * (a + x)
+    bp = b * (b + y)
+    bm = b * (b - y)
+    l1 = am - bp
+    l2 = am - bm
+    l3 = ap - bp
+    l4 = ap - bm
+    tol = _EDGE_TOL * max(1.0, ax**2, c2 * c2, by**2)
+    n1, d1, n2, d2 = l1 * l3, l2 * l4, l2 * l3, l1 * l4
+    if -tol <= n1 <= tol or -tol <= d1 <= tol or -tol <= n2 <= tol or -tol <= d2 <= tol:
         raise SubregionBoundaryError(
             f"(a, b) = ({a}, {b}) has a window edge on the Fermi surface xF = {x}"
         )
-    return _log_ratio(num1, den1), 0.5 * _log_ratio(num2, den2)
+    return _log_kernels(x, p)
 
 
 def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[float, float]:
@@ -249,7 +255,7 @@ def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[flo
     if y == 0.0:
         return 0.0, 0.0
     a, b, c2, gamma2, d2 = p
-    k1, k2 = _fermi_logs(a, b, c2, x, y)
+    k1, k2 = _fermi_logs(p, x, y)
     b2 = b * b
     u_b = x / (12.0 * b) * ((x * x + 3.0 * c2) * k1 + 6.0 * a * x * k2)
     u_d = x * (1.0 + 2.0 * c2) / (8.0 * b) * k1

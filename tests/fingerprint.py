@@ -47,7 +47,10 @@ from pathlib import Path
 # scalar and tensor of two points where the vacuum term is its series
 # (|c2| <= 0.05), one in region II (json) and one in subregion B (csv);
 # both warm branches over a descending b grid, where each later
-# transverse search starts above the next b's root and gallops downwards
+# transverse search starts above the next b's root and gallops downwards;
+# two t = 0 points whose Fermi-surface logs are O(b): a deep region-II
+# cell, and a small region-I cell whose guard refuses it although its
+# window lies 2e-4 above xF
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -92,6 +95,9 @@ CLI_COMMANDS = [
     ["response", "--a", "0.3", "--b", "0.32", "--xf", "3", "--format", "csv"],
     ["dispersion", "--mode", "both", "--b-range", "4e-3", "1e-3", "3", "--t", "0.05",
      "--xi", "1.2", "--a-range", "0.003", "0.06"],
+    ["response", "--a", "0.986", "--b", "1e-5", "--xf", "1.2"],
+    ["response", "--a", "3.997667802843955e-05", "--b", "0.00011292377170355206",
+     "--xf", "1.069"],
 ]
 
 

@@ -16,11 +16,24 @@ nodes ``(a, b, x)``, from their defining log ratios at 50 and at 70
 digits (the script stops if they disagree beyond 1e-30 relative), with
 c2 = a**2 - b**2 and y = sqrt(x**2 - 1) exact for the double inputs.
 The nodes cover b -> 0 (1e-8, 1e-6, 1e-3), a cell next to the light
-cone, region III at b = 1e-6 next to x = a, and generic points.  It
-needs mpmath; the tests only read the printed values.
+cone, region III at b = 1e-6 next to x = a, and generic points.
+
+    python3 tests/make_finite_t_reference.py --zero-t
+
+prints only the ``ZERO_T_REFERENCE`` entries of ``test_medium_zero_t.py``
+(they close the full output too): Re B and Re D at t = 0, without the
+vacuum term, at the cells ``(a, b, xF)`` of ``zero_t_cells()``.  The
+occupation is the step, 1 on [1, xF] and 0 above, so the real parts are
+the same integrals over the panels of [1, xF] split at the window edges,
+at 30 and 40 digits (the script stops if they disagree beyond 1e-20
+relative).  It needs mpmath; the tests only read the printed values.
 """
 
 from __future__ import annotations
+
+import math
+import random
+import sys
 
 import mpmath as mp
 
@@ -56,6 +69,25 @@ KERNEL_NODES = (
 )
 
 
+def zero_t_cells() -> list[tuple[float, float, float]]:
+    """(a, b, xF) at t = 0 where the closed forms' Fermi-surface logs are
+    O(b): a cell next to the light cone at b = 1e-4, xF = 1.001, then 14
+    seeded cells, alternately in region I (a/b uniform in [0, 0.9]) and
+    region II (a log-uniform in [1.1 b, 1]), with b log-uniform in
+    [1e-4, 6e-3] and xF - 1 log-uniform in [1e-3, 0.1]."""
+    cells = [(1.11e-4, 1e-4, 1.001)]
+    rng = random.Random(2727)
+    for i in range(14):
+        b = 10 ** rng.uniform(-4.0, math.log10(6e-3))
+        xf = 1.0 + 10 ** rng.uniform(-3.0, -1.0)
+        if i % 2 == 0:
+            a = b * rng.uniform(0.0, 0.9)
+        else:
+            a = 10 ** rng.uniform(math.log10(1.1 * b), 0.0)
+        cells.append((a, b, xf))
+    return cells
+
+
 def log_kernels(a: float, b: float, x: float, y_scale=1) -> tuple[mp.mpf, mp.mpf]:
     """(r1, r2) at x from their defining log ratios, at the working precision.
 
@@ -69,6 +101,40 @@ def log_kernels(a: float, b: float, x: float, y_scale=1) -> tuple[mp.mpf, mp.mpf
     return r1, r2
 
 
+def panels(lo, up, cuts):
+    """[lo, up] split at the cuts that lie strictly inside it."""
+    return [lo] + sorted(c for c in set(cuts) if lo < c < up) + [up]
+
+
+def window_edges(a, b, c2) -> list:
+    """The kinematic window's edges, where r1 and r2 have log singularities
+    (none in region II, 0 <= c2 <= 1)."""
+    if 0 <= c2 <= 1:
+        return []
+    g = mp.sqrt(1 - 1 / c2)
+    return [abs(a - b * g), a + b * g]
+
+
+def real_parts(a, b, n_f, real) -> tuple[mp.mpf, mp.mpf]:
+    """(Re B, Re D) with occupation n_f integrated over the panels real."""
+    e2 = 4 * mp.pi * mp.mpf(ALPHA)
+    c2 = a * a - b * b
+
+    def r1(x):
+        y = mp.sqrt(x * x - 1)
+        return mp.log(abs(((c2 - b * y) ** 2 - (a * x) ** 2) / ((c2 + b * y) ** 2 - (a * x) ** 2)))
+
+    def r2(x):
+        y = mp.sqrt(x * x - 1)
+        return mp.log(abs((c2 * c2 - (a * x - b * y) ** 2) / (c2 * c2 - (a * x + b * y) ** 2))) / 2
+
+    big_r = mp.quad(lambda x: n_f(x) * mp.sqrt(x * x - 1), real)
+    r_b = mp.quad(lambda x: n_f(x) * ((x * x + c2) * r1(x) + 4 * a * x * r2(x)), real) / (4 * b)
+    r_d = mp.quad(lambda x: n_f(x) * r1(x), real) * (1 + 2 * c2) / (8 * b)
+    pref = -e2 / (4 * mp.pi**2 * c2)
+    return pref * (big_r + r_b), pref * (big_r + r_d)
+
+
 def scalars(a: float, b: float, t: float, xi: float) -> tuple[mp.mpc, mp.mpc]:
     """(B, D) without the vacuum term, at the working precision."""
     a, b, t, xi = (mp.mpf(v) for v in (a, b, t, xi))
@@ -79,31 +145,12 @@ def scalars(a: float, b: float, t: float, xi: float) -> tuple[mp.mpc, mp.mpc]:
     def n_f(x):
         return 1 / (mp.exp((x - xi) / t) + 1) + 1 / (mp.exp((x + xi) / t) + 1)
 
-    def r1(x):
-        y = mp.sqrt(x * x - 1)
-        return mp.log(abs(((c2 - b * y) ** 2 - (a * x) ** 2) / ((c2 + b * y) ** 2 - (a * x) ** 2)))
-
-    def r2(x):
-        y = mp.sqrt(x * x - 1)
-        return mp.log(abs((c2 * c2 - (a * x - b * y) ** 2) / (c2 * c2 - (a * x + b * y) ** 2))) / 2
-
-    def panels(lo, up, cuts):
-        return [lo] + sorted(c for c in set(cuts) if lo < c < up) + [up]
-
-    absorbing = c2 < 0 or c2 > 1
-    cuts = [xi, hi]
-    if absorbing:
-        g = mp.sqrt(1 - 1 / c2)
-        lower, upper = abs(a - b * g), a + b * g
-        cuts += [lower, upper]
-    real = panels(mp.mpf(1), hi, cuts)
-    big_r = mp.quad(lambda x: n_f(x) * mp.sqrt(x * x - 1), real)
-    r_b = mp.quad(lambda x: n_f(x) * ((x * x + c2) * r1(x) + 4 * a * x * r2(x)), real) / (4 * b)
-    r_d = mp.quad(lambda x: n_f(x) * r1(x), real) * (1 + 2 * c2) / (8 * b)
-    pref = -e2 / (4 * mp.pi**2 * c2)
-    re_b, re_d = pref * (big_r + r_b), pref * (big_r + r_d)
+    edges = window_edges(a, b, c2)
+    cuts = [xi, hi, *edges]
+    re_b, re_d = real_parts(a, b, n_f, panels(mp.mpf(1), hi, cuts))
     im_b = im_d = mp.mpf(0)
-    if absorbing:
+    if edges:
+        lower, upper = edges
         shift = a if c2 < 0 else -a
         window = panels(lower, upper, cuts)
         im_b = -e2 / (16 * mp.pi * b * c2) * mp.quad(
@@ -111,6 +158,27 @@ def scalars(a: float, b: float, t: float, xi: float) -> tuple[mp.mpc, mp.mpc]:
         )
         im_d = -e2 * (1 + 2 * c2) / (32 * mp.pi * b * c2) * mp.quad(n_f, window)
     return mp.mpc(re_b, im_b), mp.mpc(re_d, im_d)
+
+
+def re_scalars_zero_t(a: float, b: float, xf: float) -> tuple[mp.mpf, mp.mpf]:
+    """(Re B, Re D) at t = 0 without the vacuum term: the step occupation
+    over [1, xF], split at the window edges inside it."""
+    a, b, xf = (mp.mpf(v) for v in (a, b, xf))
+    edges = window_edges(a, b, a * a - b * b)
+    return real_parts(a, b, lambda x: 1, panels(mp.mpf(1), xf, edges))
+
+
+def print_zero_t_reference() -> None:
+    for cell in zero_t_cells():
+        mp.mp.dps = 40
+        fine = re_scalars_zero_t(*cell)
+        mp.mp.dps = 30
+        coarse = re_scalars_zero_t(*cell)
+        for f, c in zip(fine, coarse):
+            if abs(f - c) > mp.mpf("1e-20") * abs(f):
+                raise SystemExit(f"{cell}: dps 30 and 40 disagree: {c} vs {f}")
+        re_b, re_d = (float(v) for v in fine)
+        print(f"    {cell!r}: ({re_b!r}, {re_d!r}),")
 
 
 def main() -> None:
@@ -144,7 +212,12 @@ def main() -> None:
                 raise SystemExit(f"{node}: one ulp of y moves a kernel by {abs(m / f - 1)}")
         k1, k2 = (float(v) for v in fine)
         print(f"    {node!r}: ({k1!r}, {k2!r}),")
+    print()
+    print_zero_t_reference()
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:] == ["--zero-t"]:
+        print_zero_t_reference()
+    else:
+        main()

@@ -132,10 +132,14 @@ def test_frozen_scalar_values():
 def test_factored_kernels_match_the_high_precision_reference():
     # outside a window the kernels are O(b) over an O(1) range of x, and
     # R_B and R_D divide them by b: they need relative accuracy, which the
-    # squared forms of the public r1 and r2 lose as b -> 0 (up to 5e-7
+    # squared arguments of the defining ratios lose as b -> 0 (up to 5e-7
     # relative at b = 1e-8).  Inside a window, of width O(b), the kernels run from
     # one log singularity through zero to the other, and the integrals
-    # need them only to an absolute 2e-13.
+    # need them only to an absolute 2e-13.  The quadrature's kernels, the
+    # public r1 and r2 and the t = 0 closed forms' Fermi-surface logs are
+    # held to the same reference.
+    from relegas.medium_zero_t import _fermi_logs
+
     assert len(KERNEL_REFERENCE) >= 40
     inside = 0
     for (a, b, x), want in KERNEL_REFERENCE.items():
@@ -144,20 +148,27 @@ def test_factored_kernels_match_the_high_precision_reference():
             kinematic_window(p)[0] < x < kinematic_window(p)[1]
         )
         inside += in_window
-        got = medium_finite_t._log_kernels(x, p)
-        for g, w in zip(got, want):
-            scale = max(abs(w), 1.0) if in_window else abs(w)
-            assert abs(g - w) <= 2e-13 * scale, (a, b, x, g, w)
+        for got in (
+            medium_finite_t._log_kernels(x, p),
+            (r1(x, p), r2(x, p)),
+            _fermi_logs(p, x, math.sqrt(x * x - 1.0)),
+        ):
+            for g, w in zip(got, want):
+                scale = max(abs(w), 1.0) if in_window else abs(w)
+                assert abs(g - w) <= 2e-13 * scale, (a, b, x, g, w)
     assert inside >= 6
 
 
 def test_factored_kernels_floor_a_zero_denominator():
     # at a = 0, b = 0.75 the node x = 1.25 has y = b exactly, so L2 = L4 = 0
-    # and the denominator of r1 is exactly 0: it counts as 1e-300, like the
-    # floor of the public form
+    # and the denominator of r1 is exactly 0: it counts as 1e-300, and r1 is
+    # log|num| - log(1e-300) with num = (c2 - b y)**2 = 1.265625
     p = derive_point(0.0, 0.75)
     assert math.sqrt(1.25 * 1.25 - 1.0) == 0.75
-    assert medium_finite_t._log_kernels(1.25, p) == (r1(1.25, p), 0.0)
+    num = (p.c2 - 0.75 * 0.75) ** 2
+    assert num == 1.265625
+    want = math.log(num) - math.log(1e-300)
+    assert medium_finite_t._log_kernels(1.25, p) == (want, 0.0)
 
 def test_cutoff_one_ulp_above_the_shell_is_an_empty_sea():
     # at t = 5.6e-18, xi = 1 the cutoff is 1 + 1 ulp, so no double lies

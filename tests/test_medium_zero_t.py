@@ -11,6 +11,7 @@ from relegas import (
     derive_point,
     fermi_surface,
     integrals_Ij,
+    scalars_at,
     scalars_zero_t,
     zero_t_coefficients,
 )
@@ -210,8 +211,8 @@ def test_fermi_surface_on_window_edge_is_rejected():
 
 
 def test_fermi_logs_are_the_public_kernels_bit_for_bit():
-    # one build of the four log arguments gives r1(xF, p) and r2(xF, p)
-    # exactly, in all three regions and at a = 0
+    # the guarded Fermi-surface logs are r1(xF, p) and r2(xF, p) exactly,
+    # in all three regions and at a = 0
     from relegas.medium_finite_t import r1, r2
     from relegas.medium_zero_t import _fermi_logs
 
@@ -220,10 +221,45 @@ def test_fermi_logs_are_the_public_kernels_bit_for_bit():
     for p in points:
         fs = fermi_surface(rng.uniform(1.0, 4.0))
         try:
-            got = _fermi_logs(p.a, p.b, p.c2, fs.xF, fs.yF)
+            got = _fermi_logs(p, fs.xF, fs.yF)
         except SubregionBoundaryError:
             continue
         assert got == (r1(fs.xF, p), r2(fs.xF, p))
+
+
+# 40-digit (Re B, Re D) at t = 0 without the vacuum term, (a, b, xF) ->
+# values, from the step occupation integrated over [1, xF] by
+# make_finite_t_reference.py --zero-t: a cell next to the light cone, then
+# 14 seeded cells in regions I and II with b in [1e-4, 6e-3]
+ZERO_T_REFERENCE = {
+    (0.000111, 0.0001, 1.001): (24.234400840055482, -32.65224093945832),
+    (1.152458238279346e-05, 0.00032001081901461694, 1.0078476893689234): (2626.0145876032766, 1314.9250644341532),
+    (0.019275459002545774, 0.0005115607563040978, 1.0010516113027375): (1.4169381890947055e-07, -0.0003016859136514605),
+    (5.54334280124343e-05, 0.00028309897630824895, 1.0256073870237616): (-1549.2842969935282, -562.8680299580778),
+    (0.006453470674443304, 0.004066445490293264, 1.0170988341556628): (0.07771781127598593, -0.2537095405093043),
+    (1.3286508591597088e-05, 0.00031929101763749875, 1.0126540093868444): (3425.1192151824584, 1715.8304074376354),
+    (0.0033559570065757956, 0.0017515736294866308, 1.017685551358233): (0.17145551034242412, -0.8560050254796898),
+    (0.0008773644525921538, 0.001112607648849475, 1.0019650626563166): (-0.6575024884563402, 0.28350474486805083),
+    (0.003029413172498814, 0.0007420937004661157, 1.0453846522690176): (0.14616292208881368, -3.575604626248672),
+    (0.00048005420012590234, 0.0007124664275593445, 1.0043586649466083): (-5.060960290392154, 0.8983817829956184),
+    (0.7466351428975632, 0.0017245804596118467, 1.0095745016528281): (4.3642449304384024e-11, -1.227013938363672e-05),
+    (5.2189547607603114e-05, 0.00026321350989078724, 1.024603035157991): (-3127.2566495349715, -1300.1058108444822),
+    (0.023627043248514674, 0.0026994107796349687, 1.0015967089147753): (3.3109921658900694e-06, -0.0003788188574067543),
+    (7.102516019533697e-05, 0.00013700817537311806, 1.0029774944935164): (-97.67843117078445, -9.697102397236462),
+    (0.003994185650802702, 0.003049810515066205, 1.0068416392538866): (0.10895173485758919, -0.22524111256320392),
+}
+
+
+def test_zero_t_closed_forms_match_the_high_precision_reference():
+    # at b <= 6e-3 the Fermi-surface logs are O(b) and the closed forms
+    # divide them by b, so they need the kernels' relative accuracy; the
+    # worst cell, (0.747, 1.7e-3) at xF = 1.0096, misses by 6.5e-8 where
+    # Re B ~ 4e-11 is what is left of O(1) terms (ROADMAP item 3)
+    assert len(ZERO_T_REFERENCE) >= 12
+    for (a, b, xf), want in ZERO_T_REFERENCE.items():
+        s = scalars_at(a, b, _state(xf), include_vacuum=False)[3]
+        for got, w in zip((s.B.real, s.D.real), want):
+            assert rel_err(got, w) <= 1.3e-7, (a, b, xf, got, w)
 
 
 def test_empty_sea_gives_zero():
@@ -262,7 +298,7 @@ def test_rejects_pair_threshold_input():
 
 # sha256 of the repr of tensors_at over _bit_pin_points(), one line each;
 # a change that moves any t = 0 bit must change it on purpose
-TENSORS_AT_DIGEST = "ec59567a7fa5e47c2476b6b85f5ea0c5d278511c650123a4cd832643f2a03b32"
+TENSORS_AT_DIGEST = "e2bfe00b801670bee876df73249a4eab41b7338b026648245558cb1bbf56b2b2"
 
 
 def _bit_pin_points() -> list[tuple[float, float, float]]:
@@ -307,7 +343,7 @@ def test_zero_t_bits_are_pinned():
     # and tensors_at gives the pinned bits
     import hashlib
 
-    from relegas import scalars_at, tensors_at
+    from relegas import tensors_at
 
     points = _bit_pin_points()
     assert len(points) >= 300
