@@ -48,6 +48,7 @@ from .responses import (
     dispersion,
     metamaterial_scan,
     plasma_frequency_estimate,
+    plasma_moments,
     scalars_at,
     tensors_at,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "nr_case",
     "nr_im_B",
     "plasma_frequency_estimate",
+    "plasma_moments",
     "r1",
     "r2",
     "re_scalars",

@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=2,
         metavar=("LO", "HI"),
         type=float,
-        help="root search window in a (default: derived from the plasma estimate at t = 0)",
+        help="root search window in a (default: a_e/4 to 4 a_e, a_e the plasma estimate)",
     )
     _medium_args(disp)
     _output_args(disp)
@@ -255,8 +255,6 @@ def _cmd_dispersion(args: argparse.Namespace) -> str:
     if args.a_range is not None:
         a_lo, a_hi = (v / scale_ab for v in args.a_range)
     else:
-        if not ms.is_degenerate:
-            raise ValueError("--a-range is required at t > 0")
         guess = plasma_frequency_estimate(ms)
         a_lo, a_hi = 0.25 * guess, 4.0 * guess
     modes = ("longitudinal", "transverse") if args.mode == "both" else (args.mode,)

@@ -219,7 +219,7 @@ def _fermi_logs(p: KinematicPoint, x: float, y: float) -> tuple[float, float]:
     The guard reads the products L1 L3, L2 L4, L2 L3 and L1 L4 of the
     four linear factors L1..L4 = a (a -+ x) - b (b +- y): the numerators
     and denominators of the defining log ratios.  One of them within
-    _EDGE_TOL max(1, (a x)**2, c2**2, (b y)**2) of 0 means a window edge
+    _EDGE_TOL max((a x)**2, c2**2, (b y)**2) of 0 means a window edge
     sits on the surface, where the U terms diverge.
     """
     a, b, c2 = p.a, p.b, p.c2
@@ -233,7 +233,7 @@ def _fermi_logs(p: KinematicPoint, x: float, y: float) -> tuple[float, float]:
     l2 = am - bm
     l3 = ap - bp
     l4 = ap - bm
-    tol = _EDGE_TOL * max(1.0, ax**2, c2 * c2, by**2)
+    tol = _EDGE_TOL * max(ax**2, c2 * c2, by**2)
     n1, d1, n2, d2 = l1 * l3, l2 * l4, l2 * l3, l1 * l4
     if -tol <= n1 <= tol or -tol <= d1 <= tol or -tol <= n2 <= tol or -tol <= d2 <= tol:
         raise SubregionBoundaryError(

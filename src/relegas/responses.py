@@ -11,7 +11,7 @@ are simultaneously negative.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Callable, NamedTuple, Sequence
 
 from .kinematics import (
@@ -30,10 +30,10 @@ from .kinematics import (
 from .medium_finite_t import ResponseScalars, _parts, _scalars
 from .medium_zero_t import SubregionBoundaryError, _im_parts, _re_parts
 from .numerics import Bracket, _warn_skipped, find_root_bracketed, integrate_adaptive
-from .occupation import MediumState, n_fermi, x_cutoff
+from .occupation import _EXP_CLIP, MediumState, x_cutoff
 
 _DUAL_PATH_TOL = 1e-12
-# The band search bisects only over a <= gate * b (_band_gate).  Above
+# The band search runs only over a <= gate * b (_band_gate).  Above
 # that the t = 0 closed forms lose the rise of Re eps_L and Re nu_L to
 # roundoff (ROADMAP item 3), and where they lose it moves with the Fermi
 # velocity v_F = yF/xF: on the dispersion grid (window/160) the rise
@@ -44,6 +44,13 @@ _DUAL_PATH_TOL = 1e-12
 # xF -> 1.  At t > 0 the gate is _BAND_GATE.
 _BAND_GATE = 32.0
 _GATE_V_F = 0.05
+# the band search steps from the Braaten-Segel root a_BS by
+# _BAND_STEP * a_BS, doubling each step (_band_bracket)
+_BAND_STEP = 1e-3
+# _bs_root: secant steps in s = a**2, to this relative change of s
+_BS_MAX_STEPS = 60
+_BS_S_TOL = 1e-12
+_BS_U_MAX = 1.0 - 2.0**-53
 
 
 class ResponseTensors(NamedTuple):
@@ -147,31 +154,137 @@ def _band_gate(ms: MediumState) -> float:
     return _BAND_GATE * (fs.yF / fs.xF / _GATE_V_F) ** 1.5
 
 
+def plasma_moments(ms: MediumState) -> tuple[float, float, float]:
+    """Braaten & Segel's plasma moments (omega_p, omega_1, v_star) of the gas.
+
+    In units m = 1, with v = p/E and n = n_F the occupation of both
+    species (Phys. Rev. D 48, 1478 (1993)):
+
+        omega_p**2 = (4 alpha/pi) integral of p**2/E (1 - v**2/3) n dp,
+        omega_1**2 = (4 alpha/pi) integral of p**2/E (5 v**2/3 - v**4) n dp,
+
+    and v_star = omega_1/omega_p.  omega_p/2 is a_e, the b -> 0 limit of
+    both plasmon branches, and omega = 2 a.  At t = 0 both integrals are
+    elementary over p in [0, yF]: omega_p**2 = 4 e2 yF**3/(12 pi**2 xF)
+    and v_star = yF/xF, the Fermi velocity (the logs cancel).  At t > 0
+    they are one vector quadrature over x in [1, x_cutoff], p**2/E dp =
+    y dx, with the Fermi edge |xi| as a breakpoint.
+    """
+    if ms.is_degenerate:
+        x, y = ms.fermi_surface
+        omega_p = 2.0 * math.sqrt(ms.e2 * y**3 / (12.0 * math.pi**2 * x))
+        v_star = y / x
+        return omega_p, omega_p * v_star, v_star
+    t, xi = ms.t, ms.xi
+
+    def moments(xs: Sequence[float], ws: Sequence[float]) -> tuple[float, float]:
+        # n_fermi inlined, its bits; with v**2 = 1 - 1/x**2, 1 - v**2/3 =
+        # (2 x**2 + 1)/(3 x**2) and 5 v**2/3 - v**4 = v**2 (2 x**2 + 3)/(3 x**2)
+        s_p = s_1 = 0.0
+        for x, w in zip(xs, ws):
+            u = (x - xi) / t
+            n = 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (math.exp(u) + 1.0)
+            u = (x + xi) / t
+            n += 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (math.exp(u) + 1.0)
+            xx = x * x
+            yy = (x - 1.0) * (x + 1.0)
+            wy = w * n * math.sqrt(yy) / (3.0 * xx)
+            s_p += wy * (2.0 * xx + 1.0)
+            s_1 += wy * (yy / xx) * (2.0 * xx + 3.0)
+        return s_p, s_1
+
+    res = integrate_adaptive(moments, 1.0, x_cutoff(ms), breakpoints=(abs(xi),))
+    i_p, i_1 = res.value
+    omega_p = math.sqrt(ms.e2 / math.pi**2 * i_p)
+    omega_1 = math.sqrt(ms.e2 / math.pi**2 * i_1)
+    return omega_p, omega_1, omega_1 / omega_p
+
+
 def plasma_frequency_estimate(ms: MediumState) -> float:
     """Leading-order plasma frequency a_e of the gas.
 
     a_e is the b -> 0 limit of both plasmon branches (eps_L = 0 and
-    nu_L = -1): a_e**2 = e2/(4 pi**2) * integral over x >= 1 of
-    n_F(x) y (1 - y**2/(3 x**2)) dx, with y = sqrt(x**2 - 1), which is
-    Braaten & Segel's omega_p**2/4.  At t = 0 that is the closed form
-    e2 * yF**3 / (12 pi**2 xF); at t > 0 it is one quadrature over
-    [1, x_cutoff] with the Fermi edge |xi| as a breakpoint.  Used to seed
-    dispersion search ranges, and where dispersion's first search starts.
+    nu_L = -1): a_e = omega_p/2 of plasma_moments, a_e**2 =
+    e2/(4 pi**2) * integral over x >= 1 of n_F(x) y (1 - y**2/(3 x**2)) dx,
+    with y = sqrt(x**2 - 1).  At t = 0 that is the closed form
+    e2 * yF**3 / (12 pi**2 xF).  Used to seed dispersion search ranges.
     """
-    if ms.is_degenerate:
-        fs = ms.fermi_surface
-        return math.sqrt(ms.e2 * fs.yF**3 / (12.0 * math.pi**2 * fs.xF))
+    return 0.5 * plasma_moments(ms)[0]
 
-    def moment(xs: Sequence[float], ws: Sequence[float]) -> float:
-        # y (1 - y**2/(3 x**2)) = y (2 x**2 + 1)/(3 x**2)
-        total = 0.0
-        for x, w in zip(xs, ws):
-            y = math.sqrt((x - 1.0) * (x + 1.0))
-            total += w * n_fermi(x, ms) * y * (2.0 * x * x + 1.0) / (3.0 * x * x)
-        return total
 
-    res = integrate_adaptive(moment, 1.0, x_cutoff(ms), breakpoints=(abs(ms.xi),))
-    return math.sqrt(ms.e2 / (4.0 * math.pi**2) * res.value)
+def _bs_h(u: float) -> float:
+    """(atanh(u)/u - 1)/u**2 = sum over n >= 0 of u**(2 n)/(2 n + 3), 0 <= u < 1."""
+    u2 = u * u
+    if u2 < 0.01:
+        # the first omitted term, u**16/19, is below 2e-17 of the sum
+        h = 1 / 17
+        for k in (15, 13, 11, 9, 7, 5, 3):
+            h = 1 / k + u2 * h
+        return h
+    return (math.atanh(u) / u - 1.0) / u2
+
+
+def _bs_root(mode: str, b: float, moments: tuple[float, float, float]) -> float:
+    """Braaten-Segel root a = omega/2 of the mode at k = 2 b.
+
+    With a_p = omega_p/2 and u = v_star b/a, the relations of ROADMAP
+    item 11 divided through by k**2 (longitudinal) and by 4 read
+
+        longitudinal: a**2 = 3 a_p**2 h(u),
+        transverse:   a**2 = b**2 + (3/2) a_p**2 (1 - (1 - u**2) h(u)),
+
+    with h(u) = (atanh(u)/u - 1)/u**2 = 1/3 + u**2/5 + ..., so neither
+    loses digits as b -> 0.  Both right-hand sides fall as s = a**2 rises
+    from (v_star b)**2, where u = 1, so each has one root.  Secant steps
+    in s start from a_p**2 + (3/5)(v_star b)**2 (longitudinal) or
+    a_p**2 + b**2 (transverse) and its fixed-point image; a step that
+    leaves the bracket known so far bisects it (or doubles s while no
+    upper end is known).
+    """
+    omega_p, _, v_star = moments
+    ap2 = 0.25 * omega_p * omega_p
+    if not ap2 > 0.0:
+        # an empty sea has no plasmon: any timelike start will do
+        return b
+    vb = v_star * b
+    s_min = vb * vb
+    longitudinal = mode == "longitudinal"
+
+    def phi(s: float) -> float:
+        # u < 1 above s_min; rounding can put it at 1 far out on the
+        # longitudinal branch, where its root hugs s_min
+        u = min(vb / math.sqrt(s), _BS_U_MAX)
+        h = _bs_h(u)
+        if longitudinal:
+            return s - 3.0 * ap2 * h
+        return s - b * b - 1.5 * ap2 * (1.0 - (1.0 - u * u) * h)
+
+    s_lo, s_hi = s_min, math.inf
+    s = ap2 + (0.6 * s_min if longitudinal else b * b)
+    if not s > s_min:
+        s = 2.0 * s_min
+    f = phi(s)
+    s_prev = f_prev = math.nan
+    for _ in range(_BS_MAX_STEPS):
+        if f == 0.0:
+            break
+        if f < 0.0:
+            s_lo = s
+        else:
+            s_hi = s
+        # the first step is the fixed-point one, s - phi(s); phi rises, so
+        # a slope that is not positive (rounding) bisects
+        slope = 1.0 if math.isnan(f_prev) else (f - f_prev) / (s - s_prev)
+        s_next = s - f / slope if slope > 0.0 else math.nan
+        if not s_lo < s_next < s_hi:
+            s_next = 0.5 * (s_lo + s_hi) if s_hi < math.inf else 2.0 * s_lo
+        if abs(s_next - s) <= _BS_S_TOL * s_next:
+            s = s_next
+            break
+        s_prev, f_prev = s, f
+        s = s_next
+        f = phi(s)
+    return math.sqrt(s)
 
 
 class RootSample(NamedTuple):
@@ -214,16 +327,14 @@ def dispersion(
     The scan stops at the first accepted root (_first_zero).  Invalid
     points (pair threshold, subregion boundaries) are skipped as NaN.
 
-    Both modes skip grid points of the transparent band (region II below
-    a = gate * b), where Re eps_L and Re nu_L both rise with a and so
-    change sign at most once: galloping and bisection over grid indices
-    find the band's bracket, probing points above it, and return the root
-    the full scan would.  At t = 0 the gate is 32 (v_F/0.05)**1.5 with
-    v_F = yF/xF, which keeps it >= 3 times below where roundoff breaks the
-    rise; at t > 0 it is 32.  The first b's search starts at the grid
-    interval of plasma_frequency_estimate(ms), the b -> 0 limit of both
-    branches; each later b's at that of the last accepted root, where the
-    next root usually lies.
+    Both modes search the transparent band (region II below a = gate * b)
+    without its grid: there Re eps_L and Re nu_L both rise with a and so
+    change sign at most once, and the search brackets that sign change
+    from the Braaten-Segel root of the mode at b (_bs_root, from
+    plasma_moments(ms), computed once per call), which lies within
+    ~1e-3 of it.  At t = 0 the gate is 32 (v_F/0.05)**1.5 with
+    v_F = yF/xF, which keeps it >= 3 times below where roundoff breaks
+    the rise; at t > 0 it is 32.
     """
     if mode not in ("longitudinal", "transverse"):
         raise ValueError(f"unknown dispersion mode {mode!r}")
@@ -240,10 +351,10 @@ def dispersion(
     grid = [a_lo + i * step for i in range(n_scan + 1)]
     samples: list[RootSample] = []
     gate = _band_gate(ms)
-    start = plasma_frequency_estimate(ms)
+    moments = plasma_moments(ms)
     for b in b_grid:
         # tensors per abscissa: Brent's bracket edges and the root's own
-        # tensors revisit points the scan (or Brent) has already evaluated
+        # tensors revisit points the search (or Brent) has already evaluated
         cache: dict[float, ResponseTensors | None] = {}
 
         def tens_at(a: float) -> ResponseTensors | None:
@@ -261,10 +372,9 @@ def dispersion(
                 return math.nan
             return tens.eps_L.real if longitudinal else tens.nu_L.real + 1.0
 
-        root = _first_zero(gap, grid, b, gate, start)
+        root = _first_zero(gap, grid, b, gate, _bs_root(mode, b, moments))
         if root is None:
             continue
-        start = root
         tens = tens_at(root)
         im_val = tens.eps_L.imag if longitudinal else tens.nu_L.imag
         samples.append(RootSample(b=b, root_a=root, residual=gap(root), im_at_root=im_val))
@@ -277,7 +387,7 @@ def _first_zero(
     grid: Sequence[float],
     b: float,
     gate: float,
-    start: float,
+    guess: float,
 ) -> float | None:
     """Smallest timelike zero of g on grid, or None.
 
@@ -288,7 +398,8 @@ def _first_zero(
     below its bracket edges', which a crossing of roundoff noise (t = 0,
     b << a_e) or a NaN gap (Brent met a point that raised) fails.  The
     brackets arrive in increasing a, so the walk stops at the first
-    accepted root, the smallest; a warning counts the NaN points visited.
+    accepted root, the smallest; a warning counts the NaN grid points
+    visited.
 
     The band is the run of grid points in region II, off the light-cone
     and pair-threshold cuts, with a <= gate * b (_band_gate: above it the
@@ -296,15 +407,16 @@ def _first_zero(
     Im nu_L are 0, and the gap g (Re eps_L, or Re nu_L + 1) rises with a:
     for eps_L by Kramers-Kronig with Im eps_L >= 0, for nu_L as measured
     and pinned on every band point of the test draws.  So g changes sign
-    at most once there, from - to +.  If g < 0 at lo, the walk's first
-    step goes to the last band point known to be negative (_band_resume,
-    started at the grid interval of start: a_e for the first b, then the
-    previous b's root), and it goes on linearly from there.  The points
-    it skips lie between two negative ones, so the sign changes it meets,
-    and their brackets, are those of the full timelike grid.  g is
-    memoised by dispersion, so the band points _band_resume probed, and
-    the bracket edges and root that Brent and dispersion read again, are
-    evaluated once.
+    at most once there, from - to +.  _band_bracket brackets that sign
+    change from guess (the Braaten-Segel root) without the grid, and
+    Brent refines it; a root that passes the residual test is the
+    smallest, as g < 0 at a band point means g < 0 on the band below it.
+    The walk takes over from lo if g >= 0 there or the root fails the
+    test, and from the last negative point found if g is negative at the
+    band's top or a probe is NaN or 0: the points it skips lie between
+    two negative ones.  g is memoised by dispersion, so the points
+    probed, and the bracket edges and root that Brent and dispersion
+    read again, are evaluated once.
     """
     b2 = b * b
     lo = bisect_left(grid, True, key=lambda a: a * a - b2 >= LIGHT_CONE_CUT)
@@ -315,11 +427,18 @@ def _first_zero(
         key=lambda a: a > gate * b or a * a - b2 - 1.0 >= -PAIR_THRESHOLD_CUT,
     )
     i = lo
-    if end > lo and g(grid[lo]) < 0.0:
-        i = _band_resume(g, grid, lo, end - 1, bisect_left(grid, start) - 1)
-    n_bad = 0
     # NaN compares false: no bracket before the first defined point
     prev_a = prev_g = math.nan
+    if end > lo:
+        neg, pos = _band_bracket(g, grid[lo], grid[end - 1], guess)
+        if pos is not None:
+            root = find_root_bracketed(g, Bracket(neg, pos))
+            if abs(g(root)) < min(abs(g(neg)), abs(g(pos))):
+                return root
+        elif neg is not None:
+            i = bisect_right(grid, neg)
+            prev_a, prev_g = neg, g(neg)
+    n_bad = 0
     root = None
     for a in grid[i:]:
         val = g(a)
@@ -336,45 +455,41 @@ def _first_zero(
     return root
 
 
-def _band_resume(
-    g: Callable[[float], float],
-    grid: Sequence[float],
-    lo: int,
-    hi: int,
-    start: int | None = None,
-) -> int:
-    """Last index in [lo, hi] known to hold g < 0, given g(grid[lo]) < 0.
+def _band_bracket(
+    g: Callable[[float], float], a_min: float, a_max: float, guess: float
+) -> tuple[float | None, float | None]:
+    """(neg, pos) with g(neg) < 0 < g(pos) and a_min <= neg, pos <= a_max.
 
-    With start in (lo, hi] it probes start first and gallops from there
-    (offsets 1, 2, 4, ...): upwards if g < 0 there, downwards towards lo
-    if g > 0.  Otherwise it gallops upwards from lo.  Once a probe lies
-    across the sign change or past lo or hi, it bisects, so the result j
-    has g(grid[j + 1]) > 0 unless j = hi.  A probe that is NaN or exactly
-    0 stops the search at the last negative point found.
+    The first probe is guess clipped to [a_min, a_max].  From there it
+    steps by _BAND_STEP times that probe, doubling each step, clipped to
+    the band: upwards while g < 0, downwards while g > 0.  pos is None
+    when no bracket was found: g < 0 at a_max, or a probe that is NaN or
+    exactly 0; neg is then the last point known to hold g < 0, or None
+    when none is (g >= 0 at a_min, or the bad probe came first or on the
+    way down).
     """
-    neg, pos, anchor, offset = lo, hi + 1, lo, 1
-    if start is not None and lo < start <= hi:
-        anchor = start
-        val = g(grid[start])
+    a = min(max(guess, a_min), a_max)
+    step = _BAND_STEP * a
+    val = g(a)
+    if val < 0.0:
+        while a < a_max:
+            neg = a
+            a = min(a + step, a_max)
+            step *= 2.0
+            val = g(a)
+            if val > 0.0:
+                return neg, a
+            if not val < 0.0:
+                return neg, None
+        return a, None
+    while val > 0.0 and a > a_min:
+        pos = a
+        a = max(a - step, a_min)
+        step *= 2.0
+        val = g(a)
         if val < 0.0:
-            neg = start
-        elif val > 0.0:
-            pos, offset = start, -1
-        else:
-            return neg
-    while pos - neg > 1:
-        k = anchor + offset
-        if not neg < k < pos:
-            k = (neg + pos) // 2
-        val = g(grid[k])
-        if val < 0.0:
-            neg = k
-        elif val > 0.0:
-            pos = k
-        else:
-            return neg
-        offset *= 2
-    return neg
+            return a, pos
+    return None, None
 
 
 def _extrapolate_to_zero_b(samples: Sequence[RootSample]) -> float:

@@ -49,8 +49,9 @@ from pathlib import Path
 # both warm branches over a descending b grid, where each later
 # transverse search starts above the next b's root and gallops downwards;
 # two t = 0 points whose Fermi-surface logs are O(b): a deep region-II
-# cell, and a small region-I cell whose guard refuses it although its
-# window lies 2e-4 above xF
+# cell, and a small region-I cell whose window lies 2e-4 above xF (a
+# guard with an absolute floor refused it); both warm branches without
+# --a-range, in the window (a_e/4, 4 a_e)
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -98,6 +99,8 @@ CLI_COMMANDS = [
     ["response", "--a", "0.986", "--b", "1e-5", "--xf", "1.2"],
     ["response", "--a", "3.997667802843955e-05", "--b", "0.00011292377170355206",
      "--xf", "1.069"],
+    ["dispersion", "--mode", "both", "--b-range", "1e-3", "4e-3", "2", "--t", "0.05",
+     "--xi", "1.2"],
 ]
 
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from relegas import MediumState, assemble, scalars_at
+from relegas import MediumState, assemble, plasma_frequency_estimate, scalars_at
 from relegas.cli import ELECTRON_MASS_EV, SCAN_COLUMNS, main
 from relegas.responses import evaluate_cell
 from conftest import rel_err
@@ -364,13 +364,24 @@ def test_dispersion_csv(capsys):
     assert rel_err(float(t_summary["root_a"]), 0.013723954785812134) < 1e-9
 
 
-def test_dispersion_warm_requires_a_range(capsys):
-    code, _, err = run_cli(
+def test_dispersion_warm_default_window(capsys):
+    # without --a-range the window is (a_e/4, 4 a_e) at t > 0 too; both
+    # branches answer at every b, timelike and undamped
+    code, out, _ = run_cli(
         capsys,
         ["dispersion", "--b-range", "1e-3", "4e-3", "2", "--t", "0.05", "--xi", "1.2"],
     )
-    assert code == 2
-    assert "--a-range" in err
+    assert code == 0
+    a_e = plasma_frequency_estimate(MediumState(t=0.05, xi=1.2))
+    _, rows = parse_csv(out)
+    for mode in ("longitudinal", "transverse"):
+        samples = [r for r in rows if r["mode"] == mode][:-1]
+        assert [float(r["b"]) for r in samples] == [1e-3, 4e-3]
+        for r in samples:
+            root = float(r["root_a"])
+            assert float(r["b"]) < root and 0.25 * a_e < root < 4.0 * a_e
+            assert float(r["im_at_root"]) == 0.0
+            assert abs(float(r["residual"])) < 1e-9
 
 
 def test_consistency_failure_exits_4_without_traceback(capsys):

@@ -210,6 +210,21 @@ def test_fermi_surface_on_window_edge_is_rejected():
         scalars_zero_t(p, _state(upper))
 
 
+def test_small_point_off_every_boundary_is_evaluated():
+    # at (a, b) ~ 1e-4 the four factors of the guard's products are
+    # ~1e-8 and the products ~1e-15; a tolerance floored at 1e-14 refused
+    # this point, whose window lies 2e-4 above xF.  The closed forms match
+    # the step-occupation quadrature as criterion 1 does
+    from relegas.medium_finite_t import im_scalars, re_scalars
+
+    ms = _state(1.069)
+    p, region, _, s = scalars_at(3.997667802843955e-05, 0.00011292377170355206, ms, False)
+    assert region.value == "I"
+    re_b, re_d = re_scalars(p, ms)
+    assert rel_err(s.B.real, re_b) < 1e-6 and rel_err(s.D.real, re_d) < 1e-6
+    assert (s.B.imag, s.D.imag) == im_scalars(p, ms) == (0.0, 0.0)
+
+
 def test_fermi_logs_are_the_public_kernels_bit_for_bit():
     # the guarded Fermi-surface logs are r1(xF, p) and r2(xF, p) exactly,
     # in all three regions and at a = 0

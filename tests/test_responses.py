@@ -21,7 +21,12 @@ from relegas import (
 )
 from relegas import medium_finite_t, responses
 from relegas.kinematics import LIGHT_CONE_CUT, PAIR_THRESHOLD_CUT
-from relegas.numerics import PANEL_BUDGET, find_root_bracketed, scan_sign_changes
+from relegas.numerics import (
+    PANEL_BUDGET,
+    find_root_bracketed,
+    integrate_adaptive,
+    scan_sign_changes,
+)
 from relegas.responses import _extrapolate_to_zero_b, evaluate_cell
 from conftest import draw_valid_point, rel_err
 
@@ -240,9 +245,39 @@ def test_plasma_frequency_estimate_at_finite_t(t, xi, want):
     got = plasma_frequency_estimate(MediumState(t=t, xi=xi))
     assert rel_err(got, want) < 1e-12
     if t == 1e-4:
-        # the moment reduces to the t = 0 closed form
+        # the moments reduce to the t = 0 closed forms
         cold = plasma_frequency_estimate(MediumState(t=0.0, xi=xi))
         assert rel_err(got, cold) < 1e-6
+        warm_m = responses.plasma_moments(MediumState(t=t, xi=xi))
+        cold_m = responses.plasma_moments(MediumState(t=0.0, xi=xi))
+        assert all(rel_err(w, c) < 1e-6 for w, c in zip(warm_m, cold_m))
+
+
+def test_zero_t_plasma_moments_match_quadrature():
+    # the closed forms against a quadrature over p in [0, yF] of
+    # p**2/E (1 - v**2/3) and p**2/E (5 v**2/3 - v**4)
+    rng = random.Random(2828)
+    for _ in range(40):
+        xf = rng.uniform(1.02, 3.0)
+        ms = MediumState(t=0.0, xi=xf)
+
+        def moments(ps, ws):
+            s_p = s_1 = 0.0
+            for p, w in zip(ps, ws):
+                e2 = 1.0 + p * p
+                v2 = p * p / e2
+                base = w * p * p / math.sqrt(e2)
+                s_p += base * (1.0 - v2 / 3.0)
+                s_1 += base * (5.0 * v2 / 3.0 - v2 * v2)
+            return s_p, s_1
+
+        res = integrate_adaptive(moments, 0.0, math.sqrt(xf * xf - 1.0), rel_tol=1e-14)
+        assert res.converged
+        omega_p = math.sqrt(ms.e2 / math.pi**2 * res.value[0])
+        omega_1 = math.sqrt(ms.e2 / math.pi**2 * res.value[1])
+        got = responses.plasma_moments(ms)
+        for g, w in zip(got, (omega_p, omega_1, omega_1 / omega_p)):
+            assert rel_err(g, w) < 1e-12, (xf, got)
 
 
 def test_longitudinal_dispersion_root():
@@ -288,6 +323,43 @@ def test_both_branches_answer_timelike_and_undamped(t, xi):
             assert [s.b for s in branch.samples] == b_grid
 
 
+# worst |a - a_BS|/a_BS over both branches at the b of
+# test_both_branches_answer_timelike_and_undamped, about twice the
+# measured: 7.6e-5, 7.4e-4, 2.2e-4, 6.1e-3, 6.6e-4 and 2.2e-4, the larger
+# ones where the longitudinal branch nears the light cone
+_BS_BOUNDS = {
+    (0.0, 1.2): 1.5e-4,
+    (0.0, 3.0): 1.5e-3,
+    (0.05, 1.2): 4.5e-4,
+    (1.0, 0.0): 1.2e-2,
+    (0.2, -1.1): 1.3e-3,
+    (1e-3, -1.5): 4.5e-4,
+}
+
+
+@pytest.mark.parametrize("t, xi", list(_BS_BOUNDS))
+def test_roots_match_braaten_segel(t, xi):
+    # every root of both branches against the Braaten-Segel root of its
+    # b.  The roots lie above it by an offset that is O(a_e**2), which
+    # Braaten-Segel leaves out: at b = 0.01 a_e between 0.12 and 0.41
+    # a_e**2 relative in these states.  The offset is pinned, not
+    # folded into the bounds
+    ms = MediumState(t=t, xi=xi)
+    moments = responses.plasma_moments(ms)
+    a_e = plasma_frequency_estimate(ms)
+    assert a_e == 0.5 * moments[0]
+    b_grid = [0.01 * a_e * 300.0 ** (i / 7) for i in range(8)]
+    for mode in ("longitudinal", "transverse"):
+        branch = dispersion(mode, b_grid, ms, (0.25 * a_e, 4.0 * a_e))
+        assert len(branch.samples) >= 6
+        for s in branch.samples:
+            a_bs = responses._bs_root(mode, s.b, moments)
+            assert abs(s.root_a - a_bs) <= _BS_BOUNDS[t, xi] * a_bs, (mode, s.b, s.root_a, a_bs)
+        first = branch.samples[0]
+        offset = (first.root_a / responses._bs_root(mode, first.b, moments) - 1.0) / a_e**2
+        assert 0.1 < offset < 0.45, (mode, offset)
+
+
 def _calls_per_b(mode, b_grid, ms, window):
     # the branch, and the abscissae of the tensors_at calls at each b
     from collections import defaultdict
@@ -317,8 +389,9 @@ def test_dispersion_evaluates_each_abscissa_once():
 
 
 def _full_scan_branch(mode, b_grid, ms, window, n_scan=160):
-    # the rule without the early stop: scan the whole timelike grid,
-    # refine every bracket, filter, and keep the smallest accepted root
+    # the rule without the band search and the early stop: scan the whole
+    # timelike grid, refine every bracket, filter, and keep the smallest
+    # accepted root, with the smaller |gap| of its bracket's edges
     longitudinal = mode == "longitudinal"
     samples = []
     for b in b_grid:
@@ -336,23 +409,53 @@ def _full_scan_branch(mode, b_grid, ms, window, n_scan=160):
         roots = []
         for br in scan_sign_changes(gap, grid):
             root = find_root_bracketed(gap, br)
-            if abs(gap(root)) < min(abs(gap(br.lo)), abs(gap(br.hi))):
-                roots.append(root)
+            edge = min(abs(gap(br.lo)), abs(gap(br.hi)))
+            if abs(gap(root)) < edge:
+                roots.append((root, edge))
         if roots:
-            root = min(roots)
+            root, edge = min(roots)
             assert root > b, (b, root)
             tens = tensors_at(root, b, ms)[3]
             im_val = tens.eps_L.imag if longitudinal else tens.nu_L.imag
-            samples.append((b, root, gap(root), im_val))
+            samples.append((b, root, edge, im_val))
     return samples
 
 
-def _same(x, y):
-    return x == y or (math.isnan(x) and math.isnan(y))
+# find_root_bracketed's default: each run ends within X_TOL max(1, |a|) of
+# a zero, so two runs from different brackets agree to twice that
+X_TOL = 1e-12
+
+
+def _extrapolation_gain(bs):
+    # sum of |l_i(0)| over the Lagrange basis in b**2 through the three
+    # smallest b: how much _extrapolate_to_zero_b can amplify root errors
+    x1, x2, x3 = sorted(b * b for b in bs)[:3]
+    return (
+        abs(x2 * x3 / ((x1 - x2) * (x1 - x3)))
+        + abs(x1 * x3 / ((x2 - x1) * (x2 - x3)))
+        + abs(x1 * x2 / ((x3 - x1) * (x3 - x2)))
+    )
+
+
+def _gap_falls_between(mode, b, ms, a1, a2, n=12):
+    # the gap on n + 1 even points from a1 to a2 is not increasing: a
+    # rising gap has one zero, and two Brent runs end within 2 X_TOL of it
+    lo, hi = min(a1, a2), max(a1, a2)
+    vals = []
+    for i in range(n + 1):
+        tens = tensors_at(lo + (hi - lo) * i / n, b, ms)[3]
+        vals.append(tens.eps_L.real if mode == "longitudinal" else tens.nu_L.real + 1.0)
+    return any(x >= y for x, y in zip(vals, vals[1:]))
 
 
 def _assert_matches_full_scan(mode, b_grid, ms, window, n_scan=160):
-    """True when compared; False when the full scan raised."""
+    """True when compared; False when the full scan raised.
+
+    The same b carry a root, with the same im_at_root, each root within
+    2 X_TOL max(1, |a|) of the full scan's (all that two Brent runs from
+    different brackets can promise), and each residual passing the full
+    scan's residual test, below the edges of its bracket.
+    """
     try:
         want = _full_scan_branch(mode, b_grid, ms, window, n_scan)
     except InternalConsistencyError:
@@ -360,14 +463,27 @@ def _assert_matches_full_scan(mode, b_grid, ms, window, n_scan=160):
         # check; the early stop never reaches it and may return instead
         return False
     branch = dispersion(mode, b_grid, ms, window, n_scan=n_scan)
-    got = [(s.b, s.root_a, s.residual, s.im_at_root) for s in branch.samples]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert all(_same(x, y) for x, y in zip(g, w)), (mode, g, w)
+    assert [s.b for s in branch.samples] == [w[0] for w in want], mode
+    worst = 0.0
+    for s, (b, root, edge, im_val) in zip(branch.samples, want):
+        tol = 2.0 * X_TOL * max(1.0, abs(root))
+        if abs(s.root_a - root) > tol:
+            # only where the gap is roundoff noise between the two roots
+            # (ROADMAP item 3): there no bracket pins one zero
+            assert _gap_falls_between(mode, b, ms, s.root_a, root), (mode, b, s.root_a, root)
+            tol = abs(s.root_a - root)
+        assert abs(s.residual) < edge, (mode, b, s.residual, edge)
+        assert s.im_at_root == im_val, (mode, b)
+        worst = max(worst, tol)
     ref_plasma = _extrapolate_to_zero_b(
-        [RootSample(b=w[0], root_a=w[1], residual=w[2], im_at_root=w[3]) for w in want]
+        [RootSample(b=w[0], root_a=w[1], residual=0.0, im_at_root=w[3]) for w in want]
     )
-    assert _same(branch.plasma_frequency, ref_plasma)
+    if math.isnan(ref_plasma):
+        # fewer than three b, or two equal ones
+        assert math.isnan(branch.plasma_frequency)
+    else:
+        gain = _extrapolation_gain([w[0] for w in want])
+        assert abs(branch.plasma_frequency - ref_plasma) <= gain * worst, mode
     return True
 
 
@@ -525,110 +641,139 @@ def _compare_band_search_draws(mode):
     return compared
 
 
-def _synthetic_gap(n, cross, bad=None, bad_value=math.nan):
-    # strictly increasing, negative up to index cross, positive above it
-    values = [float(i - cross) - 0.5 for i in range(n)]
-    if bad is not None:
-        values[bad] = bad_value
-    return values
-
-
-def test_band_resume_finds_the_same_index_from_any_start():
-    n, lo, hi = 40, 3, 30
-    grid = [float(i) for i in range(n)]
-    for cross in range(lo, n):
-        values = _synthetic_gap(n, cross)
-        want = responses._band_resume(lambda a: values[int(a)], grid, lo, hi)
-        assert want == min(cross, hi)
-        for start in [None, *range(lo - 2, hi + 3)]:
+def test_band_bracket_holds_the_crossing_from_any_guess():
+    # a gap rising through 0 at cross, below, inside and above the band
+    # [a_min, a_max]; guesses below, inside and above it
+    a_min, a_max = 3.0, 30.0
+    for cross in [2.0 + 0.37 * k for k in range(85)]:
+        for guess in [0.5, 2.9, 3.0, 3.1, 5.0, 10.0, 16.3, 29.9, 30.0, 45.0]:
             probed = []
 
             def g(a):
-                probed.append(int(a))
-                return values[int(a)]
+                probed.append(a)
+                return a - cross
 
-            assert responses._band_resume(g, grid, lo, hi, start) == want, (cross, start)
-            assert all(lo < k <= hi for k in probed)
-            if start is not None and lo < start <= hi:
-                assert probed[0] == start
+            neg, pos = responses._band_bracket(g, a_min, a_max, guess)
+            start = min(max(guess, a_min), a_max)
+            assert probed[0] == start
+            assert all(a_min <= a <= a_max for a in probed)
+            # steps of _BAND_STEP * start, doubling: the probes grow with
+            # the log of the distance to the crossing
+            far = abs(cross - start) / (responses._BAND_STEP * start)
+            assert len(probed) <= 2 + math.log2(1.0 + far), (cross, guess)
+            if cross < a_min:
+                assert (neg, pos) == (None, None)
+            elif cross > a_max:
+                assert (neg, pos) == (a_max, None)
+            else:
+                assert a_min <= neg < cross < pos <= a_max, (cross, guess, neg, pos)
+
+
+def _line_grid():
+    # b = 0.1 puts the band of this grid between the light cone and the
+    # pair threshold: grid[lo:hi + 1]
+    b = 0.1
+    grid = [0.05 * i for i in range(48)]
+    band = _band(grid, b, responses._BAND_GATE)
+    lo, hi = grid.index(band[0]), grid.index(band[-1])
+    assert 0 < lo and hi < len(grid) - 1
+    return b, grid, lo, hi
+
+
+def _full_scan_root(g, grid):
+    # the smallest accepted root of the brackets of the whole grid
+    for br in scan_sign_changes(g, grid):
+        root = find_root_bracketed(g, br)
+        if abs(g(root)) < min(abs(g(br.lo)), abs(g(br.hi))):
+            return root
+    return None
 
 
 @pytest.mark.filterwarnings("ignore:sign scan skipped")
 @pytest.mark.parametrize("bad_value", [math.nan, 0.0])
-def test_band_resume_stops_at_an_undefined_or_zero_probe(bad_value):
-    # b = 0.1 puts the band of this grid between the light cone and the
-    # pair threshold; wherever the bad point and the sign change lie, and
-    # from any start, the scan finds the root that refining the brackets
-    # of the full timelike grid gives
-    b = 0.1
-    grid = [0.05 * i for i in range(48)]
-    index = {a: i for i, a in enumerate(grid)}
-    band = _band(grid, b, responses._BAND_GATE)
-    lo, hi = index[band[0]], index[band[-1]]
-    assert 0 < lo and hi < len(grid) - 1
-    for cross in range(lo, len(grid)):
-        for bad in range(lo + 1, hi + 1):
-            values = _synthetic_gap(len(grid), cross, bad, bad_value)
+def test_band_search_falls_back_at_an_undefined_or_zero_probe(bad_value):
+    # wherever the sign change lies, from any guess, and whichever probe
+    # of the band search is spoilt, the search finds the root that
+    # refining the brackets of the full timelike grid gives; after the
+    # spoilt probe it walks the grid from the last negative point
+    b, grid, lo, hi = _line_grid()
+    guesses = [0.05, grid[lo], 0.333, 0.5, 0.71, grid[hi], 2.0]
+    for cross in range(lo - 2, len(grid)):
+
+        def line(a):
+            return a / 0.05 - cross - 0.5
+
+        for guess in guesses:
+            clean = []
+            responses._band_bracket(
+                lambda a: clean.append(a) or line(a), grid[lo], grid[hi], guess
+            )
+            for k, bad in enumerate(clean):
+                probed = []
+
+                def g(a):
+                    probed.append(a)
+                    return bad_value if a == bad else line(a)
+
+                want = _full_scan_root(g, grid[lo:])
+                probed = []
+                got = responses._first_zero(g, grid, b, responses._BAND_GATE, guess)
+                if want is None:
+                    assert got is None, (cross, guess, k)
+                else:
+                    assert abs(got - want) <= 2.0 * X_TOL * max(1.0, abs(want)), (cross, guess, k)
+                # the clean probes up to the spoilt one, and no point below
+                # the light cone
+                assert probed[: k + 1] == clean[: k + 1]
+                assert min(probed) >= grid[lo]
+                negs = [a for a in clean[:k] if line(a) < 0.0]
+                resume = min(a for a in grid if a > max(negs)) if negs else grid[lo]
+                walked = [a for a in probed[k + 1 :] if a in grid and a not in negs]
+                assert walked[0] == resume, (cross, guess, k)
+
+
+@pytest.mark.filterwarnings("ignore:sign scan skipped")
+def test_band_root_that_fails_the_residual_test_falls_back_to_the_walk():
+    # NaN strictly inside the bracket the band search finds: Brent ends
+    # on an undefined point or on the bracket's edge, the residual test
+    # rejects it, and the walk from lo takes the full scan's brackets and
+    # gives its answer
+    b, grid, lo, hi = _line_grid()
+    for cross in (lo, lo + 0.3, hi - 2.2, hi - 1):
+        for guess in (grid[lo], 0.333, 0.71, grid[hi]):
+
+            def line(a):
+                return a / 0.05 - cross - 0.5
+
+            neg, pos = responses._band_bracket(line, grid[lo], grid[hi], guess)
+            assert pos is not None
             probed = []
 
             def g(a):
-                k = index.get(a)
-                probed.append(k)
-                # off the grid, the line through the points' unspoilt
-                # values, so that Brent can run
-                return values[k] if k is not None else a / 0.05 - cross - 0.5
+                probed.append(a)
+                return math.nan if neg < a < pos else line(a)
 
-            want = None
-            for br in scan_sign_changes(g, grid[lo:]):
-                root = find_root_bracketed(g, br)
-                if root > 0.0 and abs(g(root)) < min(abs(g(br.lo)), abs(g(br.hi))):
-                    want = root
-                    break
-            for start in [None, *range(lo - 2, hi + 3)]:
-                probed = []
-
-                j = responses._band_resume(g, grid, lo, hi, start)
-                assert lo <= j <= hi and values[j] < 0.0, (cross, bad, start, j)
-                if bad in probed:
-                    # the bad probe ends the search at the last negative one
-                    assert probed[-1] == bad and j < bad
-                    assert j == max(k for k in [lo, *probed] if values[k] < 0.0)
-                else:
-                    assert j == hi or values[j + 1] > 0.0
-                # a start below the grid gallops from lo, as start=None does
-                root = -1.0 if start is None else grid[start] + 0.01
-                probed = []
-                got = responses._first_zero(g, grid, b, responses._BAND_GATE, root)
-                assert got == want, (cross, bad, start)
-                # lo first, and no point below the light cone
-                assert probed[0] == lo
-                assert all(k is None or k >= lo for k in probed)
-                if start is not None and lo < start <= hi:
-                    # then the previous root's interval
-                    assert probed[1] == start
+            want = _full_scan_root(g, grid[lo:])
+            probed = []
+            got = responses._first_zero(g, grid, b, responses._BAND_GATE, guess)
+            assert got == want, (cross, guess)
+            # the walk starts at lo after Brent's probes
+            first_nan = next(k for k, a in enumerate(probed) if neg < a < pos)
+            assert grid[lo] in probed[first_nan:], (cross, guess)
 
 
 def test_dispersion_scan_stops_at_first_accepted_root():
+    # the band search from the Braaten-Segel root probes it and one step
+    # of 1e-3 of it, and Brent needs three more calls
     ms = MediumState(t=0.0, xi=1.2)
     a_e = plasma_frequency_estimate(ms)
-    a_lo, a_hi = 0.25 * a_e, 4.0 * a_e
-    step = (a_hi - a_lo) / 160
-    grid = [a_lo + i * step for i in range(161)]
-    # the band search probes above the root's bracket; at 1e-3 it starts
-    # from a_e, at 4e-3 from the 1e-3 root
-    most = {"longitudinal": (10, 9), "transverse": (9, 42)}
     for mode in ("longitudinal", "transverse"):
-        branch, seen = _calls_per_b(mode, [1e-3, 4e-3], ms, (a_lo, a_hi))
+        branch, seen = _calls_per_b(mode, [1e-3, 4e-3], ms, (0.25 * a_e, 4.0 * a_e))
         assert len(branch.samples) == 2
-        for s, cap in zip(branch.samples, most[mode]):
+        for s in branch.samples:
             calls = seen[s.b]
-            assert len(calls) <= 80, (mode, s.b, len(calls))
-            hi = min(x for x in grid if x > s.root_a)
-            scanned = set(calls) & set(grid)
-            assert hi in scanned, (mode, s.b)
-            assert len(calls) <= cap, (mode, s.b, len(calls))
-            if mode == "longitudinal":
-                assert len(calls) <= 24, (mode, s.b, len(calls))
+            assert len(calls) <= 5, (mode, s.b, len(calls))
+            assert all(abs(a - s.root_a) <= 2e-3 * s.root_a for a in calls), (mode, s.b)
 
 
 def test_dispersion_searches_the_band_above_32_b():
@@ -639,7 +784,7 @@ def test_dispersion_searches_the_band_above_32_b():
     a_e = plasma_frequency_estimate(ms)
     b_grid = [5e-4, 1e-3, 2e-3]
     window = (0.25 * a_e, 4.0 * a_e)
-    for mode, most in (("longitudinal", 37), ("transverse", 29)):
+    for mode, most in (("longitudinal", 18), ("transverse", 18)):
         branch, seen = _calls_per_b(mode, b_grid, ms, window)
         assert [s.b for s in branch.samples] == b_grid
         assert branch.samples[0].root_a > 80.0 * b_grid[0]
