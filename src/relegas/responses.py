@@ -47,9 +47,10 @@ _GATE_V_F = 0.05
 # the band search steps from the Braaten-Segel root a_BS by
 # _BAND_STEP * a_BS, doubling each step (_band_bracket)
 _BAND_STEP = 1e-3
-# _bs_root: secant steps in s = a**2, to this relative change of s
-_BS_MAX_STEPS = 60
-_BS_S_TOL = 1e-12
+# _bs_root: secant steps in s = a**2, to this relative change of s; its
+# root only seeds _band_bracket, whose first step is _BAND_STEP of it
+_BS_MAX_STEPS = 40
+_BS_S_TOL = 1e-6
 _BS_U_MAX = 1.0 - 2.0**-53
 
 
@@ -225,7 +226,7 @@ def _bs_h(u: float) -> float:
 
 
 def _bs_root(mode: str, b: float, moments: tuple[float, float, float]) -> float:
-    """Braaten-Segel root a = omega/2 of the mode at k = 2 b.
+    """Braaten-Segel root a = omega/2 of the mode at k = 2 b, to ~1e-6.
 
     With a_p = omega_p/2 and u = v_star b/a, the relations of ROADMAP
     item 11 divided through by k**2 (longitudinal) and by 4 read
@@ -235,11 +236,14 @@ def _bs_root(mode: str, b: float, moments: tuple[float, float, float]) -> float:
 
     with h(u) = (atanh(u)/u - 1)/u**2 = 1/3 + u**2/5 + ..., so neither
     loses digits as b -> 0.  Both right-hand sides fall as s = a**2 rises
-    from (v_star b)**2, where u = 1, so each has one root.  Secant steps
+    from (v_star b)**2, where u = 1, so each has one root, and it lies in
+    a bracket known in advance: 1/3 <= h(u) <= 1/3 + u**2/(5 (1 - u**2))
+    puts the longitudinal one in [max(a_p**2, (v_star b)**2),
+    a_p**2 + (v_star b)**2], and 2/3 <= 1 - (1 - u**2) h(u) <= 1 the
+    transverse one in [b**2 + a_p**2, b**2 + (3/2) a_p**2].  Secant steps
     in s start from a_p**2 + (3/5)(v_star b)**2 (longitudinal) or
-    a_p**2 + b**2 (transverse) and its fixed-point image; a step that
-    leaves the bracket known so far bisects it (or doubles s while no
-    upper end is known).
+    a_p**2 + b**2 (transverse), clipped to that bracket widened by
+    a_p**2/10, and a step that leaves the bracket known so far bisects it.
     """
     omega_p, _, v_star = moments
     ap2 = 0.25 * omega_p * omega_p
@@ -248,42 +252,45 @@ def _bs_root(mode: str, b: float, moments: tuple[float, float, float]) -> float:
         return b
     vb = v_star * b
     s_min = vb * vb
+    b2 = b * b
     longitudinal = mode == "longitudinal"
 
     def phi(s: float) -> float:
-        # u < 1 above s_min; rounding can put it at 1 far out on the
-        # longitudinal branch, where its root hugs s_min
+        # u < 1 above s_min; rounding can put it at 1 there, the lower
+        # end of the longitudinal bracket once v_star b > a_p
         u = min(vb / math.sqrt(s), _BS_U_MAX)
         h = _bs_h(u)
         if longitudinal:
             return s - 3.0 * ap2 * h
-        return s - b * b - 1.5 * ap2 * (1.0 - (1.0 - u * u) * h)
+        return s - b2 - 1.5 * ap2 * (1.0 - (1.0 - u * u) * h)
 
-    s_lo, s_hi = s_min, math.inf
-    s = ap2 + (0.6 * s_min if longitudinal else b * b)
-    if not s > s_min:
-        s = 2.0 * s_min
+    if longitudinal:
+        s_lo, s_hi = max(0.9 * ap2, s_min), 1.1 * ap2 + s_min
+        s = ap2 + 0.6 * s_min
+    else:
+        s_lo, s_hi = b2 + 0.9 * ap2, b2 + 1.6 * ap2
+        s = ap2 + b2
+    s = min(max(s, s_lo), s_hi)
     f = phi(s)
-    s_prev = f_prev = math.nan
+    # the first step is the fixed-point one, s - phi(s)
+    slope = 1.0
     for _ in range(_BS_MAX_STEPS):
-        if f == 0.0:
-            break
         if f < 0.0:
             s_lo = s
-        else:
+        elif f > 0.0:
             s_hi = s
-        # the first step is the fixed-point one, s - phi(s); phi rises, so
-        # a slope that is not positive (rounding) bisects
-        slope = 1.0 if math.isnan(f_prev) else (f - f_prev) / (s - s_prev)
+        else:
+            break
+        # phi rises, so a slope that is not positive (rounding) bisects
         s_next = s - f / slope if slope > 0.0 else math.nan
         if not s_lo < s_next < s_hi:
-            s_next = 0.5 * (s_lo + s_hi) if s_hi < math.inf else 2.0 * s_lo
+            s_next = 0.5 * (s_lo + s_hi)
         if abs(s_next - s) <= _BS_S_TOL * s_next:
             s = s_next
             break
-        s_prev, f_prev = s, f
-        s = s_next
-        f = phi(s)
+        f_next = phi(s_next)
+        slope = (f_next - f) / (s_next - s)
+        s, f = s_next, f_next
     return math.sqrt(s)
 
 

@@ -41,13 +41,12 @@ from pathlib import Path
 # longitudinal branch whose b runs from below the band-search gate
 # (root above a = 32 b) to above the window's start (a region-I prefix
 # and the light-cone pole); points with |c2| >= 2**50, refused; both
-# branches over a descending b grid, where each search starts above the
-# next b's root; both branches at xF = 2, whose roots lie near a = 90 b,
-# above a gate of 32 and below one set by the Fermi velocity; every
+# branches over a descending b grid; both branches at xF = 2, whose
+# roots lie near a = 90 b, above a gate of 32 and below one set by the
+# Fermi velocity; every
 # scalar and tensor of two points where the vacuum term is its series
 # (|c2| <= 0.05), one in region II (json) and one in subregion B (csv);
-# both warm branches over a descending b grid, where each later
-# transverse search starts above the next b's root and gallops downwards;
+# both warm branches over a descending b grid;
 # two t = 0 points whose Fermi-surface logs are O(b): a deep region-II
 # cell, and a small region-I cell whose window lies 2e-4 above xF (a
 # guard with an absolute floor refused it); both warm branches without

@@ -360,6 +360,43 @@ def test_roots_match_braaten_segel(t, xi):
         assert 0.1 < offset < 0.45, (mode, offset)
 
 
+def _bs_relation(mode, a, b, moments):
+    # the relations of ROADMAP item 11 as written there, in omega = 2 a
+    # and k = 2 b, each rising through 0 at its root; the log as log1p,
+    # since its argument is 1 + O(v k/omega)
+    omega_p, _, v = moments
+    w, k = 2.0 * a, 2.0 * b
+    log = math.log1p(2.0 * v * k / (w - v * k))
+    if mode == "longitudinal":
+        return k * k - 3.0 * omega_p**2 / v**2 * (w / (2.0 * v * k) * log - 1.0)
+    bracket = 1.0 - (w * w - v * v * k * k) / (2.0 * w * v * k) * log
+    return w * w - k * k - 3.0 * omega_p**2 * w * w / (2.0 * v * v * k * k) * bracket
+
+
+@pytest.mark.parametrize("t, xi", [(0.0, 1.2), (0.0, 3.0), (0.0, 1.001), (1.0, 0.0)])
+def test_bs_root_solves_its_relation_in_few_steps(monkeypatch, t, xi):
+    # _bs_root to 2e-6 relative in a, with at most 16 evaluations of h
+    # (measured: 16, longitudinal at b = 10 a_e, xF = 1.2); far past the
+    # end of the longitudinal branch its root is v_star b to rounding
+    moments = responses.plasma_moments(MediumState(t=t, xi=xi))
+    a_e = 0.5 * moments[0]
+    h = responses._bs_h
+    calls = []
+    monkeypatch.setattr(responses, "_bs_h", lambda u: calls.append(u) or h(u))
+    for mode in ("longitudinal", "transverse"):
+        for ratio in (1e-3, 0.1, 1.0, 2.0, 3.0, 10.0, 30.0, 1e3):
+            b = ratio * a_e
+            calls.clear()
+            a = responses._bs_root(mode, b, moments)
+            assert 1 <= len(calls) <= 16, (mode, ratio, len(calls))
+            if a <= moments[2] * b * (1.0 + 2e-6):
+                assert mode == "longitudinal" and ratio >= 10.0, (mode, ratio)
+                continue
+            lo = _bs_relation(mode, a * (1.0 - 2e-6), b, moments)
+            hi = _bs_relation(mode, a * (1.0 + 2e-6), b, moments)
+            assert lo < 0.0 < hi, (mode, ratio, a, lo, hi)
+
+
 def _calls_per_b(mode, b_grid, ms, window):
     # the branch, and the abscissae of the tensors_at calls at each b
     from collections import defaultdict
@@ -424,6 +461,13 @@ def _full_scan_branch(mode, b_grid, ms, window, n_scan=160):
 # find_root_bracketed's default: each run ends within X_TOL max(1, |a|) of
 # a zero, so two runs from different brackets agree to twice that
 X_TOL = 1e-12
+# at t = 0 and b <= NOISY_B a_e the gap near a root is roundoff noise
+# (ROADMAP item 3), and two Brent runs may end on two of its crossings,
+# up to NOISY_ROOT_TOL max(1, |a|) apart: twice the worst measured on
+# the draws of the tests below, 4.7e-11 at b = 5.0e-4 a_e (the largest
+# such b was 2.01e-3 a_e)
+NOISY_B = 2.5e-3
+NOISY_ROOT_TOL = 1e-10
 
 
 def _extrapolation_gain(bs):
@@ -454,7 +498,9 @@ def _assert_matches_full_scan(mode, b_grid, ms, window, n_scan=160):
     The same b carry a root, with the same im_at_root, each root within
     2 X_TOL max(1, |a|) of the full scan's (all that two Brent runs from
     different brackets can promise), and each residual passing the full
-    scan's residual test, below the edges of its bracket.
+    scan's residual test, below the edges of its bracket.  Where the gap
+    is roundoff noise (NOISY_B), two roots may lie up to NOISY_ROOT_TOL
+    apart if the gap between them is not increasing.
     """
     try:
         want = _full_scan_branch(mode, b_grid, ms, window, n_scan)
@@ -464,14 +510,14 @@ def _assert_matches_full_scan(mode, b_grid, ms, window, n_scan=160):
         return False
     branch = dispersion(mode, b_grid, ms, window, n_scan=n_scan)
     assert [s.b for s in branch.samples] == [w[0] for w in want], mode
+    noisy_b = NOISY_B * plasma_frequency_estimate(ms) if ms.t == 0.0 else 0.0
     worst = 0.0
     for s, (b, root, edge, im_val) in zip(branch.samples, want):
         tol = 2.0 * X_TOL * max(1.0, abs(root))
-        if abs(s.root_a - root) > tol:
-            # only where the gap is roundoff noise between the two roots
-            # (ROADMAP item 3): there no bracket pins one zero
+        if abs(s.root_a - root) > tol and b <= noisy_b:
             assert _gap_falls_between(mode, b, ms, s.root_a, root), (mode, b, s.root_a, root)
-            tol = abs(s.root_a - root)
+            tol = NOISY_ROOT_TOL * max(1.0, abs(root))
+        assert abs(s.root_a - root) <= tol, (mode, b, s.root_a, root)
         assert abs(s.residual) < edge, (mode, b, s.residual, edge)
         assert s.im_at_root == im_val, (mode, b)
         worst = max(worst, tol)
@@ -594,12 +640,14 @@ def test_dispersion_band_search_keeps_smallest_root():
         ("transverse", [2e-4, 1e-3, 2e-3, 4e-3]),
     ):
         assert _compare_band_search_draws(mode) == 48
-        # the previous root lies above the next b's band (gate * 1e-5 < a_e)
+        # a b grid that is not monotone, with its middle b below the
+        # band's reach (gate * 1e-5 < a_e)
         assert _assert_matches_full_scan(mode, [4e-3, 1e-5, 4e-3], ms, window)
         # warm: the band is transparent at every t; 2e-4 puts the root above the gate
         for b_grid in (warm_grid, warm_grid[::-1]):
             assert _assert_matches_full_scan(mode, b_grid, warm, (0.003, 0.06), n_scan=40)
-    # the previous root lies below the next b's light cone (b > a_e)
+    # a b grid that is not monotone, with its middle b above a_e, where
+    # the Braaten-Segel root lies below the light cone
     assert _assert_matches_full_scan("longitudinal", [1e-3, 2e-2, 1e-3], ms, window)
     # xF near 1, where the rise breaks near a = 20 b: a gate of 32 kept
     # a "root" with residual -0.037 (longitudinal) and -1.7e-5
@@ -624,9 +672,8 @@ def _compare_band_search_draws(mode):
         a_e = plasma_frequency_estimate(ms)
         window = (0.25 * a_e, 4.0 * a_e)
         # b on both sides of the gate: the root at ~a_e lies in the band
-        # or above its top, gate * b; descending, each search starts
-        # above the next b's root.  These are the draws of a gate of 32,
-        # scaled to the state's gate.
+        # or above its top, gate * b; ascending and descending.  These are
+        # the draws of a gate of 32, scaled to the state's gate.
         gate = responses._band_gate(ms)
         b0 = a_e * math.exp(rng.uniform(math.log(2e-3), math.log(0.2))) * 32.0 / gate
         below_gate += gate * b0 > a_e
