@@ -120,19 +120,34 @@ def _log_kernels(x: float, p: KinematicPoint) -> tuple[float, float]:
     l2 = am - bm
     l3 = ap - bp
     l4 = ap - bm
-    den = l2 * l4 or _TINY
-    q = -4.0 * ((a - b) * (a + b)) * by / den
+    return _factor_logs(
+        l1 * l3, l2 * l4, l2 * l3, l1 * l4, -4.0 * ((a - b) * (a + b)) * by, 4.0 * a * x * by
+    )
+
+
+def _factor_logs(
+    n1: float, d1: float, n2: float, d2: float, diff1: float, diff2: float
+) -> tuple[float, float]:
+    """(r1, r2) of _log_kernels from the products of its factors L1..L4.
+
+    r1 = log|n1/d1| and r2 = (1/2) log|n2/d2|, with n1 = L1 L3,
+    d1 = L2 L4, n2 = L2 L3 and d2 = L1 L4; diff1 = n1 - d1 = -4 c2 b y and
+    diff2 = n2 - d2 = 4 a x b y are formed from a, b, x and b y, not
+    subtracted.
+    """
+    den = d1 or _TINY
+    q = diff1 / den
     if q > -0.5:
         k1 = log1p(q)
     else:
-        r = abs(l1 * l3 / den)
+        r = abs(n1 / den)
         k1 = log(_TINY if r < _TINY else r)
-    den = l1 * l4 or _TINY
-    q = 4.0 * a * x * by / den
+    den = d2 or _TINY
+    q = diff2 / den
     if q > -0.5:
         k2 = 0.5 * log1p(q)
     else:
-        r = abs(l2 * l3 / den)
+        r = abs(n2 / den)
         k2 = 0.5 * log(_TINY if r < _TINY else r)
     return k1, k2
 

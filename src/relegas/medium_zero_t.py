@@ -30,7 +30,7 @@ from .kinematics import (
     classify_region,
     zero_t_subregion,
 )
-from .medium_finite_t import ResponseScalars, _log_kernels
+from .medium_finite_t import ResponseScalars, _factor_logs
 from .occupation import MediumState
 
 _EDGE_TOL = 1e-14
@@ -214,13 +214,14 @@ def _im_parts(p: KinematicPoint, sub: SubregionLabel, ms: MediumState) -> tuple[
 
 
 def _fermi_logs(p: KinematicPoint, x: float, y: float) -> tuple[float, float]:
-    """(r1, r2) at the Fermi surface x = xF, y = yF, from _log_kernels.
+    """(r1, r2) at the Fermi surface x = xF, y = yF: _log_kernels's bits.
 
     The guard reads the products L1 L3, L2 L4, L2 L3 and L1 L4 of the
     four linear factors L1..L4 = a (a -+ x) - b (b +- y): the numerators
     and denominators of the defining log ratios.  One of them within
     _EDGE_TOL max((a x)**2, c2**2, (b y)**2) of 0 means a window edge
-    sits on the surface, where the U terms diverge.
+    sits on the surface, where the U terms diverge.  The logs are taken
+    from the same products, by _factor_logs as in _log_kernels.
     """
     a, b, c2 = p.a, p.b, p.c2
     ax = a * x
@@ -239,19 +240,20 @@ def _fermi_logs(p: KinematicPoint, x: float, y: float) -> tuple[float, float]:
         raise SubregionBoundaryError(
             f"(a, b) = ({a}, {b}) has a window edge on the Fermi surface xF = {x}"
         )
-    return _log_kernels(x, p)
+    return _factor_logs(n1, d1, n2, d2, -4.0 * ((a - b) * (a + b)) * by, 4.0 * a * x * by)
 
 
-def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[float, float]:
+def _re_parts(p: KinematicPoint, ms: MediumState) -> tuple[float, float]:
     """(Re B, Re D) at T = 0 in closed form, U + W + Z pieces of both.
 
+    The Fermi surface is ms's, and log(xF + yF) is built once per state.
     The Fermi-surface logs (with their guard), the Z coefficients and the
     branch pieces of the master integrals are built once, from the
     point's and the surface's fields read once.  Each Z is
     (M + N) I0 - N I2: on the real branch through the mean root s_bar,
     on the complex one grouped by lg and at.
     """
-    x, y = fs
+    x, y = ms.fermi_surface
     if y == 0.0:
         return 0.0, 0.0
     a, b, c2, gamma2, d2 = p
@@ -259,7 +261,7 @@ def _re_parts(p: KinematicPoint, fs: FermiSurface, ms: MediumState) -> tuple[flo
     b2 = b * b
     u_b = x / (12.0 * b) * ((x * x + 3.0 * c2) * k1 + 6.0 * a * x * k2)
     u_d = x * (1.0 + 2.0 * c2) / (8.0 * b) * k1
-    log_xy = math.log(x + y)
+    log_xy = ms._fermi_log
     w_b = (2.0 / 3.0) * (x * y - b2 * log_xy)
     w_d = 0.5 * (x * y + 2.0 * c2 * log_xy)
     m_b, n_b, m_d, n_d, c_b, c_d = _z_coefficients(a * a, b2, c2, gamma2, d2)
@@ -288,5 +290,5 @@ def scalars_zero_t(
     fs = ms.fermi_surface
     region = classify_region(p)
     # the real half runs (and may raise) before the subregion is built
-    parts = _re_parts(p, fs, ms) + _im_parts(p, zero_t_subregion(p, fs, region), ms)
+    parts = _re_parts(p, ms) + _im_parts(p, zero_t_subregion(p, fs, region), ms)
     return ResponseScalars.from_parts(p, ms, parts, include_vacuum)

@@ -70,6 +70,17 @@ class MediumState:
             raise ValueError("fermi_surface is defined only at t = 0")
         return fermi_surface(self.xi)
 
+    @cached_property
+    def _fermi_log(self) -> float:
+        """log(xF + yF) of the t = 0 state, built once per state."""
+        x, y = self.fermi_surface
+        return math.log(x + y)
+
+    @cached_property
+    def _vacuum_pref(self) -> float:
+        """-e2/(12 pi**2), the vacuum scalar's prefactor, built once per state."""
+        return -self.e2 / (12.0 * math.pi**2)
+
 
 def _fermi_factor(arg: float) -> float:
     # 1/(exp(arg) + 1) with clipping so exp never overflows

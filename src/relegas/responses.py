@@ -97,7 +97,7 @@ def _evaluate(
     if ms.is_degenerate:
         fs = ms.fermi_surface
         # the real half runs (and may raise) before the subregion is built
-        re_parts = _re_parts(p, fs, ms)
+        re_parts = _re_parts(p, ms)
         sub = zero_t_subregion(p, fs, region)
         parts = re_parts + _im_parts(p, sub, ms)
     else:
@@ -556,8 +556,9 @@ def evaluate_cell(
     nu_l = tens.nu_L
     meta = eps_l.real < 0.0 and nu_l.real < 0.0
     subregion = sub.label if sub is not None else ""
+    # _value_ is region.value without the Enum property's lookup
     return GridCell(
-        a, b, region.value, subregion, eps_l.real, eps_l.imag, nu_l.real, nu_l.imag, meta, ""
+        a, b, region._value_, subregion, eps_l.real, eps_l.imag, nu_l.real, nu_l.imag, meta, ""
     )
 
 

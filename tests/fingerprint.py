@@ -50,7 +50,9 @@ from pathlib import Path
 # two t = 0 points whose Fermi-surface logs are O(b): a deep region-II
 # cell, and a small region-I cell whose window lies 2e-4 above xF (a
 # guard with an absolute floor refused it); both warm branches without
-# --a-range, in the window (a_e/4, 4 a_e)
+# --a-range, in the window (a_e/4, 4 a_e); six points of the vacuum
+# series branch whose output prints ReC itself, a move of one ulp that
+# the pool digests do not see: c2 ~ +-1e-6, +-3e-3 and just inside +-0.05
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -100,6 +102,12 @@ CLI_COMMANDS = [
      "--xf", "1.069"],
     ["dispersion", "--mode", "both", "--b-range", "1e-3", "4e-3", "2", "--t", "0.05",
      "--xi", "1.2"],
+    ["response", "--a", "0.5", "--b", "0.499999", "--xf", "1.2"],
+    ["response", "--a", "0.5", "--b", "0.500001", "--xf", "1.2"],
+    ["response", "--a", "0.5", "--b", "0.497", "--xf", "1.2"],
+    ["response", "--a", "0.5", "--b", "0.503", "--xf", "1.2"],
+    ["response", "--a", "0.5", "--b", "0.4473", "--xf", "1.2"],
+    ["response", "--a", "0.5", "--b", "0.5477", "--xf", "1.2"],
 ]
 
 

@@ -225,21 +225,47 @@ def test_small_point_off_every_boundary_is_evaluated():
     assert (s.B.imag, s.D.imag) == im_scalars(p, ms) == (0.0, 0.0)
 
 
-def test_fermi_logs_are_the_public_kernels_bit_for_bit():
-    # the guarded Fermi-surface logs are r1(xF, p) and r2(xF, p) exactly,
-    # in all three regions and at a = 0
+def test_fermi_logs_are_the_public_kernels_bit_for_bit(monkeypatch):
+    # the guarded Fermi-surface logs take their logs from the guard's own
+    # products, through the _factor_logs that _log_kernels calls: their
+    # bits are r1(xF, p) and r2(xF, p) on 1,200 seeded points, in all three
+    # regions and at a = 0, and each log takes its fallback (q <= -1/2, a
+    # log of |ratio| in place of log1p) on at least 50 of them and its
+    # log1p on at least 50
+    from relegas import medium_finite_t
     from relegas.medium_finite_t import r1, r2
     from relegas.medium_zero_t import _fermi_logs
 
+    taken: list[str] = []
+
+    def recorded(name, fn):
+        def wrapper(v):
+            taken.append(name)
+            return fn(v)
+
+        return wrapper
+
     rng = random.Random(1717)
-    points = [draw_valid_point(rng) for _ in range(300)] + [derive_point(0.0, 0.4)]
-    for p in points:
+    n_points = 0
+    n_fallback = [0, 0]
+    while n_points < 1200:
+        p = draw_valid_point(rng) if n_points % 100 else derive_point(0.0, rng.uniform(0.01, 3.0))
         fs = fermi_surface(rng.uniform(1.0, 4.0))
-        try:
-            got = _fermi_logs(p, fs.xF, fs.yF)
-        except SubregionBoundaryError:
-            continue
-        assert got == (r1(fs.xF, p), r2(fs.xF, p))
+        taken.clear()
+        with monkeypatch.context() as m:
+            m.setattr(medium_finite_t, "log", recorded("log", math.log))
+            m.setattr(medium_finite_t, "log1p", recorded("log1p", math.log1p))
+            try:
+                got = _fermi_logs(p, fs.xF, fs.yF)
+            except SubregionBoundaryError:
+                continue
+        assert repr(got) == repr((r1(fs.xF, p), r2(fs.xF, p))), (p, fs)
+        # r1's log is taken first, then r2's
+        assert len(taken) == 2
+        for i, name in enumerate(taken):
+            n_fallback[i] += name == "log"
+        n_points += 1
+    assert min(n_fallback) >= 50 and max(n_fallback) <= n_points - 50, n_fallback
 
 
 # 40-digit (Re B, Re D) at t = 0 without the vacuum term, (a, b, xF) ->

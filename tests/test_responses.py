@@ -161,7 +161,9 @@ def test_public_records_agree_with_the_private_path():
 def test_one_classification_per_point(monkeypatch):
     # a t = 0 point classifies its region, builds its subregion and the
     # Fermi-surface logs once, and never calls the public r1 and r2
-    # kernels; a t > 0 point classifies its region once
+    # kernels; the logs form the four Fermi-surface factors once and take
+    # both logs from their products, without _log_kernels; a t > 0 point
+    # classifies its region once
     from collections import Counter
 
     from relegas import kinematics, medium_zero_t, responses
@@ -181,18 +183,24 @@ def test_one_classification_per_point(monkeypatch):
         (medium_zero_t, "_fermi_logs"),
         (medium_finite_t, "r1"),
         (medium_finite_t, "r2"),
+        (medium_finite_t, "_factor_logs"),
+        (medium_finite_t, "_log_kernels"),
     ):
         wrapper = counted(name, getattr(home, name))
         for mod in (kinematics, medium_finite_t, medium_zero_t, responses):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapper)
 
-    tensors_at(0.5, 1.0, COLD)
-    assert calls["classify_region"] == 1
-    assert calls["zero_t_subregion"] == 1
-    assert calls["_fermi_logs"] == 1
-    assert calls["r1"] == 0
-    assert calls["r2"] == 0
+    for a, b in ((0.5, 1.0), (0.5, 0.3), (2.0, 1.0)):
+        calls.clear()
+        tensors_at(a, b, COLD)
+        assert calls["classify_region"] == 1
+        assert calls["zero_t_subregion"] == 1
+        assert calls["_fermi_logs"] == 1
+        assert calls["_factor_logs"] == 1
+        assert calls["_log_kernels"] == 0
+        assert calls["r1"] == 0
+        assert calls["r2"] == 0
     calls.clear()
     tensors_at(0.5, 1.0, MediumState(t=0.05, xi=1.2))
     assert calls["classify_region"] == 1

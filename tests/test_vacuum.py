@@ -20,6 +20,15 @@ REAL_TABLE = {
     0.3: 0.0002150855296634802,
     0.9: 0.001147837530443669,
     0.999: 0.0019523510668192899,
+    # next to the switch at |c2| = 0.05, from the 100-digit closed form of
+    # tests/make_vacuum_reference.py: the closed form's own roundoff reaches
+    # ~1e-13 relative here, so these pin its branch as it stands
+    -0.1: -5.943452303310007e-05,
+    -0.07: -4.2110026729780236e-05,
+    -0.0501: -3.038567846907659e-05,
+    0.0501: 3.17196719225773e-05,
+    0.07: 4.4716749616090816e-05,
+    0.1: 6.476540039719257e-05,
 }
 
 COMPLEX_TABLE = {
@@ -150,9 +159,38 @@ def test_linear_in_coupling():
 
 
 def test_series_matches_the_high_precision_reference():
-    # 36 points of the series branch, seeded in +-[1e-8, 0.05] and its ends
+    # 36 points of the series branch, seeded in +-[1e-8, 0.05] and its ends;
+    # the worst error measured is 3.3e-16
     assert len(SERIES_REFERENCE) >= 24
+    worst = 0.0
     for c2, want in SERIES_REFERENCE.items():
         got = c_star(c2, MS)
         assert rel_err(got.value.real, want) <= 1e-14, c2
         assert got.value.imag == 0.0
+        worst = max(worst, rel_err(got.value.real, want))
+    assert worst <= 1e-15
+
+
+def test_series_coefficients_are_the_exact_rationals():
+    # the bracket is sum over k >= 1 of (-1)**k 4 (k + 2)/((2k + 1)(2k + 3)) s**k;
+    # each literal of the degree-15 polynomial is the float of its rational,
+    # and at the switch's |s| = 0.05/0.95 the first omitted term is below
+    # 2**-60 of the leading one
+    from fractions import Fraction
+
+    from relegas.vacuum import _SERIES, _SERIES_SWITCH, _bracket_series
+
+    def coefficient(k: int) -> Fraction:
+        return Fraction((-1) ** k * 4 * (k + 2), (2 * k + 1) * (2 * k + 3))
+
+    assert len(_SERIES) == 15
+    for k, literal in enumerate(_SERIES, start=1):
+        assert literal == float(coefficient(k)), k
+    s = Fraction(_SERIES_SWITCH) / (1 - Fraction(_SERIES_SWITCH))
+    assert abs(coefficient(16) * s**16) < Fraction(1, 2**60) * abs(coefficient(1) * s)
+    # far outside the branch every term weighs (the last is 12 % of the
+    # value at s = 1): the polynomial evaluated is the one of all 15 literals
+    for c2 in (0.5, -1.0):
+        s = Fraction(c2) / (1 - Fraction(c2))
+        want = float(sum(coefficient(k) * s**k for k in range(1, 16)))
+        assert rel_err(_bracket_series(c2), want) <= 1e-15, c2
