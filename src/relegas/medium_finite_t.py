@@ -14,7 +14,8 @@ quadrature, the public r1 and r2 and the t = 0 closed forms all use it.
 Imaginary parts are integrals of polynomial kernels over the part of the
 kinematic window below the occupation cutoff; they vanish identically in
 region II, where no real absorption process exists.  All five integrals
-are one vector-valued quadrature pass over shared nodes.
+are one vector-valued quadrature pass over shared nodes; in region II the
+pass has the three real components only.
 """
 
 from __future__ import annotations
@@ -208,13 +209,15 @@ def _parts(
     that starts there.  At t > 0 the last panel, the thermal tail
     [t0, cutoff] above the largest of 1, |xi| and the window edges below
     the cutoff, is integrated in the variable of _tail_map.  Region II
-    has no window and exactly zero imaginary parts.
+    has no window and exactly zero imaginary parts: its pass integrates
+    only the three real components (R, R_B, R_D), not five.
     """
     hi = x_cutoff(ms)
     a, b, c2 = p.a, p.b, p.c2
     b2 = b * b
     lower = upper = shift = 0.0
-    if region is not RegionLabel.II:
+    absorbs = region is not RegionLabel.II
+    if absorbs:
         lower, upper = kinematic_window(p)
         # (x + a)**2 - b**2 in region I, (x - a)**2 - b**2 in region III
         shift = a if region is RegionLabel.I else -a
@@ -248,9 +251,7 @@ def _parts(
     a4 = 4.0 * a
     m4c2 = -4.0 * ((a - b) * (a + b))
 
-    def sums(
-        xs: list[float], ws: Sequence[float], in_window: bool
-    ) -> tuple[float, float, float, float, float]:
+    def sums(xs: list[float], ws: Sequence[float], in_window: bool) -> tuple[float, ...]:
         # n_fermi and _log_kernels inlined with y and b*y shared: one sqrt
         # and no Python call per node.  The arithmetic is theirs step for
         # step, and each sum adds w * value in node order, so the bits are
@@ -302,13 +303,15 @@ def _parts(
             s_big += w * (n * y)
             s_b += w * (n * ((xx + c2) * k1 + a4 * x * k2))
             s_d += w * (n * k1)
+        if not absorbs:
+            return s_big, s_b, s_d
         if in_window:
             for x, w, n in zip(xs, ws, ns):
                 s_im_b += w * (n * ((x + shift) ** 2 - b2))
                 s_im_d += w * n
         return s_big, s_b, s_d, s_im_b, s_im_d
 
-    def kernel(zs: list[float], ws: Sequence[float]) -> tuple[float, float, float, float, float]:
+    def kernel(zs: list[float], ws: Sequence[float]) -> tuple[float, ...]:
         # all nodes of a call lie inside one panel: the first decides
         # whether they are x or the tail's s, and the window
         if zs[0] <= t0:
@@ -325,13 +328,14 @@ def _parts(
         # no double lies inside [1, cutoff]: an empty sea and no window
         # (t = 0 with xi = 1, or a cutoff of 1 + 1 ulp at t ~ 1e-17)
         return 0.0, 0.0, 0.0, 0.0
-    big_r, r_b, r_d, im_b, im_d = res.value
+    big_r, r_b, r_d = res.value[:3]
     r_b /= 4.0 * b
     r_d *= (1.0 + 2.0 * c2) / (8.0 * b)
     pref = -ms.e2 / (4.0 * math.pi**2 * c2)
     re_b, re_d = pref * (big_r + r_b), pref * (big_r + r_d)
-    if region is RegionLabel.II:
+    if not absorbs:
         return re_b, re_d, 0.0, 0.0
+    im_b, im_d = res.value[3:]
     im_b *= -ms.e2 / (16.0 * math.pi * b * c2)
     im_d *= -ms.e2 * (1.0 + 2.0 * c2) / (32.0 * math.pi * b * c2)
     return re_b, re_d, im_b, im_d

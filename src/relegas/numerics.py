@@ -8,21 +8,23 @@ panel edges, so integrable endpoint singularities such as logs and
 square roots are resolved without bisection, and every node lies
 strictly inside its panel: a breakpoint is never evaluated.
 
-Each panel halves its step (one level) at a time, and each level
-roughly doubles the number of correct digits.  The difference of the
-last two levels, d1 = |S_k - S_(k-1)|, is therefore the error of
-S_(k-1), not of S_k.  From level 2 on, a panel extrapolates the error of
-S_k from d1 and d2 = |S_k - S_(k-2)| (Bailey, Jeyabalan & Li, Exp.
-Math. 14 (2005) 317, as in mpmath's QuadratureRule.estimate_error):
-with l = log10(d / |S_k|) it is |S_k| * 10**max(l1**2/l2, 2 l1, -15.5),
-and never more than d1.  The extrapolation is trusted only while the
-levels converge quadratically, l1 <= 1.5 l2 < 0; otherwise, and at
-levels 0 and 1, the error is d1.  Without that guard, a panel whose
-digits grow only linearly (an inverse square root at a breakpoint)
-reports convergence with a true error many times the tolerance.  The
-panel contributing the largest share of the error is refined next.
-Levels stop at MAX_LEVEL, which bounds every call to PANEL_BUDGET
-evaluations per panel.
+Every panel opens with levels 0, 1 and 2 before its first error test,
+and then halves its step (one level) at a time; each level roughly
+doubles the number of correct digits.  The difference of the last two
+levels, d1 = |S_k - S_(k-1)|, is therefore the error of S_(k-1), not of
+S_k.  A panel extrapolates the error of S_k from d1 and
+d2 = |S_k - S_(k-2)| (Bailey, Jeyabalan & Li, Exp. Math. 14 (2005) 317,
+as in mpmath's QuadratureRule.estimate_error): with
+l = log10(d / |S_k|) it is |S_k| * 10**max(l1**2/l2, 2 l1, -15.5), and
+never more than d1.  The extrapolation is trusted only while the levels
+converge quadratically, l1 <= 1.5 l2 < 0; otherwise the error is d1.
+Without that guard, a panel whose digits grow only linearly (an inverse
+square root at a breakpoint) reports convergence with a true error many
+times the tolerance.  The panel contributing the largest share of the
+error is refined next.  The running sums and the error are brought up
+to date once per opening or step, not once per level.  Levels stop at
+MAX_LEVEL, which bounds every call to PANEL_BUDGET evaluations per
+panel.
 
 The integrand is called once per level of one panel, as f(xs, ws), with
 the nodes that level adds and their weights (all positive).  Every node
@@ -43,9 +45,10 @@ import warnings
 from math import log10
 from typing import Callable, NamedTuple, Sequence
 
-# step h = 2**-(level + 1); every panel starts at _MIN_LEVEL, so that
-# two crude levels cannot agree by accident
-_MIN_LEVEL = 1
+# step h = 2**-(level + 1); every panel opens with levels 0 to _MIN_LEVEL
+# before its first error test, so that two crude levels cannot agree by
+# accident and the first error is already extrapolated from three levels
+_MIN_LEVEL = 2
 MAX_LEVEL = 5
 # nodes stop where the offset from a panel edge, as a fraction of the
 # half-width, falls below this (the weight there is ~1e-18 of the centre's)
@@ -137,63 +140,74 @@ class _Panel:
         self.previous: list[float] = []
         self.error: list[float] = []
 
-    def refine(self, f: Integrand) -> int:
-        """Add the next level's nodes -> number of nodes evaluated."""
-        self.level += 1
+    def refine(self, f: Integrand, upto: int) -> int:
+        """Add the nodes of levels self.level + 1 .. upto -> number evaluated.
+
+        f is called once per level; the running sums, the values of the
+        last three levels and the error are brought up to date once, at
+        upto (>= _MIN_LEVEL).
+        """
         lo, hi, half = self.lo, self.hi, self.half
-        us, ws = _TABLES[self.level]
-        weights = _BOTH_SIDES[self.level]
-        left = [lo + half * u for u in us]
-        right = [hi - half * u for u in us]
-        # keep nodes strictly inside: offsets shrink along the table, so
-        # the ones that round onto an edge are at the end
-        if left[-1] <= lo or right[-1] >= hi:
-            while left and left[-1] <= lo:
-                left.pop()
-            while right and right[-1] >= hi:
-                right.pop()
-            weights = ws[: len(left)] + ws[: len(right)] + weights[2 * len(ws) :]
-        xs = left + right
-        if self.level == 0:
-            xs.append(lo + half)
-        if xs:
-            new = f(xs, weights)
-            if self.level == 0:  # the centre is always evaluated
-                self.vector = isinstance(new, tuple)
-            new = list(new) if self.vector else [new]
-            if not all(map(math.isfinite, new)):
-                _raise_nonfinite(f, xs)
-        else:  # a level whose nodes all rounded onto the edges adds nothing
-            new = [0.0] * len(self.sums)
-        h = 2.0 ** -(self.level + 1)
-        if self.level == 0:
-            self.sums = new
-            self.value = [h * half * s for s in new]
-            self.error = [math.inf] * len(new)
-        else:
-            self.sums = [s + n for s, n in zip(self.sums, new)]
-            older, previous = self.previous, self.value
-            self.previous = previous
-            self.value = [h * half * s for s in self.sums]
-            if self.level == 1:
-                self.error = [abs(v - p) for v, p in zip(self.value, previous)]
+        first = self.level + 1
+        news = []  # each level's sums, or None for a level without nodes
+        nodes = []
+        for level in range(first, upto + 1):
+            us, ws = _TABLES[level]
+            weights = _BOTH_SIDES[level]
+            left = [lo + half * u for u in us]
+            right = [hi - half * u for u in us]
+            # keep nodes strictly inside: offsets shrink along the table, so
+            # the ones that round onto an edge are at the end
+            if left[-1] <= lo or right[-1] >= hi:
+                while left and left[-1] <= lo:
+                    left.pop()
+                while right and right[-1] >= hi:
+                    right.pop()
+                weights = ws[: len(left)] + ws[: len(right)] + weights[2 * len(ws) :]
+            xs = left + right
+            if level == 0:
+                xs.append(lo + half)
+            news.append(f(xs, weights) if xs else None)
+            nodes.append(xs)
+        if first == 0:  # the centre is always evaluated
+            self.vector = isinstance(news[0], tuple)
+        if not self.vector:
+            news = [None if n is None else (n,) for n in news]
+        sums = self.sums
+        # the values of levels upto - 2, upto - 1 and upto, oldest first
+        values = [self.previous, self.value]
+        for level, new in enumerate(news, first):
+            if level == 0:
+                sums = new
             else:
-                # the error of v, the last of three levels p2, p1, v
-                self.error = error = []
-                for v, p1, p2 in zip(self.value, previous, older):
-                    e1 = abs(v - p1)
-                    e2 = abs(v - p2)
-                    if e1 and e2 and v:
-                        lv = log10(abs(v))
-                        l1 = log10(e1) - lv
-                        l2 = log10(e2) - lv
-                        # quadratic convergence has l1 ~ 2 l2; anything slower keeps d1
-                        if l1 <= 1.5 * l2 < 0.0:
-                            e = abs(v) * 10.0 ** max(l1 * l1 / l2, 2.0 * l1, _LOG_FLOOR)
-                            if e < e1:
-                                e1 = e
-                    error.append(e1)
-        return len(xs)
+                # a level whose nodes all rounded onto the edges adds nothing
+                sums = list(map(operator.add, sums, new or (0.0,) * len(sums)))
+            scale = 2.0 ** -(level + 1) * half
+            values.append([scale * s for s in sums])
+        # a non-finite level sum makes every later running sum non-finite
+        if not all(map(math.isfinite, sums)):
+            for xs, new in zip(nodes, news):
+                if new is not None and not all(map(math.isfinite, new)):
+                    _raise_nonfinite(f, xs)
+        self.level = upto
+        self.sums = sums
+        older, self.previous, self.value = values[-3:]
+        # the error of v, the last of three levels p2, p1, v
+        self.error = error = []
+        for v, p1, p2 in zip(self.value, self.previous, older):
+            e1 = abs(v - p1)
+            e2 = abs(v - p2)
+            if e1 and e2 and v:
+                lv = log10(abs(v))
+                l1 = log10(e1) - lv
+                l2 = log10(e2) - lv
+                # quadratic convergence has l1 ~ 2 l2; anything slower keeps d1
+                if l1 <= 1.5 * l2 < 0.0:
+                    e = abs(v) * 10.0 ** max(l1 * l1 / l2, 2.0 * l1, _LOG_FLOOR)
+                    if e < e1:
+                        e1 = e
+            error.append(e1)
+        return sum(map(len, nodes))
 
 
 def _raise_nonfinite(f: Integrand, xs: list[float]) -> None:
@@ -238,7 +252,15 @@ def integrate_adaptive(
         panel stops at MAX_LEVEL, so a call makes at most PANEL_BUDGET
         evaluations per panel; if the target is not met by then, the
         best estimate is still returned with ``converged=False``.
+
+    A non-finite lo, hi or breakpoint, or a rel_tol that is NaN,
+    infinite or negative, raises ValueError before any evaluation.
+    Finite breakpoints outside [lo, hi] are ignored.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and all(map(math.isfinite, breakpoints))):
+        raise ValueError(f"limits [{lo}, {hi}] and breakpoints {list(breakpoints)} must be finite")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol = {rel_tol} must be finite and non-negative")
     if hi < lo:
         r = integrate_adaptive(f, hi, lo, breakpoints, rel_tol)
         value = tuple(-v for v in r.value) if isinstance(r.value, tuple) else -r.value
@@ -255,8 +277,7 @@ def integrate_adaptive(
 
     evals = 0
     for panel in panels:
-        for _ in range(_MIN_LEVEL + 1):
-            evals += panel.refine(f)
+        evals += panel.refine(f, _MIN_LEVEL)
     while True:
         if len(panels) == 1:
             # what fsum and sum give for one term: fsum([-0.0]) is 0.0
@@ -280,7 +301,7 @@ def integrate_adaptive(
                     worst, worst_share = pn, share
         if worst is None:
             break
-        evals += worst.refine(f)
+        evals += worst.refine(f, worst.level + 1)
     if panels[0].vector:
         return QuadratureResult(tuple(value), tuple(error), evals, converged)
     return QuadratureResult(value[0], error[0], evals, converged)

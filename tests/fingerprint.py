@@ -17,6 +17,10 @@ and pools to run, so a commit without this script can be compared too.
 With two roots, each is fingerprinted in its own interpreter, only the
 lines that differ are printed (``<`` for ROOT_A, ``>`` for ROOT_B), and
 the exit status is 1 on any difference, 0 when every line is equal.
+Under each pool line that differs, a ``~`` line counts the ops whose
+results differ and gives the worst |dz|/max(1, |z|) over the numbers of
+their reprs, z from ROOT_A (a complex literal is one number); ``inf``
+there means that some result differs in more than its numbers.
 pytest does not collect this file.  ``perfbench`` is imported
 read-only: no bytecode is written.
 """
@@ -25,10 +29,14 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -118,6 +126,48 @@ def outcome(run) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+# a real as repr prints it, and a number of a repr: a complex literal
+# (re+imj), or a real with an optional j
+_REAL = r"(?:\d+(?:\.\d*)?(?:e[-+]?\d+)?|inf|nan)"
+_NUMBER = re.compile(
+    rf"\(([-+]?{_REAL})([-+]{_REAL})j\)|(?<![\w.])([-+]?{_REAL})(j?)(?![\w.])"
+)
+
+
+def numbers(text: str) -> tuple[str, list[complex]]:
+    """The repr with its numbers replaced by #, and the numbers in order."""
+    found = []
+
+    def take(m: re.Match) -> str:
+        re_part, im_part, real, j = m.groups()
+        if re_part is not None:
+            found.append(complex(float(re_part), float(im_part)))
+        else:
+            found.append(complex(0.0, float(real)) if j else complex(float(real)))
+        return "#"
+
+    return _NUMBER.sub(take, text), found
+
+
+def worst_change(a: str, b: str) -> float:
+    """Worst |zb - za|/max(1, |za|) over the numbers of two reprs.
+
+    0 when they are equal, inf when they differ in more than their
+    numbers or a number is NaN on one side only.
+    """
+    if a == b:
+        return 0.0
+    (shape_a, zs_a), (shape_b, zs_b) = numbers(a), numbers(b)
+    if shape_a != shape_b:
+        return math.inf
+    worst = 0.0
+    for za, zb in zip(zs_a, zs_b):
+        if repr(za) != repr(zb):
+            d = abs(zb - za) / max(1.0, abs(za))
+            worst = max(worst, math.inf if math.isnan(d) else d)
+    return worst
+
+
 def digest(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -156,34 +206,62 @@ def cli_runs(root: Path):
         yield argv, proc.returncode, f"{argv} -> {proc.returncode}\n{proc.stdout}"
 
 
+def pool_change(dumps: list[Path], name: str) -> str:
+    """How many ops of one pool differ between two dumps, and by how much."""
+    outs = []
+    for dump in dumps:
+        path = dump / f"{name}.jsonl"
+        if not path.exists():
+            return "~ not comparable: the pool is missing on one side"
+        outs.append([json.loads(line) for line in path.read_text().splitlines()])
+    if len(outs[0]) != len(outs[1]):
+        return "~ not comparable: the pools differ in length"
+    n_moved = sum(a != b for a, b in zip(*outs))
+    worst = max(map(worst_change, *outs))
+    return f"~ {n_moved} of {len(outs[0])} ops differ, worst |dz|/max(1,|z|) = {worst:.3g}"
+
+
 def compare(roots: list[Path]) -> int:
     """Fingerprint both roots concurrently; print the lines that differ."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    procs = [
-        subprocess.Popen(
-            [sys.executable, __file__, str(root)], env=env, stdout=subprocess.PIPE, text=True
-        )
-        for root in roots
-    ]
-    outs = [proc.communicate()[0].splitlines() for proc in procs]
-    for root, proc in zip(roots, procs):
-        if proc.returncode:
-            print(f"error: fingerprint of {root} exited with {proc.returncode}", file=sys.stderr)
-            return 2
-    # lines are keyed by their name, the first column
-    by_name = [{line.split()[0]: line for line in out} for out in outs]
-    names = list(dict.fromkeys(name for lines in by_name for name in lines))
-    n_diff = 0
-    for name in names:
-        line_a, line_b = (lines.get(name, f"{name} (missing)") for lines in by_name)
-        if line_a != line_b:
-            n_diff += 1
-            print(f"< {line_a}\n> {line_b}")
+    with tempfile.TemporaryDirectory() as tmp:
+        dumps = [Path(tmp) / str(i) for i in range(len(roots))]
+        procs = [
+            subprocess.Popen(
+                [sys.executable, __file__, str(root), "--dump", str(dump)],
+                env=env, stdout=subprocess.PIPE, text=True,
+            )
+            for root, dump in zip(roots, dumps)
+        ]
+        outs = [proc.communicate()[0].splitlines() for proc in procs]
+        for root, proc in zip(roots, procs):
+            if proc.returncode:
+                print(f"error: fingerprint of {root} exited with {proc.returncode}",
+                      file=sys.stderr)
+                return 2
+        # lines are keyed by their name, the first column
+        by_name = [{line.split()[0]: line for line in out} for out in outs]
+        names = list(dict.fromkeys(name for lines in by_name for name in lines))
+        n_diff = 0
+        for name in names:
+            line_a, line_b = (lines.get(name, f"{name} (missing)") for lines in by_name)
+            if line_a != line_b:
+                n_diff += 1
+                print(f"< {line_a}\n> {line_b}")
+                if not name.startswith("cli."):
+                    print(pool_change(dumps, name))
     print(f"{n_diff} of {len(names)} lines differ", file=sys.stderr)
     return 1 if n_diff else 0
 
 
 def main(argv: list[str]) -> int:
+    dump = None
+    if "--dump" in argv:
+        # each pool's outcomes, one JSON string a line, for compare
+        i = argv.index("--dump")
+        dump = Path(argv[i + 1])
+        dump.mkdir(parents=True)
+        argv = argv[:i] + argv[i + 2:]
     if len(argv) > 2:
         return compare([Path(r).resolve() for r in argv[1:3]])
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
@@ -192,7 +270,10 @@ def main(argv: list[str]) -> int:
         # the sign scan warns about light-cone points it skips
         warnings.simplefilter("ignore")
         for name, ops in pools(root).items():
-            print(f"{name:24s} {len(ops):5d} {digest(outcome(op.run) for op in ops)}", flush=True)
+            outs = [outcome(op.run) for op in ops]
+            if dump is not None:
+                (dump / f"{name}.jsonl").write_text("".join(json.dumps(o) + "\n" for o in outs))
+            print(f"{name:24s} {len(ops):5d} {digest(outs)}", flush=True)
     for i, (argv, status, line) in enumerate(cli_runs(root)):
         print(f"{f'cli.{i:02d}':24s} {status:5d} {digest([line])}  {' '.join(argv)}", flush=True)
     return 0

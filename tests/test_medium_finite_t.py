@@ -340,6 +340,15 @@ def _composed_sums(xs, ws, p, ms, region):
     return tuple(sum(map(mul, ws, col)) for col in zip(*rows))
 
 
+def _fused_sums(composed, region):
+    # the sums a fused call returns: a region-II pass has only the three
+    # real components, as the composed Im sums there are exactly 0.0
+    if region is RegionLabel.II:
+        assert composed[3:] == (0.0, 0.0)
+        return composed[:3]
+    return composed
+
+
 def test_fused_integrand_equals_public_kernels(monkeypatch):
     # the quadrature's integrand inlines n_fermi and _log_kernels; called
     # on one node, it must give their bits exactly (times the tail map's
@@ -394,7 +403,8 @@ def test_fused_integrand_equals_public_kernels(monkeypatch):
                         assert rel_err(w, float(ms.t * (1 - e_tail)) / d) <= 1e-14, (z, w)
                     tail_nodes += 1
                 got = kernel([z], [1.0])
-                assert got == _composed_sums(xs, ws, p, ms, region), (a, b, ms, z)
+                want = _fused_sums(_composed_sums(xs, ws, p, ms, region), region)
+                assert got == want, (a, b, ms, z)
                 nodes += 1
     assert regions == set(RegionLabel)
     assert nodes >= 2000
@@ -415,7 +425,8 @@ def test_fused_integrand_sums_equal_per_node_sums(monkeypatch):
             nonlocal nodes, tail_nodes
             got = f(zs, ws)
             xs, mws = _physical(zs, ws, axis)
-            assert got == _composed_sums(xs, mws, p, ms, region), (a, b, ms, zs[0])
+            want = _fused_sums(_composed_sums(xs, mws, p, ms, region), region)
+            assert got == want, (a, b, ms, zs[0])
             nodes += len(xs)
             tail_nodes += len(xs) if zs[0] > axis[0] else 0
             return got

@@ -82,6 +82,43 @@ def test_each_call_is_one_level_of_one_panel(vector):
     assert len(panels) > 2 * 4
 
 
+def test_every_panel_opens_at_level_two():
+    # each panel evaluates levels 0, 1 and 2 (13, 13 and 26 nodes) before
+    # its first error test, so no panel stops on the difference of two
+    # crude levels: the thin panel [0, 1e-9] too, though f = 1 agrees
+    # to an ulp at level 1 already
+    calls = {True: [], False: []}
+
+    def f(xs, ws):
+        calls[xs[0] < 1e-9].append(len(xs))
+        return sum(ws)
+
+    res = integrate_adaptive(f, 0.0, 1.0, breakpoints=(1e-9,))
+    assert calls[True][:3] == calls[False][:3] == [13, 13, 26]
+    assert res.evaluations == 104
+    assert res.converged
+
+
+def _never_called(xs, ws):
+    raise AssertionError("the integrand was called")
+
+
+@pytest.mark.parametrize(
+    "lo, hi, breakpoints",
+    [(math.nan, 1.0, ()), (0.0, math.inf, ()), (-math.inf, 1.0, ()), (0.0, 1.0, (0.5, math.nan))],
+    ids=["nan-lo", "inf-hi", "minus-inf-lo", "nan-breakpoint"],
+)
+def test_non_finite_limits_and_breakpoints_are_refused(lo, hi, breakpoints):
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_adaptive(_never_called, lo, hi, breakpoints=breakpoints)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1e-10], ids=["nan", "inf", "negative"])
+def test_invalid_rel_tol_is_refused(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        integrate_adaptive(_never_called, 0.0, 1.0, rel_tol=rel_tol)
+
+
 def test_breakpoints_outside_range_ignored():
     res = integrate_adaptive(per_node(lambda x: x), 0.0, 1.0, breakpoints=(-1.0, 2.0))
     assert abs(res.value - 0.5) < 1e-15
