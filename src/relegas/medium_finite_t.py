@@ -15,7 +15,8 @@ Imaginary parts are integrals of polynomial kernels over the part of the
 kinematic window below the occupation cutoff; they vanish identically in
 region II, where no real absorption process exists.  All five integrals
 are one vector-valued quadrature pass over shared nodes; in region II the
-pass has the three real components only.
+pass has the three real components only.  The occupation at the nodes of
+each integrand call comes from occupation._n_fermi_nodes, with n_fermi's bits.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 from .kinematics import KinematicPoint, RegionLabel, classify_region, kinematic_window
 from .numerics import _raise_nonfinite, integrate_adaptive
-from .occupation import _EXP_CLIP, MediumState, x_cutoff
+from .occupation import MediumState, _n_fermi_nodes, x_cutoff
 from .vacuum import _vacuum_value
 
 # floor under the kernels' logs, and of a denominator that rounds to 0
@@ -48,22 +49,14 @@ class ResponseScalars(NamedTuple):
     A: complex
     C: complex
 
-    @classmethod
-    def from_parts(
-        cls,
-        p: KinematicPoint,
-        ms: MediumState,
-        parts: tuple[float, float, float, float],
-        include_vacuum: bool,
-    ) -> ResponseScalars:
-        """Build all four scalars from (Re B, Re D, Im B, Im D) at p."""
-        return cls(*_scalars(p, ms, parts, include_vacuum))
-
 
 def _scalars(
     p: KinematicPoint, ms: MediumState, parts: tuple[float, ...], include_vacuum: bool
 ) -> tuple[complex, complex, complex, complex]:
-    """(B, D, A, C) of ResponseScalars.from_parts, as a plain tuple."""
+    """(B, D, A, C) at p from (Re B, Re D, Im B, Im D), as a plain tuple.
+
+    The one builder of A and C: ResponseScalars(*_scalars(...)) is the record.
+    """
     re_b, re_d, im_b, im_d = parts
     _, b, c2, _, _ = p
     b_val = complex(re_b, im_b)
@@ -110,8 +103,13 @@ def _log_kernels(x: float, p: KinematicPoint) -> tuple[float, float]:
     as b -> 0, so the kernels keep their relative accuracy where they are
     O(b).
     """
-    a, b = p.a, p.b
-    y = sqrt(x * x - 1.0)
+    return _factor_logs(*_factor_products(p.a, p.b, x, sqrt(x * x - 1.0)))
+
+
+def _factor_products(
+    a: float, b: float, x: float, y: float
+) -> tuple[float, float, float, float, float, float]:
+    """(L1 L3, L2 L4, L2 L3, L1 L4, -4 c2 b y, 4 a x b y) at x, y: the factors' one build."""
     by = b * y
     am = a * (a - x)
     ap = a * (a + x)
@@ -121,20 +119,15 @@ def _log_kernels(x: float, p: KinematicPoint) -> tuple[float, float]:
     l2 = am - bm
     l3 = ap - bp
     l4 = ap - bm
-    return _factor_logs(
-        l1 * l3, l2 * l4, l2 * l3, l1 * l4, -4.0 * ((a - b) * (a + b)) * by, 4.0 * a * x * by
-    )
+    return l1 * l3, l2 * l4, l2 * l3, l1 * l4, -4.0 * ((a - b) * (a + b)) * by, 4.0 * a * x * by
 
 
 def _factor_logs(
     n1: float, d1: float, n2: float, d2: float, diff1: float, diff2: float
 ) -> tuple[float, float]:
-    """(r1, r2) of _log_kernels from the products of its factors L1..L4.
+    """(r1, r2) = (log|n1/d1|, (1/2) log|n2/d2|) from _factor_products.
 
-    r1 = log|n1/d1| and r2 = (1/2) log|n2/d2|, with n1 = L1 L3,
-    d1 = L2 L4, n2 = L2 L3 and d2 = L1 L4; diff1 = n1 - d1 = -4 c2 b y and
-    diff2 = n2 - d2 = 4 a x b y are formed from a, b, x and b y, not
-    subtracted.
+    diff1 = n1 - d1 and diff2 = n2 - d2 are the exact differences, not subtracted.
     """
     den = d1 or _TINY
     q = diff1 / den
@@ -198,10 +191,11 @@ def _parts(
     """(Re B, Re D, Im B, Im D) from one vector quadrature.
 
     The five integrands (R, R_B, R_D and the Im B, Im D kernels) share
-    every node, so n_F, r1 and r2 are evaluated once per node, inline,
-    with the bits of n_fermi and _log_kernels.  Every panel ends at the
-    occupation cutoff: the real parts integrate over [1, cutoff], the
-    imaginary ones over the part of the kinematic window below it.  The
+    every node, so n_F, r1 and r2 are evaluated once per node (n_F by one
+    call of the occupation._n_fermi_nodes builder per integrand call, r1
+    and r2 inline) with the bits of n_fermi and _log_kernels.  Every panel
+    ends at the occupation cutoff: the real parts integrate over [1, cutoff],
+    the imaginary ones over the part of the kinematic window below it.  The
     window edges, where r1 and r2 have log singularities, and the Fermi
     edge |xi| (n_F is even in xi) are panel edges; at t > 0, |xi| is not
     when it lies within _FERMI_MERGE t above the largest of 1 and the
@@ -222,8 +216,8 @@ def _parts(
         # (x + a)**2 - b**2 in region I, (x - a)**2 - b**2 in region III
         shift = a if region is RegionLabel.I else -a
 
-    t, xi = ms.t, ms.xi
-    axi = abs(xi)
+    t = ms.t
+    axi = abs(ms.xi)
     cuts = [e for e in (lower, upper) if e < hi]
     below = max([1.0, *(e for e in cuts if e < axi)])
     if axi < hi and not (t > 0.0 and 0.0 < axi - below <= _FERMI_MERGE * t):
@@ -240,39 +234,17 @@ def _parts(
             top = t0 + 1.0
             tail = _tail_map(t0, top, hi, t)
             tail_in_window = lower <= t0 < upper
-    # At t > 0 the two Fermi terms are f(u) and f(v), f(u) = 1/(exp(u) + 1),
-    # u = (x - |xi|)/t <= v = (x + |xi|)/t, and f(v)/f(u) = (exp(u) + 1)/(exp(v) + 1).
-    # For u >= 0 that is <= 2 exp(u - v) = 2 exp(-2|xi|/t); for u < 0 it is
-    # <= 2 exp(-v) <= 2 exp(-(1 + |xi|)/t), as x >= 1.  Once
-    # min(2|xi|, 1 + |xi|) > 40 t, the smaller term is below 2 exp(-40) ~ 8.5e-18
-    # of the larger (the rounded terms too), under half an ulp of it (>= 2**-54
-    # of it, and f(u) >= exp(-700) is normal): the sum rounds to f(u) bit for bit.
-    one_term = t > 0.0 and min(2.0 * axi, 1.0 + axi) > 40.0 * t
+    occupation = _n_fermi_nodes(ms)
     a4 = 4.0 * a
     m4c2 = -4.0 * ((a - b) * (a + b))
 
     def sums(xs: list[float], ws: Sequence[float], in_window: bool) -> tuple[float, ...]:
-        # n_fermi and _log_kernels inlined with y and b*y shared: one sqrt
-        # and no Python call per node.  The arithmetic is theirs step for
-        # step, and each sum adds w * value in node order, so the bits are
-        # those of a per-node integrand.  Every node lies below the cutoff
-        # (and below xi at t = 0), and inside the window or outside it as
-        # in_window says.
-        if t == 0.0:
-            ns = [1.0] * len(xs)
-        elif one_term:
-            ns = []
-            for x in xs:
-                u = (x - axi) / t
-                ns.append(0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0))
-        else:
-            ns = []
-            for x in xs:
-                u = (x - xi) / t
-                n = 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0)
-                u = (x + xi) / t
-                n += 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (exp(u) + 1.0)
-                ns.append(n)
+        # _log_kernels inlined with y and b*y shared: one sqrt and no
+        # Python call per node.  The arithmetic is its step for step, and
+        # each sum adds w * value in node order, so the bits are those of a
+        # per-node integrand.  Every node lies below the cutoff (and below
+        # xi at t = 0), and inside the window or outside it as in_window says.
+        ns = occupation(xs)
         s_big = s_b = s_d = s_im_b = s_im_d = 0.0
         for x, w, n in zip(xs, ws, ns):
             xx = x * x

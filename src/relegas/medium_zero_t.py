@@ -26,11 +26,12 @@ from .kinematics import (
     FermiSurface,
     InternalConsistencyError,
     KinematicPoint,
+    RegionLabel,
     SubregionLabel,
     classify_region,
     zero_t_subregion,
 )
-from .medium_finite_t import ResponseScalars, _factor_logs
+from .medium_finite_t import ResponseScalars, _factor_logs, _factor_products, _scalars
 from .occupation import MediumState
 
 _EDGE_TOL = 1e-14
@@ -217,30 +218,22 @@ def _fermi_logs(p: KinematicPoint, x: float, y: float) -> tuple[float, float]:
     """(r1, r2) at the Fermi surface x = xF, y = yF: _log_kernels's bits.
 
     The guard reads the products L1 L3, L2 L4, L2 L3 and L1 L4 of the
-    four linear factors L1..L4 = a (a -+ x) - b (b +- y): the numerators
-    and denominators of the defining log ratios.  One of them within
-    _EDGE_TOL max((a x)**2, c2**2, (b y)**2) of 0 means a window edge
+    four linear factors L1..L4 = a (a -+ x) - b (b +- y) that
+    _factor_products builds: the numerators and denominators of the
+    defining log ratios.  One of them within _EDGE_TOL
+    max((a x)**2, c2**2, (b y)**2) of 0 means a window edge
     sits on the surface, where the U terms diverge.  The logs are taken
     from the same products, by _factor_logs as in _log_kernels.
     """
     a, b, c2 = p.a, p.b, p.c2
-    ax = a * x
-    by = b * y
-    am = a * (a - x)
-    ap = a * (a + x)
-    bp = b * (b + y)
-    bm = b * (b - y)
-    l1 = am - bp
-    l2 = am - bm
-    l3 = ap - bp
-    l4 = ap - bm
-    tol = _EDGE_TOL * max(ax**2, c2 * c2, by**2)
-    n1, d1, n2, d2 = l1 * l3, l2 * l4, l2 * l3, l1 * l4
+    products = _factor_products(a, b, x, y)
+    tol = _EDGE_TOL * max((a * x) ** 2, c2 * c2, (b * y) ** 2)
+    n1, d1, n2, d2, _, _ = products
     if -tol <= n1 <= tol or -tol <= d1 <= tol or -tol <= n2 <= tol or -tol <= d2 <= tol:
         raise SubregionBoundaryError(
             f"(a, b) = ({a}, {b}) has a window edge on the Fermi surface xF = {x}"
         )
-    return _factor_logs(n1, d1, n2, d2, -4.0 * ((a - b) * (a + b)) * by, 4.0 * a * x * by)
+    return _factor_logs(*products)
 
 
 def _re_parts(p: KinematicPoint, ms: MediumState) -> tuple[float, float]:
@@ -280,6 +273,15 @@ def _re_parts(p: KinematicPoint, ms: MediumState) -> tuple[float, float]:
     return pref * (u_b + w_b + c_b * z_b), pref * (u_d + w_d + c_d * z_d)
 
 
+def _zero_t_parts(
+    p: KinematicPoint, ms: MediumState, region: RegionLabel
+) -> tuple[SubregionLabel, tuple[float, float, float, float]]:
+    """(subregion, (Re B, Re D, Im B, Im D)) at t = 0: the real half, which may raise, first."""
+    re_parts = _re_parts(p, ms)
+    sub = zero_t_subregion(p, ms.fermi_surface, region)
+    return sub, re_parts + _im_parts(p, sub, ms)
+
+
 def scalars_zero_t(
     p: KinematicPoint, ms: MediumState, include_vacuum: bool = True
 ) -> ResponseScalars:
@@ -287,8 +289,5 @@ def scalars_zero_t(
 
     The Fermi surface is ms.fermi_surface, so it cannot contradict ms.
     """
-    fs = ms.fermi_surface
-    region = classify_region(p)
-    # the real half runs (and may raise) before the subregion is built
-    parts = _re_parts(p, ms) + _im_parts(p, zero_t_subregion(p, fs, region), ms)
-    return ResponseScalars.from_parts(p, ms, parts, include_vacuum)
+    _, parts = _zero_t_parts(p, ms, classify_region(p))
+    return ResponseScalars(*_scalars(p, ms, parts, include_vacuum))

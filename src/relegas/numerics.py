@@ -255,7 +255,10 @@ def integrate_adaptive(
 
     A non-finite lo, hi or breakpoint, or a rel_tol that is NaN,
     infinite or negative, raises ValueError before any evaluation.
-    Finite breakpoints outside [lo, hi] are ignored.
+    Finite breakpoints outside [lo, hi] are ignored.  Where no panel
+    (between lo, the breakpoints and hi) has a double inside it, f is never
+    called: evaluations is 0, and value and error_estimate are the float
+    0.0 even for a tuple-valued f, whose callers test evaluations first.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and all(map(math.isfinite, breakpoints))):
         raise ValueError(f"limits [{lo}, {hi}] and breakpoints {list(breakpoints)} must be finite")

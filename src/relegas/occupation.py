@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from math import exp
+from typing import Callable, Sequence
 
 from .kinematics import FermiSurface, fermi_surface
 
@@ -98,12 +100,39 @@ def n_fermi(x: float, ms: MediumState) -> float:
     value 0.5 exactly at x = xi.  Always within [0, 2].
     """
     if ms.t == 0.0:
-        if x < ms.xi:
-            return 1.0
-        if x == ms.xi:
-            return 0.5
-        return 0.0
+        return 1.0 if x < ms.xi else 0.5 if x == ms.xi else 0.0
     return _fermi_factor((x - ms.xi) / ms.t) + _fermi_factor((x + ms.xi) / ms.t)
+
+
+def _n_fermi_nodes(ms: MediumState) -> Callable[[Sequence[float]], list[float]]:
+    """xs -> [n_fermi(x, ms) for x in xs] bit for bit at nodes x >= 1, for one panel level.
+
+    At t > 0 the terms are f(u) and f(v), f(u) = 1/(exp(u) + 1),
+    u = (x - |xi|)/t <= v = (x + |xi|)/t, and f(v)/f(u) = (exp(u) + 1)/(exp(v) + 1)
+    is <= 2 exp(u - v) = 2 exp(-2|xi|/t) for u >= 0 and <= 2 exp(-v) <=
+    2 exp(-(1 + |xi|)/t) for u < 0, as x >= 1.  Once min(2|xi|, 1 + |xi|) > 40 t
+    the smaller term is below 2 exp(-40) ~ 8.5e-18 of the larger (the rounded
+    terms too), under half an ulp of it (>= 2**-54 of it, and f(u) >= exp(-700)
+    is normal): the sum rounds to f(u), and f(v) is not built.  n_fermi keeps
+    both terms, as it accepts x < 1.
+    """
+    t, xi = ms.t, ms.xi
+    axi = abs(xi)
+    if t == 0.0:
+        return lambda xs: [n_fermi(x, ms) for x in xs]
+    if min(2.0 * axi, 1.0 + axi) > 40.0 * t:
+        return lambda xs: [
+            0.0 if (u := (x - axi) / t) > _EXP_CLIP else 1.0 if u < -_EXP_CLIP
+            else 1.0 / (exp(u) + 1.0)
+            for x in xs
+        ]
+    return lambda xs: [
+        (0.0 if (u := (x - xi) / t) > _EXP_CLIP else 1.0 if u < -_EXP_CLIP
+         else 1.0 / (exp(u) + 1.0))
+        + (0.0 if (v := (x + xi) / t) > _EXP_CLIP else 1.0 if v < -_EXP_CLIP
+           else 1.0 / (exp(v) + 1.0))
+        for x in xs
+    ]
 
 
 def x_cutoff(ms: MediumState) -> float:

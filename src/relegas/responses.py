@@ -25,12 +25,11 @@ from .kinematics import (
     SubregionLabel,
     classify_region,
     derive_point,
-    zero_t_subregion,
 )
 from .medium_finite_t import ResponseScalars, _parts, _scalars
-from .medium_zero_t import SubregionBoundaryError, _im_parts, _re_parts
+from .medium_zero_t import SubregionBoundaryError, _zero_t_parts
 from .numerics import Bracket, _warn_skipped, find_root_bracketed, integrate_adaptive
-from .occupation import _EXP_CLIP, MediumState, x_cutoff
+from .occupation import MediumState, _n_fermi_nodes, x_cutoff
 
 _DUAL_PATH_TOL = 1e-12
 # The band search runs only over a <= gate * b (_band_gate).  Above
@@ -95,14 +94,9 @@ def _evaluate(
         )
     region = classify_region(p)
     if ms.is_degenerate:
-        fs = ms.fermi_surface
-        # the real half runs (and may raise) before the subregion is built
-        re_parts = _re_parts(p, ms)
-        sub = zero_t_subregion(p, fs, region)
-        parts = re_parts + _im_parts(p, sub, ms)
+        sub, parts = _zero_t_parts(p, ms, region)
     else:
-        sub = None
-        parts = _parts(p, ms, region)
+        sub, parts = None, _parts(p, ms, region)
     return p, region, sub, _scalars(p, ms, parts, include_vacuum)
 
 
@@ -169,24 +163,21 @@ def plasma_moments(ms: MediumState) -> tuple[float, float, float]:
     elementary over p in [0, yF]: omega_p**2 = 4 e2 yF**3/(12 pi**2 xF)
     and v_star = yF/xF, the Fermi velocity (the logs cancel).  At t > 0
     they are one vector quadrature over x in [1, x_cutoff], p**2/E dp =
-    y dx, with the Fermi edge |xi| as a breakpoint.
+    y dx, with the Fermi edge |xi| as a breakpoint.  An empty sea (n_F
+    0 at every node, or no node) gives (0.0, 0.0, 0.0), as at t = 0, xi = 1.
     """
     if ms.is_degenerate:
         x, y = ms.fermi_surface
         omega_p = 2.0 * math.sqrt(ms.e2 * y**3 / (12.0 * math.pi**2 * x))
         v_star = y / x
         return omega_p, omega_p * v_star, v_star
-    t, xi = ms.t, ms.xi
+    occupation = _n_fermi_nodes(ms)
 
     def moments(xs: Sequence[float], ws: Sequence[float]) -> tuple[float, float]:
-        # n_fermi inlined, its bits; with v**2 = 1 - 1/x**2, 1 - v**2/3 =
-        # (2 x**2 + 1)/(3 x**2) and 5 v**2/3 - v**4 = v**2 (2 x**2 + 3)/(3 x**2)
+        # with v**2 = 1 - 1/x**2, 1 - v**2/3 = (2 x**2 + 1)/(3 x**2) and
+        # 5 v**2/3 - v**4 = v**2 (2 x**2 + 3)/(3 x**2)
         s_p = s_1 = 0.0
-        for x, w in zip(xs, ws):
-            u = (x - xi) / t
-            n = 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (math.exp(u) + 1.0)
-            u = (x + xi) / t
-            n += 0.0 if u > _EXP_CLIP else 1.0 if u < -_EXP_CLIP else 1.0 / (math.exp(u) + 1.0)
+        for x, w, n in zip(xs, ws, occupation(xs)):
             xx = x * x
             yy = (x - 1.0) * (x + 1.0)
             wy = w * n * math.sqrt(yy) / (3.0 * xx)
@@ -194,7 +185,9 @@ def plasma_moments(ms: MediumState) -> tuple[float, float, float]:
             s_1 += wy * (yy / xx) * (2.0 * xx + 3.0)
         return s_p, s_1
 
-    res = integrate_adaptive(moments, 1.0, x_cutoff(ms), breakpoints=(abs(xi),))
+    res = integrate_adaptive(moments, 1.0, x_cutoff(ms), breakpoints=(abs(ms.xi),))
+    if not res.evaluations or not res.value[0] > 0.0:
+        return 0.0, 0.0, 0.0
     i_p, i_1 = res.value
     omega_p = math.sqrt(ms.e2 / math.pi**2 * i_p)
     omega_1 = math.sqrt(ms.e2 / math.pi**2 * i_1)

@@ -60,7 +60,11 @@ from pathlib import Path
 # guard with an absolute floor refused it); both warm branches without
 # --a-range, in the window (a_e/4, 4 a_e); six points of the vacuum
 # series branch whose output prints ReC itself, a move of one ulp that
-# the pool digests do not see: c2 ~ +-1e-6, +-3e-3 and just inside +-0.05
+# the pool digests do not see: c2 ~ +-1e-6, +-3e-3 and just inside +-0.05;
+# empty thermal seas (an occupation that underflows to 0 at t = 1e-3,
+# xi = 0, and a cutoff 1 ulp above the mass shell at t = 5.6e-18), whose
+# dispersion runs once crashed: with a window, and without one, where
+# the default window (0, 0) is refused
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -116,6 +120,11 @@ CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "0.503", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "0.4473", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "0.5477", "--xf", "1.2"],
+    ["dispersion", "--b-range", "1e-3", "2e-3", "2", "--t", "1e-3", "--xi", "0"],
+    ["dispersion", "--b-range", "1e-3", "2e-3", "2", "--t", "1e-3", "--xi", "0",
+     "--a-range", "0.001", "0.1"],
+    ["dispersion", "--b-range", "1e-3", "2e-3", "2", "--t", "5.6e-18", "--xi", "1.0",
+     "--a-range", "0.001", "0.1"],
 ]
 
 

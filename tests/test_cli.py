@@ -384,6 +384,25 @@ def test_dispersion_warm_default_window(capsys):
             assert abs(float(r["residual"])) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "t, xi", [("1e-3", "0"), ("5.6e-18", "1.0")], ids=["underflow", "no-interior-double"]
+)
+def test_empty_thermal_sea_dispersion(capsys, t, xi):
+    # an empty sea has a_e = 0: with a window both branches are empty (the
+    # extrapolation row only), without one the default window (0, 0) is
+    # refused with a one-line error, as at xF = 1
+    argv = ["dispersion", "--b-range", "1e-3", "2e-3", "2", "--t", t, "--xi", xi]
+    code, out, _ = run_cli(capsys, argv + ["--a-range", "0.001", "0.1"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [(r["b"], r["mode"]) for r in rows] == [
+        ("0.0", "longitudinal"), ("0.0", "transverse")
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad search range") and err.count("\n") == 1
+
+
 def test_consistency_failure_exits_4_without_traceback(capsys):
     # a region-I cell at a/b < 0.015, where B ~ 2e5 and D ~ 1e5 cancel to
     # nu_L ~ 1 and the dual-path check of nu_L trips

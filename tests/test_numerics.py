@@ -157,6 +157,23 @@ def test_empty_range_is_zero():
     assert res.value == 0.0
 
 
+@pytest.mark.parametrize(
+    "lo, hi, breakpoints",
+    [(1.0, 1.0, ()), (1.0, math.nextafter(1.0, 2.0), ()),
+     (1.0, 1.0 + 2.0**-51, (1.0 + 2.0**-52,))],
+    ids=["point", "one-ulp", "two-one-ulp-panels"],
+)
+def test_empty_domain_never_calls_f(lo, hi, breakpoints):
+    # no panel holds an interior double: f is never called, and value is
+    # the float 0.0 even for a tuple-valued integrand
+    def f(xs, ws):
+        raise AssertionError("f called on an empty domain")
+
+    res = integrate_adaptive(f, lo, hi, breakpoints=breakpoints)
+    assert res == (0.0, 0.0, 0, True)
+    assert type(res.value) is float
+
+
 def test_scan_finds_sine_roots():
     grid = [0.1 + 0.2 * k for k in range(50)]
     brackets = scan_sign_changes(math.sin, grid)

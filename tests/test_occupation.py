@@ -4,6 +4,7 @@ import random
 import pytest
 
 from relegas import MediumState, n_fermi, x_cutoff
+from relegas.occupation import _n_fermi_nodes
 
 
 def test_state_validation():
@@ -98,3 +99,32 @@ def test_cutoff_controls_tail():
 def test_extreme_argument_does_not_overflow():
     ms = MediumState(t=1e-4, xi=1.0)
     assert n_fermi(500.0, ms) == 0.0
+
+
+def test_node_occupations_are_n_fermi_bit_for_bit():
+    # the quadratures' one builder of n_F at a level's nodes keeps only the
+    # larger Fermi term once min(2|xi|, 1 + |xi|) > 40 t, which at x >= 1
+    # rounds to n_fermi's two-term sum; checked on both sides of that rule
+    # and of the exp clip at |u| = 700, u = (x - |xi|)/t
+    rng = random.Random(3131)
+    seen = set()
+    for _ in range(400):
+        t = 10.0 ** rng.uniform(-4.0, 1.0)
+        xi = rng.uniform(-3.0, 3.0)
+        ms = MediumState(t=t, xi=xi)
+        axi = abs(xi)
+        us = [rng.uniform(-760.0, 760.0) for _ in range(20)]
+        us += [rng.uniform(-5.0, 5.0) for _ in range(20)]
+        xs = [1.0] + [x for x in (axi + t * u for u in us) if x >= 1.0]
+        xs += [rng.uniform(1.0, x_cutoff(ms)) for _ in range(10)]
+        got = _n_fermi_nodes(ms)(xs)
+        assert list(map(float.hex, got)) == [n_fermi(x, ms).hex() for x in xs], ms
+        one_term = min(2.0 * axi, 1.0 + axi) > 40.0 * t
+        for x in xs:
+            u = (x - axi) / t
+            seen.add((one_term, -1 if u < -700.0 else 1 if u > 700.0 else 0))
+    # a two-term state has u >= (1 - |xi|)/t > -40 at every x >= 1
+    assert seen == {(o, s) for o in (True, False) for s in (-1, 0, 1)} - {(False, -1)}
+    # at t = 0 the builder is the step, with 0.5 on the Fermi edge
+    ms = MediumState(t=0.0, xi=1.5)
+    assert _n_fermi_nodes(ms)([1.0, 1.2, 1.5, 1.7]) == [1.0, 1.0, 0.5, 0.0]

@@ -82,7 +82,7 @@ def test_scalars_at_dispatch():
     def scalars_warm(p, ms):
         # the two public quadrature halves, joined as scalars_at joins its pass
         parts = re_scalars(p, ms) + im_scalars(p, ms)
-        return ResponseScalars.from_parts(p, ms, parts, include_vacuum=True)
+        return ResponseScalars(*medium_finite_t._scalars(p, ms, parts, True))
 
     p = derive_point(0.5, 1.0)
     cold = MediumState(t=0.0, xi=1.5)
@@ -113,8 +113,8 @@ def test_scalars_at_dispatch():
 
 def test_public_records_agree_with_the_private_path():
     # scalars_at, tensors_at and evaluate_cell share one evaluation of
-    # plain tuples; the records they return carry its bits, and
-    # from_parts rebuilds them from the four parts
+    # plain tuples; the records they return carry its bits, and the one
+    # scalar builder, _scalars, rebuilds them from the four parts
     from relegas import GridCell, ResponseScalars, ResponseTensors, RegionLabel
 
     rng = random.Random(2424)
@@ -141,7 +141,8 @@ def test_public_records_agree_with_the_private_path():
                     assert repr(sub_t) == repr(sub)
                     assert repr(assemble(s, p)) == repr(tens)
                     parts = (s.B.real, s.D.real, s.B.imag, s.D.imag)
-                    assert repr(ResponseScalars.from_parts(p, ms, parts, vac)) == repr(s)
+                    rebuilt = ResponseScalars(*medium_finite_t._scalars(p, ms, parts, vac))
+                    assert repr(rebuilt) == repr(s)
                     cell = evaluate_cell(a, b, ms, include_vacuum=vac)
                     assert type(cell) is GridCell
                     assert (cell.re_eps_L, cell.im_eps_L) == (tens.eps_L.real, tens.eps_L.imag)
@@ -259,6 +260,23 @@ def test_plasma_frequency_estimate_at_finite_t(t, xi, want):
         warm_m = responses.plasma_moments(MediumState(t=t, xi=xi))
         cold_m = responses.plasma_moments(MediumState(t=0.0, xi=xi))
         assert all(rel_err(w, c) < 1e-6 for w, c in zip(warm_m, cold_m))
+
+
+@pytest.mark.parametrize(
+    "t, xi", [(1e-3, 0.0), (5.6e-18, 1.0), (1e-30, 1.0)],
+    ids=["underflow", "cutoff-1-ulp-up", "cutoff-on-1"],
+)
+def test_empty_thermal_sea_has_no_plasmon(t, xi):
+    # n_F <= 2 exp(-1000) underflows to 0 at every x >= 1, or no double
+    # lies inside [1, x_cutoff]: the moments are those of the t = 0 empty
+    # sea, and a branch searched in a window has no root
+    ms = MediumState(t=t, xi=xi)
+    assert responses.plasma_moments(ms) == (0.0, 0.0, 0.0)
+    assert responses.plasma_moments(MediumState(t=0.0, xi=1.0)) == (0.0, 0.0, 0.0)
+    assert plasma_frequency_estimate(ms) == 0.0
+    for mode in ("longitudinal", "transverse"):
+        branch = dispersion(mode, [1e-3], ms, (1e-3, 0.1))
+        assert branch.samples == () and math.isnan(branch.plasma_frequency)
 
 
 def test_zero_t_plasma_moments_match_quadrature():
