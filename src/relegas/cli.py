@@ -30,7 +30,7 @@ import sys
 
 from .kinematics import InternalConsistencyError, fermi_surface, region_boundaries
 from .nr_oracle import NRPoint, nr_case, nr_im_B
-from .occupation import MediumState
+from .occupation import FINE_STRUCTURE_DEFAULT, MediumState
 from .responses import (
     GridCell,
     assemble,
@@ -89,7 +89,7 @@ def _medium_args(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--xi", type=float, help="chemical potential")
     group.add_argument("--xf", type=float, dest="xi", help="alias for --xi (Fermi energy at t = 0)")
-    sub.add_argument("--alpha", type=float, default=1.0 / 137.036, help="fine-structure constant")
+    sub.add_argument("--alpha", type=float, default=FINE_STRUCTURE_DEFAULT, help="fine-structure constant")
     sub.add_argument("--no-vacuum", action="store_true", help="drop the vacuum polarization term")
     sub.add_argument("--units", choices=("m", "ev"), default="m", help="input units (default dimensionless)")
 
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     _range_arg(nr, "--omega-range", "frequency grid: LO HI N")
     _range_arg(nr, "--q-range", "momentum grid: LO HI N")
     nr.add_argument("--pf", type=float, required=True, help="Fermi momentum")
-    nr.add_argument("--alpha", type=float, default=1.0 / 137.036)
+    nr.add_argument("--alpha", type=float, default=FINE_STRUCTURE_DEFAULT)
     _output_args(nr)
 
     bnd = subs.add_parser("boundaries", help="T = 0 subregion boundary curves b(a)")

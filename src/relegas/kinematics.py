@@ -80,13 +80,6 @@ class KinematicPoint(NamedTuple):
     gamma2: float
     d2: float
 
-    @property
-    def gamma(self) -> float:
-        """sqrt(gamma2); only meaningful on the real branch."""
-        if self.gamma2 < 0.0:
-            raise ValueError("gamma is imaginary for 0 < c2 < 1")
-        return math.sqrt(self.gamma2)
-
 
 class RegionLabel(Enum):
     I = "I"

@@ -220,7 +220,9 @@ def _parts(
     axi = abs(ms.xi)
     cuts = [e for e in (lower, upper) if e < hi]
     below = max([1.0, *(e for e in cuts if e < axi)])
-    if axi < hi and not (t > 0.0 and 0.0 < axi - below <= _FERMI_MERGE * t):
+    # the cutoff rounds onto |xi| once 40 t is below half an ulp of it
+    # (|xi|/t above ~3.6e17); |xi| is still the edge, so no tail is mapped
+    if axi <= hi and not (t > 0.0 and 0.0 < axi - below <= _FERMI_MERGE * t):
         cuts.append(axi)
     # the quadrature's axis is x up to t0, then the tail panel [t0, top] in
     # s = z - t0; without a tail (t = 0, or no double inside [t0, hi]) it

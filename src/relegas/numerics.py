@@ -253,8 +253,9 @@ def integrate_adaptive(
         evaluations per panel; if the target is not met by then, the
         best estimate is still returned with ``converged=False``.
 
-    A non-finite lo, hi or breakpoint, or a rel_tol that is NaN,
-    infinite or negative, raises ValueError before any evaluation.
+    A non-finite lo, hi or breakpoint, reversed limits (hi < lo), or a
+    rel_tol that is NaN, infinite or negative, raises ValueError before
+    any evaluation.
     Finite breakpoints outside [lo, hi] are ignored.  Where no panel
     (between lo, the breakpoints and hi) has a double inside it, f is never
     called: evaluations is 0, and value and error_estimate are the float
@@ -265,9 +266,7 @@ def integrate_adaptive(
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError(f"rel_tol = {rel_tol} must be finite and non-negative")
     if hi < lo:
-        r = integrate_adaptive(f, hi, lo, breakpoints, rel_tol)
-        value = tuple(-v for v in r.value) if isinstance(r.value, tuple) else -r.value
-        return QuadratureResult(value, r.error_estimate, r.evaluations, r.converged)
+        raise ValueError(f"limits [{lo}, {hi}] are reversed")
     edges = [lo]
     for x in sorted(set(breakpoints)):
         if edges[-1] < x < hi:
@@ -282,13 +281,8 @@ def integrate_adaptive(
     for panel in panels:
         evals += panel.refine(f, _MIN_LEVEL)
     while True:
-        if len(panels) == 1:
-            # what fsum and sum give for one term: fsum([-0.0]) is 0.0
-            value = [v + 0.0 for v in panels[0].value]
-            error = panels[0].error
-        else:
-            value = [math.fsum(c) for c in zip(*(pn.value for pn in panels))]
-            error = [sum(c) for c in zip(*(pn.error for pn in panels))]
+        value = [math.fsum(c) for c in zip(*(pn.value for pn in panels))]
+        error = [sum(c) for c in zip(*(pn.error for pn in panels))]
         tol = [max(rel_tol * abs(v), _TINY) for v in value]
         converged = all(map(operator.le, error, tol))
         if converged:
@@ -320,7 +314,7 @@ def scan_sign_changes(
 ) -> list[Bracket]:
     """Every sign-change bracket of g on the whole grid, in grid order.
 
-    Every grid point is evaluated.  Points where g is None or NaN (e.g.
+    Every grid point is evaluated.  Points where g is NaN (e.g.
     kinematically invalid abscissae) are skipped, and a warning counts
     them.  A bracket lies between two consecutive valid points with g of
     strictly opposite sign.
@@ -330,7 +324,7 @@ def scan_sign_changes(
     prev_x = prev_g = math.nan
     for x in grid:
         val = g(x)
-        if val is None or math.isnan(val):
+        if math.isnan(val):
             n_bad += 1
             continue
         if prev_g < 0.0 < val or val < 0.0 < prev_g:

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import exp
 from typing import Callable, Sequence
 
-from .kinematics import FermiSurface, fermi_surface
+from .kinematics import _MAX_ABS_C2, FermiSurface, fermi_surface
 
 FINE_STRUCTURE_DEFAULT = 1.0 / 137.036
 
@@ -35,7 +35,9 @@ class MediumState:
         Dimensionless temperature k_B T / m, >= 0.
     xi : float
         Dimensionless chemical potential mu / m.  At t = 0 it must be
-        >= 1; xi = 1 describes an empty Fermi sea (pure vacuum).
+        >= 1 and below 2**50, the bound on |c2| (the closed forms square
+        and cube the Fermi energy); xi = 1 describes an empty Fermi sea
+        (pure vacuum).
     alpha : float
         Fine-structure constant; the squared coupling is e2 = 4*pi*alpha.
     """
@@ -49,9 +51,9 @@ class MediumState:
             raise ValueError(f"temperature t = {self.t} must be >= 0")
         if not math.isfinite(self.xi):
             raise ValueError("chemical potential must be finite")
-        if self.t == 0.0 and self.xi < 1.0:
+        if self.t == 0.0 and not 1.0 <= self.xi < _MAX_ABS_C2:
             raise ValueError(
-                f"a zero-temperature state needs xi >= 1, got xi = {self.xi}"
+                f"a zero-temperature state needs xi >= 1 and xi < 2**50, got xi = {self.xi}"
             )
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"coupling alpha = {self.alpha} must be positive and finite")

@@ -32,10 +32,12 @@ from .numerics import Bracket, _warn_skipped, find_root_bracketed, integrate_ada
 from .occupation import MediumState, _n_fermi_nodes, x_cutoff
 
 _DUAL_PATH_TOL = 1e-12
+# dispersion walks a grid of _N_SCAN steps across the search window
+_N_SCAN = 160
 # The band search runs only over a <= gate * b (_band_gate).  Above
 # that the t = 0 closed forms lose the rise of Re eps_L and Re nu_L to
 # roundoff (ROADMAP item 3), and where they lose it moves with the Fermi
-# velocity v_F = yF/xF: on the dispersion grid (window/160) the rise
+# velocity v_F = yF/xF: on the dispersion grid (window/_N_SCAN) the rise
 # first breaks near a/b = C v_F**1.5, C ~ 9,700 at small v_F and
 # ~20,000 at xF = 4 (a/b ~ 95 at xF = 1.001, 3,200 at xF = 1.1).  The
 # gate 32 (v_F/_GATE_V_F)**1.5 keeps that break more than 3.4 gates up
@@ -315,13 +317,13 @@ def dispersion(
     b_grid: Sequence[float],
     ms: MediumState,
     a_search_range: tuple[float, float],
-    n_scan: int = 160,
+    *,
     include_vacuum: bool = True,
 ) -> DispersionBranch:
     """Trace a plasmon branch over b_grid.
 
     Each b must be finite and positive.  For each b the mode condition is
-    scanned upwards over the points of the n_scan + 1 point grid of
+    scanned upwards over the points of the _N_SCAN + 1 point grid of
     a_search_range above the light-cone cut (a plasmon is timelike), and
     each sign change is refined by Brent's method as the scan reaches it.
     The scan stops at the first accepted root (_first_zero).  Invalid
@@ -338,8 +340,6 @@ def dispersion(
     """
     if mode not in ("longitudinal", "transverse"):
         raise ValueError(f"unknown dispersion mode {mode!r}")
-    if not isinstance(n_scan, int) or n_scan < 1:
-        raise ValueError(f"n_scan {n_scan!r} must be an int >= 1")
     a_lo, a_hi = a_search_range
     if not (0.0 <= a_lo < a_hi < math.inf):
         raise ValueError(f"bad search range ({a_lo}, {a_hi}): need 0 <= lo < hi, both finite")
@@ -347,8 +347,8 @@ def dispersion(
         if not 0.0 < b < math.inf:
             raise ValueError(f"b = {b!r} must be finite and positive")
     longitudinal = mode == "longitudinal"
-    step = (a_hi - a_lo) / n_scan
-    grid = [a_lo + i * step for i in range(n_scan + 1)]
+    step = (a_hi - a_lo) / _N_SCAN
+    grid = [a_lo + i * step for i in range(_N_SCAN + 1)]
     samples: list[RootSample] = []
     gate = _band_gate(ms)
     moments = plasma_moments(ms)

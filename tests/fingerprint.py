@@ -64,7 +64,11 @@ from pathlib import Path
 # empty thermal seas (an occupation that underflows to 0 at t = 1e-3,
 # xi = 0, and a cutoff 1 ulp above the mass shell at t = 5.6e-18), whose
 # dispersion runs once crashed: with a window, and without one, where
-# the default window (0, 0) is refused
+# the default window (0, 0) is refused; two warm points whose cutoff
+# rounds onto |xi| (t = 1e-18 at xi = 1.2, t = 0.1 at xi = 1e18), whose
+# medium response once read 0; a cold dispersion at xF = 1e120 and a
+# cold scan at xF = 1e200, which once overflowed with a traceback and
+# are refused
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -125,6 +129,10 @@ CLI_COMMANDS = [
      "--a-range", "0.001", "0.1"],
     ["dispersion", "--b-range", "1e-3", "2e-3", "2", "--t", "5.6e-18", "--xi", "1.0",
      "--a-range", "0.001", "0.1"],
+    ["response", "--a", "0.02", "--b", "0.001", "--t", "1e-18", "--xi", "1.2", "--format", "csv"],
+    ["response", "--a", "0.5", "--b", "1.0", "--t", "0.1", "--xi", "1e18", "--format", "csv"],
+    ["dispersion", "--b-range", "1e-3", "2e-3", "2", "--xf", "1e120"],
+    ["scan", "--a-range", "0.1", "0.2", "2", "--b-range", "1", "1", "1", "--xf", "1e200"],
 ]
 
 

@@ -403,6 +403,22 @@ def test_empty_thermal_sea_dispersion(capsys, t, xi):
     assert err.startswith("error: bad search range") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dispersion", "--b-range", "1e-3", "2e-3", "2", "--xf", "1e120"],
+        ["scan", "--a-range", "0.1", "0.2", "2", "--b-range", "1", "1", "1", "--xf", "1e200"],
+    ],
+    ids=["dispersion", "scan"],
+)
+def test_overflowing_fermi_energy_exits_2(capsys, argv):
+    # the t = 0 closed forms cube yF and square a xF: such an xF once
+    # escaped as an OverflowError traceback
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: a zero-temperature state needs") and err.count("\n") == 1
+
+
 def test_consistency_failure_exits_4_without_traceback(capsys):
     # a region-I cell at a/b < 0.015, where B ~ 2e5 and D ~ 1e5 cancel to
     # nu_L ~ 1 and the dual-path check of nu_L trips

@@ -25,7 +25,6 @@ def test_derive_point_fields():
     assert p.c2 == -0.75
     assert p.gamma2 == 1.0 - 1.0 / p.c2
     assert p.d2 == p.c2 + p.b * p.b / p.c2
-    assert p.gamma == math.sqrt(p.gamma2)
 
 
 def test_derive_point_d2_identity():

@@ -18,6 +18,14 @@ def test_state_validation():
         with pytest.raises(ValueError, match="positive and finite"):
             MediumState(t=0.1, xi=1.2, alpha=alpha)
     MediumState(t=0.1, xi=-2.0)  # negative chemical potential is fine at t > 0
+    # the t = 0 closed forms overflow (plasma_moments from xF ~ 5.6e102)
+    # or return inf/nan (tensors_at at xF = 1e154) far above the bound
+    # that kinematics sets on |c2|; at t > 0 any finite xi is a state
+    for xi in (2.0**50, 1e120, 1e154):
+        with pytest.raises(ValueError, match=r"xi < 2\*\*50"):
+            MediumState(t=0.0, xi=xi)
+    MediumState(t=0.0, xi=math.nextafter(2.0**50, 0.0))
+    MediumState(t=0.1, xi=1e154)
 
 
 def test_coupling():

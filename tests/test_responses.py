@@ -18,6 +18,7 @@ from relegas import (
     plasma_frequency_estimate,
     scalars_at,
     tensors_at,
+    x_cutoff,
 )
 from relegas import medium_finite_t, responses
 from relegas.kinematics import LIGHT_CONE_CUT, PAIR_THRESHOLD_CUT
@@ -279,6 +280,48 @@ def test_empty_thermal_sea_has_no_plasmon(t, xi):
         assert branch.samples == () and math.isnan(branch.plasma_frequency)
 
 
+def _degenerate_states(rng, n):
+    # alternately a tiny t at |xi| ~ 1, and t ~ 1e-4 at |xi| ~ 1e14: each
+    # kind puts 40 t on both sides of half an ulp of |xi|, so some
+    # cutoffs round onto |xi|; xi takes both signs
+    for i in range(n):
+        if i % 2 == 0:
+            t = math.exp(rng.uniform(math.log(1e-22), math.log(1e-12)))
+            axi = rng.uniform(1.05, 4.0)
+        else:
+            t = math.exp(rng.uniform(math.log(1e-4), math.log(1e-3)))
+            axi = math.exp(rng.uniform(math.log(1e14), math.log(1e15)))
+        yield MediumState(t=t, xi=axi if i % 4 < 2 else -axi)
+
+
+def test_degenerate_limit_matches_zero_t():
+    # far below the Fermi energy n_F is a step, and the finite-t
+    # quadrature must give the t = 0 closed forms at xF = |xi|.  Where
+    # the cutoff rounded onto |xi|, the Fermi edge was dropped from the
+    # cuts and the tail map integrated the n_F ~ 1 plateau away, so the
+    # medium response read 0 (worst error 1.0)
+    rng = random.Random(3201)
+    n_rounded = n_cells = 0
+    worst = 0.0
+    for warm in _degenerate_states(rng, 8):
+        cold = MediumState(t=0.0, xi=abs(warm.xi))
+        n_rounded += x_cutoff(warm) == abs(warm.xi)
+        for _ in range(6):
+            p = draw_valid_point(rng)
+            want = tensors_at(p.a, p.b, cold)[3]
+            got = tensors_at(p.a, p.b, warm)[3]
+            for name in ("eps_L", "nu_L"):
+                z, z0 = getattr(got, name), getattr(want, name)
+                worst = max(worst, abs(z - z0) / max(1.0, abs(z0)))
+            n_cells += 1
+    assert n_cells == 48 and 0 < n_rounded < 8
+    # measured 4e-13
+    assert worst < 1e-8
+    warm_m = responses.plasma_moments(MediumState(t=1e-18, xi=1.2))
+    cold_m = responses.plasma_moments(MediumState(t=0.0, xi=1.2))
+    assert all(rel_err(w, c) < 1e-8 for w, c in zip(warm_m, cold_m))
+
+
 def test_zero_t_plasma_moments_match_quadrature():
     # the closed forms against a quadrature over p in [0, yF] of
     # p**2/E (1 - v**2/3) and p**2/E (5 v**2/3 - v**4)
@@ -451,7 +494,7 @@ def test_dispersion_evaluates_each_abscissa_once():
         assert all(len(set(calls)) == len(calls) for calls in seen.values())
 
 
-def _full_scan_branch(mode, b_grid, ms, window, n_scan=160):
+def _full_scan_branch(mode, b_grid, ms, window, n_scan):
     # the rule without the band search and the early stop: scan the whole
     # timelike grid, refine every bracket, filter, and keep the smallest
     # accepted root, with the smaller |gap| of its bracket's edges
@@ -518,7 +561,7 @@ def _gap_falls_between(mode, b, ms, a1, a2, n=12):
     return any(x >= y for x, y in zip(vals, vals[1:]))
 
 
-def _assert_matches_full_scan(mode, b_grid, ms, window, n_scan=160):
+def _assert_matches_full_scan(mode, b_grid, ms, window):
     """True when compared; False when the full scan raised.
 
     The same b carry a root, with the same im_at_root, each root within
@@ -529,12 +572,12 @@ def _assert_matches_full_scan(mode, b_grid, ms, window, n_scan=160):
     apart if the gap between them is not increasing.
     """
     try:
-        want = _full_scan_branch(mode, b_grid, ms, window, n_scan)
+        want = _full_scan_branch(mode, b_grid, ms, window, responses._N_SCAN)
     except InternalConsistencyError:
         # a bracket above the first accepted zero may trip the dual-path
         # check; the early stop never reaches it and may return instead
         return False
-    branch = dispersion(mode, b_grid, ms, window, n_scan=n_scan)
+    branch = dispersion(mode, b_grid, ms, window)
     assert [s.b for s in branch.samples] == [w[0] for w in want], mode
     noisy_b = NOISY_B * plasma_frequency_estimate(ms) if ms.t == 0.0 else 0.0
     worst = 0.0
@@ -581,9 +624,7 @@ def test_dispersion_early_stop_keeps_smallest_root():
     assert _assert_matches_full_scan("transverse", [4e-3], ms, (0.25 * a_e, 4.0 * a_e))
     warm = MediumState(t=0.05, xi=1.2)
     for mode in ("longitudinal", "transverse"):
-        assert _assert_matches_full_scan(
-            mode, [1e-3, 2e-3, 4e-3], warm, (0.003, 0.06), n_scan=40
-        )
+        assert _assert_matches_full_scan(mode, [1e-3, 2e-3, 4e-3], warm, (0.003, 0.06))
 
 
 def _band(grid, b, gate):
@@ -671,7 +712,7 @@ def test_dispersion_band_search_keeps_smallest_root():
         assert _assert_matches_full_scan(mode, [4e-3, 1e-5, 4e-3], ms, window)
         # warm: the band is transparent at every t; 2e-4 puts the root above the gate
         for b_grid in (warm_grid, warm_grid[::-1]):
-            assert _assert_matches_full_scan(mode, b_grid, warm, (0.003, 0.06), n_scan=40)
+            assert _assert_matches_full_scan(mode, b_grid, warm, (0.003, 0.06))
     # a b grid that is not monotone, with its middle b above a_e, where
     # the Braaten-Segel root lies below the light cone
     assert _assert_matches_full_scan("longitudinal", [1e-3, 2e-2, 1e-3], ms, window)
@@ -885,9 +926,6 @@ def test_dispersion_validation():
     for a_range in ((0.003, math.inf), (0.003, math.nan), (-math.inf, 0.1)):
         with pytest.raises(ValueError, match="range"):
             dispersion("longitudinal", [1e-3], ms, a_range)
-    for n_scan in (0, -3, 2.5):
-        with pytest.raises(ValueError, match="n_scan"):
-            dispersion("transverse", [1e-3], ms, (0.001, 0.1), n_scan=n_scan)
     # b = 0 once returned the other b's root and warned about 161 points;
     # a NaN or infinite b vanished without a warning
     for bad_b in (0.0, -1e-3, math.nan, math.inf):
