@@ -38,6 +38,9 @@ PAIR_THRESHOLD_CUT = 1e-12
 # the t > 0 kernel products overflow.
 _MAX_ABS_C2 = 2.0**50
 BOUNDARY_TOL = 1e-12
+# builds a NamedTuple from a tuple of its fields without the generated
+# __new__: _new(Cls, (x, y)) == Cls(x, y), minus one Python frame
+_new = tuple.__new__
 
 
 class InvalidPointError(ValueError):
@@ -99,9 +102,13 @@ class FermiSurface(NamedTuple):
 
 
 def fermi_surface(xF: float) -> FermiSurface:
-    """Build a FermiSurface from the dimensionless Fermi energy xF >= 1."""
-    if xF < 1.0:
-        raise ValueError(f"Fermi energy xF = {xF} must be >= 1")
+    """Build a FermiSurface from the dimensionless Fermi energy xF >= 1.
+
+    xF must also lie below 2**50, the bound on |c2| (yF and the boundary
+    curves square it); NaN is refused.
+    """
+    if not 1.0 <= xF < _MAX_ABS_C2:
+        raise ValueError(f"Fermi energy xF = {xF} must be >= 1 and below 2**50")
     return FermiSurface(xF=xF, yF=math.sqrt(xF * xF - 1.0))
 
 
@@ -147,11 +154,15 @@ def derive_point(a: float, b: float) -> KinematicPoint:
         raise LightConeError(
             f"(a, b) = ({a}, {b}) is on the light cone: |c2| = {abs(c2):.3e}"
         )
-    return KinematicPoint(a, b, c2, 1.0 - 1.0 / c2, c2 + b2 / c2)
+    return _new(KinematicPoint, (a, b, c2, 1.0 - 1.0 / c2, c2 + b2 / c2))
 
 
 def classify_region(p: KinematicPoint) -> RegionLabel:
-    """Classify a point into region I, II or III of the (a, b) plane."""
+    """Classify a point into region I, II or III of the (a, b) plane.
+
+    Refuses a point on the light cone or the pair threshold, and a NaN c2
+    (which a KinematicPoint built by hand can carry).
+    """
     c2 = p.c2
     if abs(c2) < LIGHT_CONE_CUT:
         raise LightConeError(f"|c2| = {abs(c2):.3e} is on the light cone")
@@ -163,7 +174,9 @@ def classify_region(p: KinematicPoint) -> RegionLabel:
         return RegionLabel.I
     if c2 < 1.0:
         return RegionLabel.II
-    return RegionLabel.III
+    if c2 > 1.0:
+        return RegionLabel.III
+    raise InvalidPointError(f"c2 = {c2} must be finite")
 
 
 def kinematic_window(p: KinematicPoint) -> tuple[float, float]:
@@ -209,8 +222,8 @@ def zero_t_subregion(
     if lower >= x_fermi - BOUNDARY_TOL:
         return _NO_ABSORPTION
     if upper <= x_fermi + BOUNDARY_TOL:
-        return SubregionLabel("A" if region is RegionLabel.I else "C", lower, upper)
-    return SubregionLabel("B" if region is RegionLabel.I else "D", lower, x_fermi)
+        return _new(SubregionLabel, ("A" if region is RegionLabel.I else "C", lower, upper))
+    return _new(SubregionLabel, ("B" if region is RegionLabel.I else "D", lower, x_fermi))
 
 
 def region_boundaries(fs: FermiSurface, a: float) -> dict[str, float]:
@@ -228,10 +241,11 @@ def region_boundaries(fs: FermiSurface, a: float) -> dict[str, float]:
 
     Entries are omitted when the square-root argument is negative (the
     curve does not exist at this a).  The bbar/bprime expressions share
-    one square root and differ only in sign placement.
+    one square root and differ only in sign placement.  a must be >= 0
+    and below 2**50, as xF is; NaN is refused.
     """
-    if a < 0.0:
-        raise ValueError(f"frequency a = {a} must be >= 0")
+    if not 0.0 <= a < _MAX_ABS_C2:
+        raise ValueError(f"frequency a = {a} must be >= 0 and below 2**50")
     half = 0.5 * fs.yF
     out: dict[str, float] = {}
     arg_outer = half * half + a * (fs.xF + a)

@@ -56,6 +56,7 @@ def _scalars(
     """(B, D, A, C) at p from (Re B, Re D, Im B, Im D), as a plain tuple.
 
     The one builder of A and C: ResponseScalars(*_scalars(...)) is the record.
+    p has been classified (classify_region), so C is the unchecked vacuum value.
     """
     re_b, re_d, im_b, im_d = parts
     _, b, c2, _, _ = p

@@ -39,7 +39,10 @@ class MediumState:
         and cube the Fermi energy); xi = 1 describes an empty Fermi sea
         (pure vacuum).
     alpha : float
-        Fine-structure constant; the squared coupling is e2 = 4*pi*alpha.
+        Fine-structure constant, > 0; the squared coupling e2 must be
+        finite.
+    e2 : float
+        Squared coupling 4 pi alpha, built once, with the state.
     """
 
     t: float
@@ -55,13 +58,16 @@ class MediumState:
             raise ValueError(
                 f"a zero-temperature state needs xi >= 1 and xi < 2**50, got xi = {self.xi}"
             )
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"coupling alpha = {self.alpha} must be positive and finite")
-
-    @cached_property
-    def e2(self) -> float:
-        """Squared coupling 4 pi alpha, built once per state."""
-        return 4.0 * math.pi * self.alpha
+        # every scalar scales with e2: an alpha whose e2 overflows would
+        # make the tensors inf or NaN
+        e2 = 4.0 * math.pi * self.alpha
+        if not (self.alpha > 0.0 and math.isfinite(e2)):
+            raise ValueError(
+                f"coupling alpha = {self.alpha} must be positive and finite,"
+                " and so must e2 = 4 pi alpha"
+            )
+        # frozen: stored as a cached_property stores its value
+        self.__dict__["e2"] = e2
 
     @property
     def is_degenerate(self) -> bool:

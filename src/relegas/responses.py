@@ -23,6 +23,7 @@ from .kinematics import (
     KinematicPoint,
     RegionLabel,
     SubregionLabel,
+    _new,
     classify_region,
     derive_point,
 )
@@ -107,7 +108,8 @@ def assemble(s: ResponseScalars, p: KinematicPoint) -> ResponseTensors:
 
     The longitudinal/transverse combinations are cross-checked against
     their two independent compositions; disagreement beyond 1e-12
-    (relative) raises InternalConsistencyError.
+    (relative), a NaN on either side or an infinite eps_L or nu_L raises
+    InternalConsistencyError.
     """
     a, b, c2, _, _ = p
     s_b, s_d, s_a, s_c = s
@@ -126,13 +128,13 @@ def assemble(s: ResponseScalars, p: KinematicPoint) -> ResponseTensors:
 
     eps_l = 1.0 + s_c - c2_b2 * s_b
     summed = eps + eps_prime
-    if abs(eps_l - summed) > _DUAL_PATH_TOL * max(1.0, abs(eps_l)):
+    if not abs(eps_l - summed) <= _DUAL_PATH_TOL * max(1.0, abs(eps_l)) < math.inf:
         raise InternalConsistencyError(f"eps_L composition mismatch: {eps_l!r} vs {summed!r}")
     nu_l = 1.0 + 2.0 * s_c + 2.0 * s_d + c2_b2 * s_b
     summed = nu + nu_prime
-    if abs(nu_l - summed) > _DUAL_PATH_TOL * max(1.0, abs(nu_l)):
+    if not abs(nu_l - summed) <= _DUAL_PATH_TOL * max(1.0, abs(nu_l)) < math.inf:
         raise InternalConsistencyError(f"nu_L composition mismatch: {nu_l!r} vs {summed!r}")
-    return ResponseTensors(eps, nu, eps_prime, nu_prime, tau, sigma, eps_l, nu_l)
+    return _new(ResponseTensors, (eps, nu, eps_prime, nu_prime, tau, sigma, eps_l, nu_l))
 
 
 def tensors_at(
@@ -541,17 +543,18 @@ def evaluate_cell(
     integrand) becomes the reason; InternalConsistencyError propagates.
     """
     try:
-        _, region, sub, tens = tensors_at(a, b, ms, include_vacuum=include_vacuum)
+        p, region, sub, s = _evaluate(a, b, ms, include_vacuum)
+        eps_l, nu_l = assemble(s, p)[6:]
     except ValueError as exc:
-        return GridCell(a, b, "", "", math.nan, math.nan, math.nan, math.nan, False, str(exc))
-    # positional: keyword construction of a NamedTuple costs twice as much
-    eps_l = tens.eps_L
-    nu_l = tens.nu_L
+        return _new(
+            GridCell, (a, b, "", "", math.nan, math.nan, math.nan, math.nan, False, str(exc))
+        )
     meta = eps_l.real < 0.0 and nu_l.real < 0.0
     subregion = sub.label if sub is not None else ""
     # _value_ is region.value without the Enum property's lookup
-    return GridCell(
-        a, b, region._value_, subregion, eps_l.real, eps_l.imag, nu_l.real, nu_l.imag, meta, ""
+    return _new(
+        GridCell,
+        (a, b, region._value_, subregion, eps_l.real, eps_l.imag, nu_l.real, nu_l.imag, meta, ""),
     )
 
 
@@ -563,7 +566,7 @@ def metamaterial_scan(
 ) -> list[GridCell]:
     """Classify every (a, b) cell of a grid, row-major in b then a."""
     return [
-        evaluate_cell(a, b, ms, include_vacuum=include_vacuum)
+        evaluate_cell(a, b, ms, include_vacuum)
         for b in b_grid
         for a in a_grid
     ]

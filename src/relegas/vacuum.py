@@ -73,13 +73,12 @@ def _bracket_series(c2: float) -> float:
 
 
 def _vacuum_value(c2: float, ms: MediumState) -> complex:
-    """The value of c_star(c2, ms), without its branch label."""
-    if not math.isfinite(c2):
-        raise ValueError(f"c2 = {c2} must be finite")
-    if abs(c2) < LIGHT_CONE_CUT:
-        raise LightConeError(f"|c2| = {abs(c2):.3e} is on the light cone")
-    if abs(c2 - 1.0) <= PAIR_THRESHOLD_CUT:
-        raise PairThresholdError(f"c2 = {c2!r} sits on the pair threshold")
+    """The value of c_star(c2, ms), without its branch label and unchecked.
+
+    The caller has refused a c2 that is not finite, on the light cone or
+    on the pair threshold: c_star by its own checks, the response path by
+    derive_point and classify_region.
+    """
     pref = ms._vacuum_pref
     if abs(c2) <= _SERIES_SWITCH:
         return complex(pref * _bracket_series(c2), 0.0)
@@ -109,6 +108,12 @@ def c_star(c2: float, ms: MediumState) -> VacuumScalar:
     """
     if abs(c2) >= _MAX_ABS_C2:
         raise InvalidPointError(f"|c2| = {abs(c2):.3e} is too large: it is not below 2**50")
+    if not math.isfinite(c2):
+        raise ValueError(f"c2 = {c2} must be finite")
+    if abs(c2) < LIGHT_CONE_CUT:
+        raise LightConeError(f"|c2| = {abs(c2):.3e} is on the light cone")
+    if abs(c2 - 1.0) <= PAIR_THRESHOLD_CUT:
+        raise PairThresholdError(f"c2 = {c2!r} sits on the pair threshold")
     value = _vacuum_value(c2, ms)
     branch = "spacelike" if c2 < 0.0 else "subthreshold" if c2 < 1.0 else "above_threshold"
     return VacuumScalar(value, branch)

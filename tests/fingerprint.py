@@ -68,7 +68,9 @@ from pathlib import Path
 # rounds onto |xi| (t = 1e-18 at xi = 1.2, t = 0.1 at xi = 1e18), whose
 # medium response once read 0; a cold dispersion at xF = 1e120 and a
 # cold scan at xF = 1e200, which once overflowed with a traceback and
-# are refused
+# are refused; boundaries at a NaN, infinite or huge xF or a huge a, and
+# a point and a warm scan at alpha = 1e308, whose e2 overflows, which
+# once printed NaN or inf and exited 0 and are refused
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -133,6 +135,13 @@ CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--t", "0.1", "--xi", "1e18", "--format", "csv"],
     ["dispersion", "--b-range", "1e-3", "2e-3", "2", "--xf", "1e120"],
     ["scan", "--a-range", "0.1", "0.2", "2", "--b-range", "1", "1", "1", "--xf", "1e200"],
+    ["boundaries", "--xf", "nan", "--a-range", "0.1", "0.2", "2"],
+    ["boundaries", "--xf", "inf", "--a-range", "0.1", "0.2", "2"],
+    ["boundaries", "--xf", "1e300", "--a-range", "0.1", "0.2", "2"],
+    ["boundaries", "--xf", "1.5", "--a-range", "1e300", "1e300", "1"],
+    ["response", "--a", "0.5", "--b", "1", "--xi", "1.2", "--alpha", "1e308", "--format", "csv"],
+    ["scan", "--a-range", "0.5", "0.5", "1", "--b-range", "1", "1", "1", "--xi", "1.2",
+     "--t", "0.1", "--alpha", "1e308"],
 ]
 
 

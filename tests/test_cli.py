@@ -419,6 +419,41 @@ def test_overflowing_fermi_energy_exits_2(capsys, argv):
     assert err.startswith("error: a zero-temperature state needs") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["response", "--a", "0.5", "--b", "1", "--xi", "1.2", "--alpha", "1e308",
+         "--format", "csv"],
+        ["scan", "--a-range", "0.5", "0.5", "1", "--b-range", "1", "1", "1", "--xi", "1.2",
+         "--t", "0.1", "--alpha", "1e308"],
+    ],
+    ids=["response", "scan"],
+)
+def test_overflowing_coupling_exits_2(capsys, argv):
+    # alpha = 1e308 is finite but e2 = 4 pi alpha is not: the point printed
+    # NaN tensors and the scan row a NaN cell with an empty reason, exit 0
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: coupling alpha = 1e+308") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boundaries", "--xf", "nan", "--a-range", "0.1", "0.2", "2"],
+        ["boundaries", "--xf", "inf", "--a-range", "0.1", "0.2", "2"],
+        ["boundaries", "--xf", "1e300", "--a-range", "0.1", "0.2", "2"],
+        ["boundaries", "--xf", "1.5", "--a-range", "1e300", "1e300", "1"],
+    ],
+    ids=["xf-nan", "xf-inf", "xf-huge", "a-huge"],
+)
+def test_boundaries_refuse_non_finite_and_huge_inputs(capsys, argv):
+    # each printed NaN or inf curves and exited 0
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "below 2**50" in err and err.count("\n") == 1
+
+
 def test_consistency_failure_exits_4_without_traceback(capsys):
     # a region-I cell at a/b < 0.015, where B ~ 2e5 and D ~ 1e5 cancel to
     # nu_L ~ 1 and the dual-path check of nu_L trips

@@ -87,6 +87,19 @@ def test_pair_threshold_rejected():
         classify_region(p)
 
 
+def test_nan_c2_rejected():
+    # derive_point never makes one, but a KinematicPoint built by hand can
+    # carry it; the vacuum term no longer checks c2, so classify_region
+    # refuses it for scalars_zero_t
+    from relegas import MediumState, scalars_zero_t
+
+    p = KinematicPoint(a=0.5, b=1.0, c2=math.nan, gamma2=math.nan, d2=math.nan)
+    with pytest.raises(InvalidPointError, match="must be finite"):
+        classify_region(p)
+    with pytest.raises(ValueError, match="must be finite"):
+        scalars_zero_t(p, MediumState(t=0.0, xi=1.2))
+
+
 def test_region_sign_matches_exact_rationals():
     # the float classification must agree with exact rational arithmetic
     rng = random.Random(20240817)
@@ -234,3 +247,18 @@ def test_fermi_surface_validation():
         fermi_surface(0.99)
     fs = fermi_surface(1.2)
     assert abs(fs.yF - math.sqrt(1.2**2 - 1.0)) < 1e-16
+    # NaN passed the old xF < 1 test, and inf or 1e300 overflowed yF and
+    # the boundary curves; the bound is MediumState's at t = 0
+    for xF in (math.nan, math.inf, 1e300, 2.0**50):
+        with pytest.raises(ValueError, match=r"below 2\*\*50"):
+            fermi_surface(xF)
+    assert math.isfinite(fermi_surface(math.nextafter(2.0**50, 0.0)).yF)
+
+
+def test_region_boundaries_refuse_non_finite_and_huge_frequencies():
+    fs = fermi_surface(1.5)
+    for a in (-0.1, math.nan, math.inf, 1e300, 2.0**50):
+        with pytest.raises(ValueError, match=r"below 2\*\*50"):
+            region_boundaries(fs, a)
+    curves = region_boundaries(fs, math.nextafter(2.0**50, 0.0))
+    assert curves and all(map(math.isfinite, curves.values()))

@@ -17,6 +17,10 @@ def test_state_validation():
     for alpha in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             MediumState(t=0.1, xi=1.2, alpha=alpha)
+    # a finite alpha whose e2 = 4 pi alpha overflows made every tensor NaN
+    with pytest.raises(ValueError, match="e2 = 4 pi alpha"):
+        MediumState(t=0.1, xi=1.2, alpha=1e308)
+    assert math.isfinite(MediumState(t=0.0, xi=1.2, alpha=1e307).e2)
     MediumState(t=0.1, xi=-2.0)  # negative chemical potential is fine at t > 0
     # the t = 0 closed forms overflow (plasma_moments from xF ~ 5.6e102)
     # or return inf/nan (tensors_at at xF = 1e154) far above the bound

@@ -160,6 +160,71 @@ def test_public_records_agree_with_the_private_path():
     assert n_checked >= 180
 
 
+def _cell_from_tensors_at(a, b, ms, include_vacuum):
+    """The GridCell of (a, b) built from tensors_at, as evaluate_cell documents it."""
+    from relegas import GridCell
+
+    try:
+        _, region, sub, tens = tensors_at(a, b, ms, include_vacuum=include_vacuum)
+    except ValueError as exc:
+        return GridCell(a, b, "", "", math.nan, math.nan, math.nan, math.nan, False, str(exc))
+    eps_l, nu_l = tens.eps_L, tens.nu_L
+    return GridCell(
+        a, b, region.value, "" if sub is None else sub.label,
+        eps_l.real, eps_l.imag, nu_l.real, nu_l.imag,
+        eps_l.real < 0.0 and nu_l.real < 0.0, "",
+    )
+
+
+def test_evaluate_cell_matches_tensors_at_bit_for_bit():
+    # evaluate_cell evaluates and assembles a cell itself, without
+    # tensors_at; every field of every cell, the reason of a refused one
+    # included, is the one built from tensors_at
+    from collections import Counter
+
+    from relegas import GridCell, derive_point
+
+    rng = random.Random(3434)
+    refusals = ("light cone", "pair-creation threshold", "too small", "too large", "Fermi surface")
+    kinds: Counter = Counter()
+    for t, n_draws in ((0.0, 44), (1e-3, 3), (0.05, 3), (1.0, 3)):
+        for _ in range(n_draws):
+            xi = rng.uniform(1.0, 3.0) if t == 0.0 else rng.choice((1.2, 0.0, -1.1))
+            ms = MediumState(t=t, xi=xi)
+            b = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+            cells = [
+                (math.sqrt(b * b + c2), b)
+                for c2 in (
+                    -rng.uniform(1e-3, 1.0) * b * b,
+                    rng.uniform(1e-3, 0.999),
+                    rng.uniform(1.001, 4.0),
+                )
+            ]
+            # refused: the light cone, the pair threshold, a subnormal b**2
+            # and |c2| >= 2**50
+            cells += [(b, b), (math.sqrt(1.0 + b * b), b), (0.5, 1e-160), (1e150, 1e100)]
+            for a, b_cell in cells:
+                vac = rng.random() < 0.5
+                cell = evaluate_cell(a, b_cell, ms, vac)
+                want = _cell_from_tensors_at(a, b_cell, ms, vac)
+                assert type(cell) is GridCell
+                assert repr(cell) == repr(want), (a, b_cell, t, xi, vac)
+                kinds[cell.region or next(r for r in refusals if r in cell.reason)] += 1
+            if t == 0.0:
+                # a subregion boundary: the window's top edge on the Fermi surface
+                p = derive_point(*cells[0])
+                ms_edge = MediumState(t=0.0, xi=p.a + p.b * math.sqrt(p.gamma2))
+                cell = evaluate_cell(p.a, p.b, ms_edge)
+                assert repr(cell) == repr(_cell_from_tensors_at(p.a, p.b, ms_edge, True))
+                kinds[cell.region or next(r for r in refusals if r in cell.reason)] += 1
+    # the t > 0 cell whose integrand returns NaN: its reason is str(exc)
+    ms = MediumState(t=1.0, xi=0.0)
+    assert repr(evaluate_cell(*NAN_CELL, ms)) == repr(_cell_from_tensors_at(*NAN_CELL, ms, True))
+    assert sum(kinds.values()) >= 400
+    for kind in ("I", "II", "III", *refusals):
+        assert kinds[kind] >= 40, kinds
+
+
 def test_one_classification_per_point(monkeypatch):
     # a t = 0 point classifies its region, builds its subregion and the
     # Fermi-surface logs once, and never calls the public r1 and r2
@@ -1018,10 +1083,10 @@ def test_failed_cell_becomes_a_reason():
 def test_consistency_failure_still_propagates(monkeypatch):
     # only ValueError becomes a reason: a failed dual-path check of the
     # tensors is a fault of the program and must stop the scan
-    def broken(a, b, ms, include_vacuum=True):
+    def broken(s, p):
         raise InternalConsistencyError("eps_L composition mismatch")
 
-    monkeypatch.setattr(responses, "tensors_at", broken)
+    monkeypatch.setattr(responses, "assemble", broken)
     with pytest.raises(InternalConsistencyError):
         evaluate_cell(0.5, 1.0, COLD)
 
@@ -1125,3 +1190,17 @@ def test_assemble_consistency_check_fires_on_corrupt_scalars():
     bad = ResponseScalars(B=0.01 + 0j, D=0.02 + 0j, A=0.5 + 0j, C=0j)
     with pytest.raises(InternalConsistencyError, match="composition"):
         assemble(bad, p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_assemble_consistency_check_fires_on_non_finite_scalars(bad):
+    # abs(nan - nan) > tol is False: a NaN tensor passed the check
+    from relegas import InternalConsistencyError, derive_point
+    from relegas.medium_finite_t import ResponseScalars
+
+    p = derive_point(0.5, 1.0)
+    for i in range(4):
+        parts = [0.01 + 0j, 0.02 + 0j, 0.03 + 0j, 0.04 + 0j]
+        parts[i] = complex(bad, 0.0)
+        with pytest.raises(InternalConsistencyError, match="composition"):
+            assemble(ResponseScalars(*parts), p)
