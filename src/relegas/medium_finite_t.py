@@ -52,19 +52,24 @@ class ResponseScalars(NamedTuple):
 
 def _scalars(
     p: KinematicPoint, ms: MediumState, parts: tuple[float, ...], include_vacuum: bool
-) -> tuple[complex, complex, complex, complex]:
+) -> tuple[float, float, float, float] | tuple[complex, complex, complex, complex]:
     """(B, D, A, C) at p from (Re B, Re D, Im B, Im D), as a plain tuple.
 
-    The one builder of A and C: ResponseScalars(*_scalars(...)) is the record.
-    p has been classified (classify_region), so C is the unchecked vacuum value.
+    The one builder of A and C: ResponseScalars(*map(complex, _scalars(...)))
+    is the record.  p has been classified (classify_region), so C is the
+    unchecked vacuum value, and 0 < c2 < 1 is region II: there Im B and
+    Im D are exactly 0 and C is real, so the four scalars are floats, with
+    the bits of the real parts of the complex ones.  Elsewhere they are
+    complex.
     """
     re_b, re_d, im_b, im_d = parts
     _, b, c2, _, _ = p
-    b_val = complex(re_b, im_b)
-    d_val = complex(re_d, im_d)
-    a_val = d_val + (1.0 + 3.0 * c2 / (2.0 * b * b)) * b_val
-    c_val = _vacuum_value(c2, ms) if include_vacuum else 0.0j
-    return b_val, d_val, a_val, c_val
+    c_val = _vacuum_value(c2, ms) if include_vacuum else 0.0
+    if 0.0 < c2 < 1.0:
+        b_val, d_val = re_b, re_d
+    else:
+        b_val, d_val, c_val = complex(re_b, im_b), complex(re_d, im_d), complex(c_val)
+    return b_val, d_val, d_val + (1.0 + 3.0 * c2 / (2.0 * b * b)) * b_val, c_val
 
 
 def r1(x: float, p: KinematicPoint) -> float:

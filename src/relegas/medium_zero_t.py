@@ -290,4 +290,4 @@ def scalars_zero_t(
     The Fermi surface is ms.fermi_surface, so it cannot contradict ms.
     """
     _, parts = _zero_t_parts(p, ms, classify_region(p))
-    return ResponseScalars(*_scalars(p, ms, parts, include_vacuum))
+    return ResponseScalars(*map(complex, _scalars(p, ms, parts, include_vacuum)))

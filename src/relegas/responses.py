@@ -83,13 +83,16 @@ def scalars_at(
     and the scalars: closed forms at t = 0, one quadrature pass else.
     """
     p, region, sub, s = _evaluate(a, b, ms, include_vacuum)
-    return p, region, sub, ResponseScalars(*s)
+    return p, region, sub, ResponseScalars(*map(complex, s))
 
 
 def _evaluate(
     a: float, b: float, ms: MediumState, include_vacuum: bool
-) -> tuple[KinematicPoint, RegionLabel, SubregionLabel | None, tuple[complex, ...]]:
-    """scalars_at with the scalars (B, D, A, C) as a plain tuple."""
+) -> tuple[KinematicPoint, RegionLabel, SubregionLabel | None, tuple[float | complex, ...]]:
+    """scalars_at with the scalars (B, D, A, C) as a plain tuple.
+
+    They are floats in region II and complex elsewhere (_scalars).
+    """
     p = derive_point(a, b)
     if not abs(p.c2) < _MAX_ABS_C2:
         raise InvalidPointError(
@@ -109,7 +112,16 @@ def assemble(s: ResponseScalars, p: KinematicPoint) -> ResponseTensors:
     The longitudinal/transverse combinations are cross-checked against
     their two independent compositions; disagreement beyond 1e-12
     (relative), a NaN on either side or an infinite eps_L or nu_L raises
-    InternalConsistencyError.
+    InternalConsistencyError.  Every field is complex.
+    """
+    return _new(ResponseTensors, tuple(map(complex, _assemble(s, p))))
+
+
+def _assemble(s: Sequence[float | complex], p: KinematicPoint) -> tuple[float | complex, ...]:
+    """assemble as a plain tuple, in the arithmetic of the scalars.
+
+    Float scalars (region II) give float tensors, with the bits of the
+    real parts that complex scalars with 0 imaginary parts give.
     """
     a, b, c2, _, _ = p
     s_b, s_d, s_a, s_c = s
@@ -134,7 +146,7 @@ def assemble(s: ResponseScalars, p: KinematicPoint) -> ResponseTensors:
     summed = nu + nu_prime
     if not abs(nu_l - summed) <= _DUAL_PATH_TOL * max(1.0, abs(nu_l)) < math.inf:
         raise InternalConsistencyError(f"nu_L composition mismatch: {nu_l!r} vs {summed!r}")
-    return _new(ResponseTensors, (eps, nu, eps_prime, nu_prime, tau, sigma, eps_l, nu_l))
+    return eps, nu, eps_prime, nu_prime, tau, sigma, eps_l, nu_l
 
 
 def tensors_at(
@@ -356,13 +368,15 @@ def dispersion(
     moments = plasma_moments(ms)
     for b in b_grid:
         # tensors per abscissa: Brent's bracket edges and the root's own
-        # tensors revisit points the search (or Brent) has already evaluated
-        cache: dict[float, ResponseTensors | None] = {}
+        # tensors revisit points the search (or Brent) has already
+        # evaluated.  The band is region II, where they are floats
+        cache: dict[float, tuple[float | complex, ...] | None] = {}
 
-        def tens_at(a: float) -> ResponseTensors | None:
+        def tens_at(a: float) -> tuple[float | complex, ...] | None:
             if a not in cache:
                 try:
-                    cache[a] = tensors_at(a, b, ms, include_vacuum=include_vacuum)[3]
+                    p, _, _, s = _evaluate(a, b, ms, include_vacuum)
+                    cache[a] = _assemble(s, p)
                 except (InvalidPointError, SubregionBoundaryError):
                     cache[a] = None
             return cache[a]
@@ -372,13 +386,12 @@ def dispersion(
             tens = tens_at(a)
             if tens is None:
                 return math.nan
-            return tens.eps_L.real if longitudinal else tens.nu_L.real + 1.0
+            return tens[6].real if longitudinal else tens[7].real + 1.0
 
         root = _first_zero(gap, grid, b, gate, _bs_root(mode, b, moments))
         if root is None:
             continue
-        tens = tens_at(root)
-        im_val = tens.eps_L.imag if longitudinal else tens.nu_L.imag
+        im_val = tens_at(root)[6 if longitudinal else 7].imag
         samples.append(RootSample(b=b, root_a=root, residual=gap(root), im_at_root=im_val))
     plasma = _extrapolate_to_zero_b(samples)
     return DispersionBranch(mode=mode, samples=tuple(samples), plasma_frequency=plasma)
@@ -544,7 +557,7 @@ def evaluate_cell(
     """
     try:
         p, region, sub, s = _evaluate(a, b, ms, include_vacuum)
-        eps_l, nu_l = assemble(s, p)[6:]
+        eps_l, nu_l = _assemble(s, p)[6:]
     except ValueError as exc:
         return _new(
             GridCell, (a, b, "", "", math.nan, math.nan, math.nan, math.nan, False, str(exc))

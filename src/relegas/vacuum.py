@@ -72,16 +72,17 @@ def _bracket_series(c2: float) -> float:
     )))))))))
 
 
-def _vacuum_value(c2: float, ms: MediumState) -> complex:
+def _vacuum_value(c2: float, ms: MediumState) -> float | complex:
     """The value of c_star(c2, ms), without its branch label and unchecked.
 
-    The caller has refused a c2 that is not finite, on the light cone or
-    on the pair threshold: c_star by its own checks, the response path by
-    derive_point and classify_region.
+    A float below the pair threshold (c2 < 1), where the value is real,
+    and a complex above it.  The caller has refused a c2 that is not
+    finite, on the light cone or on the pair threshold: c_star by its own
+    checks, the response path by derive_point and classify_region.
     """
     pref = ms._vacuum_pref
     if abs(c2) <= _SERIES_SWITCH:
-        return complex(pref * _bracket_series(c2), 0.0)
+        return pref * _bracket_series(c2)
     u = 1.0 + 1.0 / (2.0 * c2)
     if c2 < 0.0:
         k = math.sqrt(1.0 - 1.0 / c2)
@@ -94,7 +95,7 @@ def _vacuum_value(c2: float, ms: MediumState) -> complex:
         hcot = kappa * math.atanh(kappa)
     bracket = 1.0 / 3.0 + 2.0 * u * (hcot - 1.0)
     if c2 < 1.0:
-        return complex(pref * bracket, 0.0)
+        return pref * bracket
     return pref * complex(bracket, -math.pi * kappa * u)
 
 
@@ -114,6 +115,6 @@ def c_star(c2: float, ms: MediumState) -> VacuumScalar:
         raise LightConeError(f"|c2| = {abs(c2):.3e} is on the light cone")
     if abs(c2 - 1.0) <= PAIR_THRESHOLD_CUT:
         raise PairThresholdError(f"c2 = {c2!r} sits on the pair threshold")
-    value = _vacuum_value(c2, ms)
+    value = complex(_vacuum_value(c2, ms))
     branch = "spacelike" if c2 < 0.0 else "subthreshold" if c2 < 1.0 else "above_threshold"
     return VacuumScalar(value, branch)

@@ -70,7 +70,10 @@ from pathlib import Path
 # cold scan at xF = 1e200, which once overflowed with a traceback and
 # are refused; boundaries at a NaN, infinite or huge xF or a huge a, and
 # a point and a warm scan at alpha = 1e308, whose e2 overflows, which
-# once printed NaN or inf and exited 0 and are refused
+# once printed NaN or inf and exited 0 and are refused; two region-II
+# points, whose scalars and tensors are built on floats and printed from
+# the complex public records: a warm one in json, and a cold one
+# without the vacuum term
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -142,6 +145,8 @@ CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1", "--xi", "1.2", "--alpha", "1e308", "--format", "csv"],
     ["scan", "--a-range", "0.5", "0.5", "1", "--b-range", "1", "1", "1", "--xi", "1.2",
      "--t", "0.1", "--alpha", "1e308"],
+    ["response", "--a", "0.8", "--b", "0.3", "--t", "0.05", "--xi", "1.2"],
+    ["response", "--a", "0.5", "--b", "0.3", "--xf", "1.2", "--no-vacuum"],
 ]
 
 

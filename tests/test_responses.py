@@ -142,7 +142,8 @@ def test_public_records_agree_with_the_private_path():
                     assert repr(sub_t) == repr(sub)
                     assert repr(assemble(s, p)) == repr(tens)
                     parts = (s.B.real, s.D.real, s.B.imag, s.D.imag)
-                    rebuilt = ResponseScalars(*medium_finite_t._scalars(p, ms, parts, vac))
+                    private = medium_finite_t._scalars(p, ms, parts, vac)
+                    rebuilt = ResponseScalars(*map(complex, private))
                     assert repr(rebuilt) == repr(s)
                     cell = evaluate_cell(a, b, ms, include_vacuum=vac)
                     assert type(cell) is GridCell
@@ -158,6 +159,128 @@ def test_public_records_agree_with_the_private_path():
                         assert math.isnan(sub.x_lower) and math.isnan(sub.x_upper)
                     n_checked += 1
     assert n_checked >= 180
+
+
+# region II at t = 0 and at three temperatures, with and without the vacuum
+FLOAT_PATH_STATES = (
+    MediumState(t=0.0, xi=1.2),
+    MediumState(t=1e-3, xi=1.2),
+    MediumState(t=0.05, xi=1.2),
+    MediumState(t=1.0, xi=-1.1),
+)
+
+
+def _region_two_points(rng, n, ms):
+    # (a, b) in region II: every other one with c2 = a**2 - b**2 in
+    # (0, 1) and b log-uniform in [1e-3, 2], the rest in the plasmon band,
+    # a log-uniform in [a_e/4, 4 a_e] and b in (0, a)
+    a_e = plasma_frequency_estimate(ms)
+    for i in range(n):
+        if i % 2:
+            a = a_e * math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+            yield a, a * rng.uniform(1e-3, 0.999)
+        else:
+            b = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+            yield math.sqrt(b * b + rng.uniform(1e-3, 0.999)), b
+
+
+def _is_plus_zero(x):
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+def test_region_two_is_built_on_floats():
+    # in region II the private path's scalars and tensors are floats; the
+    # public records wrap them once, into complex fields with +0.0
+    # imaginary parts and the real parts' bits
+    from relegas import ResponseScalars
+    from relegas.medium_zero_t import scalars_zero_t
+
+    rng = random.Random(3535)
+    n_checked = 0
+    for ms in FLOAT_PATH_STATES:
+        for a, b in _region_two_points(rng, 12, ms):
+            for vac in (True, False):
+                p, region, _, s = responses._evaluate(a, b, ms, vac)
+                assert region is responses.RegionLabel.II
+                assert all(type(x) is float for x in s), (ms, a, b, vac, s)
+                tens = responses._assemble(s, p)
+                assert all(type(x) is float for x in tens)
+                if not vac:
+                    assert s[3] == 0.0
+                public_s = scalars_at(a, b, ms, include_vacuum=vac)[3]
+                public_t = tensors_at(a, b, ms, include_vacuum=vac)[3]
+                records = [public_s, public_t, assemble(s, p)]
+                if ms.is_degenerate:
+                    records.append(scalars_zero_t(p, ms, include_vacuum=vac))
+                for record in records:
+                    assert all(type(z) is complex for z in record)
+                    assert all(_is_plus_zero(z.imag) for z in record), (ms, a, b, record)
+                assert repr(public_s) == repr(ResponseScalars(*map(complex, s)))
+                assert repr([z.real for z in public_t]) == repr(list(tens))
+                # complex arithmetic on the same scalars, as every point ran
+                # before region II was built on floats, gives the same bits
+                complex_path = responses._assemble(tuple(map(complex, s)), p)
+                assert repr(tuple(public_t)) == repr(complex_path)
+                assert repr(public_t) == repr(assemble(s, p))
+                vacuum = c_star(p.c2, ms).value
+                assert type(vacuum) is complex and _is_plus_zero(vacuum.imag)
+                if vac:
+                    assert vacuum.real == s[3]
+                n_checked += 1
+    assert n_checked == 96
+
+
+def test_float_path_keeps_the_dual_path_check():
+    # B (1 + 1e-9) with A unchanged moves nu + nu' by -2 a**2/b**2 dB and
+    # nu_L by c2/b**2 dB: where |c2/b**2 B| is a tenth or more of nu_L's
+    # summed terms (in region II 2|D| is the largest, near 1.5 |c2/b**2 B|
+    # in the plasmon band), the mismatch is above 1e-10 max(1, |nu_L|),
+    # and the check at 1e-12 must trip on floats as on complex.  A NaN in
+    # any scalar trips it too
+    rng = random.Random(3536)
+    n_dominant = 0
+    for ms in FLOAT_PATH_STATES:
+        for a, b in _region_two_points(rng, 12, ms):
+            for vac in (True, False):
+                p, _, _, s = responses._evaluate(a, b, ms, vac)
+                s_b, s_d, s_a, s_c = s
+                c2_b2_b = abs(p.c2 / (b * b) * s_b)
+                if c2_b2_b >= 0.1 * (1.0 + 2.0 * abs(s_c) + 2.0 * abs(s_d) + c2_b2_b):
+                    n_dominant += 1
+                    with pytest.raises(InternalConsistencyError, match="nu_L composition"):
+                        responses._assemble((s_b * (1.0 + 1e-9), s_d, s_a, s_c), p)
+                for i in range(4):
+                    bad = list(s)
+                    bad[i] = math.nan
+                    with pytest.raises(InternalConsistencyError, match="composition"):
+                        responses._assemble(bad, p)
+    assert n_dominant >= 24
+
+
+def test_region_one_cells_without_absorption_stay_complex():
+    # a region-I cell whose window lies above the Fermi sea (subregion
+    # NONE) has Im B = Im D = 0 too, but its tensors carry -0.0 imaginary
+    # parts that the CLI prints; it keeps the complex path and those zeros
+    rng = random.Random(3537)
+    n_none = 0
+    for _ in range(100):
+        b = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+        a = b * math.sqrt(1.0 - rng.uniform(1e-3, 1.0))
+        try:
+            p, region, sub, s = responses._evaluate(a, b, COLD, True)
+        except SubregionBoundaryError:
+            continue
+        assert region is responses.RegionLabel.I
+        if sub.label != "NONE":
+            continue
+        assert (s[0].imag, s[1].imag) == (0.0, 0.0)
+        assert all(type(x) is complex for x in s)
+        tens = tensors_at(a, b, COLD)[3]
+        assert repr(tuple(tens)) == repr(responses._assemble(s, p))
+        signs = {name: math.copysign(1.0, z.imag) for name, z in zip(tens._fields, tens)}
+        assert signs["eps_prime"] == signs["nu_prime"] == -1.0, (a, b, tens)
+        n_none += 1
+    assert n_none >= 30
 
 
 def _cell_from_tensors_at(a, b, ms, include_vacuum):
@@ -494,6 +617,30 @@ def test_roots_match_braaten_segel(t, xi):
         assert 0.1 < offset < 0.45, (mode, offset)
 
 
+def test_braaten_segel_offset_is_order_a_e_squared():
+    # at t = 0 and b = 0.01 a_e the relative offset of each root above
+    # Braaten-Segel, over a_e**2, is O(1) once scaled by xF: measured
+    # 0.386-0.494 over xF in [1.03, 2.95], while the unscaled offset
+    # spreads from 0.13 to 0.47.  So the offset is the O(a_e**2) term that
+    # the approximation leaves out, with an xF-dependent coefficient
+    rng = random.Random(1478)
+    xfs = [1.03, 2.95] + [rng.uniform(1.03, 2.95) for _ in range(10)]
+    for mode in ("longitudinal", "transverse"):
+        scaled, unscaled = [], []
+        for xf in xfs:
+            ms = MediumState(t=0.0, xi=xf)
+            moments = responses.plasma_moments(ms)
+            a_e = 0.5 * moments[0]
+            b = 0.01 * a_e
+            (sample,) = dispersion(mode, [b], ms, (0.25 * a_e, 4.0 * a_e)).samples
+            offset = (sample.root_a / responses._bs_root(mode, b, moments) - 1.0) / a_e**2
+            unscaled.append(offset)
+            scaled.append(xf * offset)
+        assert 0.3 <= min(scaled) and max(scaled) <= 0.6, (mode, scaled)
+        assert max(scaled) / min(scaled) < 1.6, (mode, scaled)
+        assert max(unscaled) / min(unscaled) > 2.5, (mode, unscaled)
+
+
 def _bs_relation(mode, a, b, moments):
     # the relations of ROADMAP item 11 as written there, in omega = 2 a
     # and k = 2 b, each rising through 0 at its root; the log as log1p,
@@ -532,18 +679,19 @@ def test_bs_root_solves_its_relation_in_few_steps(monkeypatch, t, xi):
 
 
 def _calls_per_b(mode, b_grid, ms, window):
-    # the branch, and the abscissae of the tensors_at calls at each b
+    # the branch, and the abscissae of the points dispersion evaluates at
+    # each b (its calls of the evaluator behind tensors_at)
     from collections import defaultdict
 
     seen: dict = defaultdict(list)
-    inner = responses.tensors_at
+    inner = responses._evaluate
 
-    def counted(a, b, ms, include_vacuum=True):
+    def counted(a, b, ms, include_vacuum):
         seen[b].append(a)
-        return inner(a, b, ms, include_vacuum=include_vacuum)
+        return inner(a, b, ms, include_vacuum)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(responses, "tensors_at", counted)
+        mp.setattr(responses, "_evaluate", counted)
         branch = dispersion(mode, b_grid, ms, window)
     return branch, seen
 
@@ -1086,7 +1234,7 @@ def test_consistency_failure_still_propagates(monkeypatch):
     def broken(s, p):
         raise InternalConsistencyError("eps_L composition mismatch")
 
-    monkeypatch.setattr(responses, "assemble", broken)
+    monkeypatch.setattr(responses, "_assemble", broken)
     with pytest.raises(InternalConsistencyError):
         evaluate_cell(0.5, 1.0, COLD)
 
