@@ -17,6 +17,19 @@ region II, where no real absorption process exists.  All five integrals
 are one vector-valued quadrature pass over shared nodes; in region II the
 pass has the three real components only.  The occupation at the nodes of
 each integrand call comes from occupation._n_fermi_nodes, with n_fermi's bits.
+
+At t > 0 the pass has one of two panel plans.  An isolated Fermi edge
+mu = |xi| (n_F one Fermi term, b >= 1e-3 a, mu at least 18 t above the
+mass shell and 30 t from each window edge, or from region II's complex
+pair of edges) takes the t = 0 plan: [1, mu] at unit occupation, cut at
+the window edges below mu, plus t sum W_i [S(mu + t z_i) - S(mu - t z_i)]
+over the six nodes of a 3-node Gauss rule for odd integrands under the
+weight 1/(e^z + 1), where S is the same node loop at unit occupation.
+This is the Sommerfeld expansion through its t**12 term, with the
+derivatives of the kernels at mu replaced by six samples.
+Every other cell integrates n_F over [1, cutoff], cut at the window
+edges and at mu, with the thermal tail above the last edge in the
+variable of _tail_map.
 """
 
 from __future__ import annotations
@@ -27,13 +40,24 @@ from typing import NamedTuple, Sequence
 
 from .kinematics import KinematicPoint, RegionLabel, classify_region, kinematic_window
 from .numerics import _raise_nonfinite, integrate_adaptive
-from .occupation import MediumState, _n_fermi_nodes, x_cutoff
+from .occupation import MediumState, _n_fermi_nodes, _one_term, x_cutoff
 from .vacuum import _vacuum_value
 
 # floor under the kernels' logs, and of a denominator that rounds to 0
 _TINY = 1e-300
 # a Fermi edge at most this many widths t above the edge below it is smooth
 _FERMI_MERGE = 2.0
+# the 3-node Gauss rule for odd integrands under the weight 1/(e^z + 1) on
+# [0, inf): sum W_i g(z_i) is the integral of g(z)/(e^z + 1) for g = z, z^3,
+# ..., z^11 (printed by tests/make_finite_t_reference.py --gauss-fermi)
+_GF_NODES = (1.9228418539597034, 5.761738129236588, 11.897233681055607)
+_GF_WEIGHTS = (0.3823962212977991, 0.015019528488747257, 5.387675463739371e-05)
+# a Fermi edge |xi| is isolated, and takes the rule, when it lies at least
+# _SHELL_WIDTHS t above the mass shell and _EDGE_WIDTHS t from each window
+# edge, and b >= _DEEP_B a
+_SHELL_WIDTHS = 18.0
+_EDGE_WIDTHS = 30.0
+_DEEP_B = 1e-3
 
 
 class ResponseScalars(NamedTuple):
@@ -191,6 +215,36 @@ def _tail_map(t0: float, top: float, hi: float, t: float):
     return nodes
 
 
+def _unit_occupation(xs: Sequence[float]) -> list[float]:
+    return [1.0] * len(xs)
+
+
+def _isolated_edge(
+    p: KinematicPoint, region: RegionLabel, lower: float, upper: float, t: float, axi: float
+) -> bool:
+    """Whether the Fermi edge axi = |xi| at t > 0 is integrated by the Gauss-Fermi rule.
+
+    The rule needs n_F to be one Fermi term (occupation._one_term) and the
+    kernels to be smooth within ~12 t of axi, with their nearest
+    singularities far enough for a polynomial of degree 11 in x - axi:
+    the mass shell x = 1 at least _SHELL_WIDTHS t below axi, and each
+    window edge at least _EDGE_WIDTHS t away.  In region II the edges
+    a +- b sqrt(gamma2) are the complex pair a +- i b sqrt(-gamma2).
+    Below b = _DEEP_B a, in the long-wavelength cancellation of ROADMAP
+    item 3, the thermal-tail plan stays.  The distances come from
+    measured error bands: over max(|Re B|, |Re D|) the error is up to
+    7e-10 at 15-17 t above the shell and 2.1e-10 from 18 t on, and up to
+    7e-7 at 20-22 t from a window edge and below 1e-10 from 25 t on.
+    """
+    a, b, _, gamma2, _ = p
+    if not (t > 0.0 and b >= _DEEP_B * a and axi - 1.0 >= _SHELL_WIDTHS * t and _one_term(t, axi)):
+        return False
+    far = _EDGE_WIDTHS * t
+    if region is RegionLabel.II:
+        return (axi - a) ** 2 - b * b * gamma2 >= far * far
+    return abs(lower - axi) >= far and abs(upper - axi) >= far
+
+
 def _parts(
     p: KinematicPoint, ms: MediumState, region: RegionLabel
 ) -> tuple[float, float, float, float]:
@@ -199,18 +253,34 @@ def _parts(
     The five integrands (R, R_B, R_D and the Im B, Im D kernels) share
     every node, so n_F, r1 and r2 are evaluated once per node (n_F by one
     call of the occupation._n_fermi_nodes builder per integrand call, r1
-    and r2 inline) with the bits of n_fermi and _log_kernels.  Every panel
-    ends at the occupation cutoff: the real parts integrate over [1, cutoff],
-    the imaginary ones over the part of the kinematic window below it.  The
-    window edges, where r1 and r2 have log singularities, and the Fermi
-    edge |xi| (n_F is even in xi) are panel edges; at t > 0, |xi| is not
-    when it lies within _FERMI_MERGE t above the largest of 1 and the
-    window edges below it, as n_F is smooth on the scale of the panel
-    that starts there.  At t > 0 the last panel, the thermal tail
-    [t0, cutoff] above the largest of 1, |xi| and the window edges below
-    the cutoff, is integrated in the variable of _tail_map.  Region II
+    and r2 inline) with the bits of n_fermi and _log_kernels.  Region II
     has no window and exactly zero imaginary parts: its pass integrates
     only the three real components (R, R_B, R_D), not five.
+
+    Thermal-tail plan (t = 0, and t > 0 unless the edge is isolated).
+    Every panel ends at the occupation cutoff: the real parts integrate
+    over [1, cutoff], the imaginary ones over the part of the kinematic
+    window below it.  The window edges, where r1 and r2 have log
+    singularities, and the Fermi edge |xi| (n_F is even in xi) are panel
+    edges; at t > 0, |xi| is not when it lies within _FERMI_MERGE t above
+    the largest of 1 and the window edges below it, as n_F is smooth on
+    the scale of the panel that starts there.  At t > 0 the last panel,
+    the thermal tail [t0, cutoff] above the largest of 1, |xi| and the
+    window edges below the cutoff, is integrated in the variable of
+    _tail_map.
+
+    Gauss-Fermi plan (t > 0 and _isolated_edge).  The pass integrates
+    [1, |xi|] at unit occupation, cut at the window edges below |xi|, as
+    at t = 0, and adds t sum W_i [S(|xi| + t z_i) - S(|xi| - t z_i)], S
+    the same node loop at unit occupation and (z_i, W_i) the rule of
+    _GF_NODES and _GF_WEIGHTS.  With n_F one Fermi term f((x - |xi|)/t),
+    the integral of H n_F over [1, inf) is that of H over [1, |xi|] plus
+    t times the integral over z in [0, inf) of f(z) (H(|xi| + t z) -
+    H(|xi| - t z)), an odd function of z; the rule is exact for its odd
+    powers through z**11.  What it cannot follow lies where f is small:
+    below the mass shell, z >= 18 (f < e**-18), and across a window edge,
+    z >= 30 (f < e**-30).  No panel reaches above |xi|, so a window lying
+    wholly above it has exactly zero imaginary parts.
     """
     hi = x_cutoff(ms)
     a, b, c2 = p.a, p.b, p.c2
@@ -224,25 +294,32 @@ def _parts(
 
     t = ms.t
     axi = abs(ms.xi)
-    cuts = [e for e in (lower, upper) if e < hi]
-    below = max([1.0, *(e for e in cuts if e < axi)])
-    # the cutoff rounds onto |xi| once 40 t is below half an ulp of it
-    # (|xi|/t above ~3.6e17); |xi| is still the edge, so no tail is mapped
-    if axi <= hi and not (t > 0.0 and 0.0 < axi - below <= _FERMI_MERGE * t):
-        cuts.append(axi)
-    # the quadrature's axis is x up to t0, then the tail panel [t0, top] in
-    # s = z - t0; without a tail (t = 0, or no double inside [t0, hi]) it
-    # is x throughout.  n_F falls from |xi|, not from xi: at xi < -1 it is
-    # ~1 up to |xi|, and a tail mapped from far below |xi| would lose that
-    # plateau
-    t0 = top = hi
-    if t > 0.0:
-        t0 = top = max([1.0, *cuts])
-        if t0 < 0.5 * (t0 + hi) < hi:
-            top = t0 + 1.0
-            tail = _tail_map(t0, top, hi, t)
-            tail_in_window = lower <= t0 < upper
-    occupation = _n_fermi_nodes(ms)
+    gauss = _isolated_edge(p, region, lower, upper, t, axi)
+    if gauss:
+        # [1, |xi|] at unit occupation, as at t = 0; the rule adds the rest
+        cuts = [e for e in (lower, upper) if e < axi]
+        t0 = top = axi
+        occupation = _unit_occupation
+    else:
+        cuts = [e for e in (lower, upper) if e < hi]
+        below = max([1.0, *(e for e in cuts if e < axi)])
+        # the cutoff rounds onto |xi| once 40 t is below half an ulp of it
+        # (|xi|/t above ~3.6e17); |xi| is still the edge, so no tail is mapped
+        if axi <= hi and not (t > 0.0 and 0.0 < axi - below <= _FERMI_MERGE * t):
+            cuts.append(axi)
+        # the quadrature's axis is x up to t0, then the tail panel [t0, top] in
+        # s = z - t0; without a tail (t = 0, or no double inside [t0, hi]) it
+        # is x throughout.  n_F falls from |xi|, not from xi: at xi < -1 it is
+        # ~1 up to |xi|, and a tail mapped from far below |xi| would lose that
+        # plateau
+        t0 = top = hi
+        if t > 0.0:
+            t0 = top = max([1.0, *cuts])
+            if t0 < 0.5 * (t0 + hi) < hi:
+                top = t0 + 1.0
+                tail = _tail_map(t0, top, hi, t)
+                tail_in_window = lower <= t0 < upper
+        occupation = _n_fermi_nodes(ms)
     a4 = 4.0 * a
     m4c2 = -4.0 * ((a - b) * (a + b))
 
@@ -308,14 +385,27 @@ def _parts(
         # no double lies inside [1, cutoff]: an empty sea and no window
         # (t = 0 with xi = 1, or a cutoff of 1 + 1 ulp at t ~ 1e-17)
         return 0.0, 0.0, 0.0, 0.0
-    big_r, r_b, r_d = res.value[:3]
+    value = res.value
+    if gauss:
+        # t sum W_i [S(|xi| + t z_i) - S(|xi| - t z_i)] turns the unit step
+        # at |xi| into the Fermi term.  Every node lies within 12 t of |xi|,
+        # so on the same side of each window edge as |xi|
+        in_window = lower < axi < upper
+        xs_above = [axi + t * z for z in _GF_NODES]
+        xs_below = [axi - t * z for z in _GF_NODES]
+        plus = sums(xs_above, _GF_WEIGHTS, in_window)
+        minus = sums(xs_below, _GF_WEIGHTS, in_window)
+        value = [v + t * (u - d) for v, u, d in zip(value, plus, minus)]
+        if not all(map(math.isfinite, value)):
+            _raise_nonfinite(lambda x1, w1: sums(x1, w1, in_window), xs_above + xs_below)
+    big_r, r_b, r_d = value[:3]
     r_b /= 4.0 * b
     r_d *= (1.0 + 2.0 * c2) / (8.0 * b)
     pref = -ms.e2 / (4.0 * math.pi**2 * c2)
     re_b, re_d = pref * (big_r + r_b), pref * (big_r + r_d)
     if not absorbs:
         return re_b, re_d, 0.0, 0.0
-    im_b, im_d = res.value[3:]
+    im_b, im_d = value[3:]
     im_b *= -ms.e2 / (16.0 * math.pi * b * c2)
     im_d *= -ms.e2 * (1.0 + 2.0 * c2) / (32.0 * math.pi * b * c2)
     return re_b, re_d, im_b, im_d

@@ -128,7 +128,7 @@ def _n_fermi_nodes(ms: MediumState) -> Callable[[Sequence[float]], list[float]]:
     axi = abs(xi)
     if t == 0.0:
         return lambda xs: [n_fermi(x, ms) for x in xs]
-    if min(2.0 * axi, 1.0 + axi) > 40.0 * t:
+    if _one_term(t, axi):
         return lambda xs: [
             0.0 if (u := (x - axi) / t) > _EXP_CLIP else 1.0 if u < -_EXP_CLIP
             else 1.0 / (exp(u) + 1.0)
@@ -141,6 +141,11 @@ def _n_fermi_nodes(ms: MediumState) -> Callable[[Sequence[float]], list[float]]:
            else 1.0 / (exp(v) + 1.0))
         for x in xs
     ]
+
+
+def _one_term(t: float, axi: float) -> bool:
+    """Whether n_F at t > 0 and |xi| = axi rounds to its larger Fermi term at every x >= 1."""
+    return min(2.0 * axi, 1.0 + axi) > 40.0 * t
 
 
 def x_cutoff(ms: MediumState) -> float:

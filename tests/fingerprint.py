@@ -73,7 +73,10 @@ from pathlib import Path
 # once printed NaN or inf and exited 0 and are refused; two region-II
 # points, whose scalars and tensors are built on floats and printed from
 # the complex public records: a warm one in json, and a cold one
-# without the vacuum term
+# without the vacuum term; two warm region-I points at small t: one whose
+# isolated Fermi edge the Gauss-Fermi rule integrates (its thermal tail
+# was 4.5e-8 off), and one whose window edge lies 10 t below |xi|, which
+# keeps the thermal tail
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -147,6 +150,8 @@ CLI_COMMANDS = [
      "--t", "0.1", "--alpha", "1e308"],
     ["response", "--a", "0.8", "--b", "0.3", "--t", "0.05", "--xi", "1.2"],
     ["response", "--a", "0.5", "--b", "0.3", "--xf", "1.2", "--no-vacuum"],
+    ["response", "--a", "0.0128", "--b", "0.0524", "--t", "0.00138", "--xi", "2.2"],
+    ["response", "--a", "0.5", "--b", "1.0", "--t", "0.005", "--xi", "1.9775"],
 ]
 
 

@@ -63,6 +63,245 @@ MPMATH_REFERENCE = {
     ),
 }
 
+# independent values at the cells of make_finite_t_reference.edge_cells():
+# (a, b, t, xi) -> (B, D) on both sides of each boundary of the gate that
+# sends an isolated Fermi edge to the Gauss-Fermi rule, integrated in
+# mpmath as MPMATH_REFERENCE is, with panel edges also at |xi| +- k t
+EDGE_REFERENCE = {
+    (0.0128, 0.0524, 0.00138, 2.2): (
+        complex(3.5760421043555803, 0.37630598392557985),
+        complex(1.9047166288993704, 0.17170889714042198),
+    ),
+    (1.211, 0.7028, 0.01, 1.2): (
+        complex(0.00024040228835127967, 0.0),
+        complex(-0.0008299745052787157, 0.0),
+    ),
+    (0.5, 0.3, 0.002, 1.032): (
+        complex(3.1738932973896754e-05, 0.0),
+        complex(-0.0001154082010835696, 0.0),
+    ),
+    (3.0, 1.0, 0.002, -1.034): (
+        complex(-3.2622482325186444e-08, 9.693250867040771e-232),
+        complex(4.2529517663803694e-07, -6.412664517001424e-230),
+    ),
+    (0.5, 0.3, 0.002, 1.0358): (
+        complex(3.754131545354018e-05, 0.0),
+        complex(-0.000136382456521885, 0.0),
+    ),
+    (3.0, 1.0, 0.002, -1.0362): (
+        complex(-3.591197407291346e-08, 2.9120134916352896e-231),
+        complex(4.6826311950505856e-07, -1.9264708864942346e-229),
+    ),
+    (0.5, 0.3, 0.002, 1.038): (
+        complex(4.1049640050191564e-05, 0.0),
+        complex(-0.00014904957136832413, 0.0),
+    ),
+    (3.0, 1.0, 0.002, -1.04): (
+        complex(-4.1866802766666286e-08, 1.946941481956688e-230),
+        complex(5.460774482400696e-07, -1.2880180993224784e-228),
+    ),
+    (0.5, 0.3, 0.002, 1.044): (
+        complex(5.1145253315396565e-05, 0.0),
+        complex(-0.00018544324664215422, 0.0),
+    ),
+    (0.5, 0.3, 0.01, -1.16): (
+        complex(0.00036037176938020083, 0.0),
+        complex(-0.001275564298802443, 0.0),
+    ),
+    (3.0, 1.0, 0.01, 1.17): (
+        complex(-4.2957625730670294e-07, 4.602106806003419e-46),
+        complex(5.665651415792364e-06, -2.7316318824799796e-44),
+    ),
+    (0.5, 0.3, 0.01, -1.179): (
+        complex(0.000426747444162218, 0.0),
+        complex(-0.0015057149961994476, 0.0),
+    ),
+    (3.0, 1.0, 0.01, 1.181): (
+        complex(-4.778600474233445e-07, 1.3825492905168276e-45),
+        complex(6.308320491908555e-06, -8.1996798172368275e-44),
+    ),
+    (0.5, 0.3, 0.01, -1.19): (
+        complex(0.00046692199754135494, 0.0),
+        complex(-0.0016445392935979521, 0.0),
+    ),
+    (3.0, 1.0, 0.01, 1.2): (
+        complex(-5.673042899529846e-07, 9.255810341692781e-45),
+        complex(7.501228763611602e-06, -5.4822193718532676e-43),
+    ),
+    (0.5, 0.3, 0.01, -1.22): (
+        complex(0.0005826736330131282, 0.0),
+        complex(-0.00204275743554761, 0.0),
+    ),
+    (0.5, 1.0, 0.005, 1.1525252316519465): (
+        complex(0.0003690164257168275, 0.0004653794254319542),
+        complex(0.00011882589871259103, -7.601408875530841e-05),
+    ),
+    (0.5, 1.0, 0.005, -1.8875252316519462): (
+        complex(0.003175649202864561, 0.006053492903914646),
+        complex(0.002386943671184392, -0.0005229769306362294),
+    ),
+    (0.5, 1.0, 0.005, 2.1770252316519465): (
+        complex(0.005794830874234728, 0.0077697147667245845),
+        complex(0.0037304656768393377, -0.0006081127100421298),
+    ),
+    (0.5, 1.0, 0.005, -1.1780252316519466): (
+        complex(0.00042579024674410014, 0.0005753714221810012),
+        complex(0.0001584274197904849, -9.15209628613408e-05),
+    ),
+    (0.5, 1.0, 0.005, 1.8675252316519464): (
+        complex(0.003045796242481682, 0.005827141589555531),
+        complex(0.0023011229359432223, -0.000510814676435389),
+    ),
+    (0.5, 1.0, 0.005, -2.202525231651946): (
+        complex(0.006036705878954263, 0.007769714766724591),
+        complex(0.0038682820488599653, -0.0006081127100421301),
+    ),
+    (2.0, 1.0, 0.01, 1.433503419072274): (
+        complex(-6.673189474478158e-05, 7.865476116553988e-05),
+        complex(0.00024762173180297727, -0.0005320986212871594),
+    ),
+    (2.0, 1.0, 0.01, -2.536496580927726): (
+        complex(0.0003409354556379382, 0.0006810253998395565),
+        complex(-0.0017994307409892368, -0.0028797031841353475),
+    ),
+    (2.0, 1.0, 0.01, 3.115496580927726): (
+        complex(0.0008662232686306627, 0.0007723674755503664),
+        complex(-0.004294588793997225, -0.0034756536399766476),
+    ),
+    (2.0, 1.0, 0.01, -1.484503419072274): (
+        complex(-7.046345867049314e-05, 0.00010057456392608237),
+        complex(0.00022367070847471117, -0.0006406467400293857),
+    ),
+    (2.0, 1.0, 0.01, 2.4964965809277264): (
+        complex(0.00030796216678726125, 0.0006632011550731396),
+        complex(-0.0016692239336706576, -0.0027945674047294648),
+    ),
+    (2.0, 1.0, 0.01, -3.1664965809277263): (
+        complex(0.0009066068983458037, 0.0007723674755503666),
+        complex(-0.004493740502307524, -0.00347565363997665),
+    ),
+    (1.05, 0.49352043241019156, 0.01, 1.2): (
+        complex(0.00014195758308853233, 0.0),
+        complex(-0.0008323604813776139, 0.0),
+    ),
+    (1.026, 0.4872973343682594, 0.01, -1.2): (
+        complex(0.00013674321060476436, 0.0),
+        complex(-0.0007878676243815915, 0.0),
+    ),
+    (1.014, 0.4851482877082158, 0.01, 1.2): (
+        complex(0.00013565461441185687, 0.0),
+        complex(-0.0007707913673590608, 0.0),
+    ),
+    (0.99, 0.4820514958542226, 0.01, -1.2): (
+        complex(0.00013586913051401116, 0.0),
+        complex(-0.000745525074606437, 0.0),
+    ),
+    (1.175, 0.7016275627421524, 0.01, 1.2): (
+        complex(0.00020410215959415108, 0.0),
+        complex(-0.0006772510070494905, 0.0),
+    ),
+    (1.171, 0.7150387965132475, 0.01, -1.2): (
+        complex(0.00020318327776779548, 0.0),
+        complex(-0.0006427003552453008, 0.0),
+    ),
+    (1.169, 0.7217881125646952, 0.01, 1.2): (
+        complex(0.00020356652208470332, 0.0),
+        complex(-0.0006285554027678835, 0.0),
+    ),
+    (1.165, 0.7351775435677615, 0.01, -1.2): (
+        complex(0.00020571330897022825, 0.0),
+        complex(-0.0006054134156867458, 0.0),
+    ),
+    (0.5, 0.00045, 0.01, 1.5): (
+        complex(2.766693144255915e-09, 0.0),
+        complex(-0.005123503645157308, 0.0),
+    ),
+    (0.5, 0.000495, 0.01, -1.5): (
+        complex(3.3476993321025104e-09, 0.0),
+        complex(-0.005123504148315774, 0.0),
+    ),
+    (0.5, 0.000505, 0.01, 1.5): (
+        complex(3.4843263332483462e-09, 0.0),
+        complex(-0.00512350426663643, 0.0),
+    ),
+    (0.5, 0.00055, 0.01, -1.5): (
+        complex(4.13296318552704e-09, 0.0),
+        complex(-0.005123504828363893, 0.0),
+    ),
+    (2.5, 0.00225, 0.01, 1.5): (
+        complex(-3.571711940165072e-11, 7.290604640692985e-53),
+        complex(6.614281952635671e-05, -1.3530823904446955e-46),
+    ),
+    (2.5, 0.0024749999999999998, 0.01, -1.5): (
+        complex(-4.321774362494856e-11, 8.830668260023064e-53),
+        complex(6.61428653596754e-05, -1.3550914883130731e-46),
+    ),
+    (2.5, 0.0025250000000000003, 0.01, 1.5): (
+        complex(-4.49815603143918e-11, 9.19327965306415e-53),
+        complex(6.614287613765294e-05, -1.3555641995446375e-46),
+    ),
+    (2.5, 0.0027500000000000003, 0.01, -1.5): (
+        complex(-5.33552876808527e-11, 1.091715080007944e-52),
+        complex(6.614292730613885e-05, -1.3578097486821567e-46),
+    ),
+    (0.3, 0.29, 0.1, 2.9): (
+        complex(2.091767367167125, 0.0),
+        complex(-1.253345839751995, 0.0),
+    ),
+    (0.3, 0.29, 0.1, -3.1): (
+        complex(2.5336075064167027, 0.0),
+        complex(-1.4808307831116172, 0.0),
+    ),
+    (8.0, 1.0, 0.1, 2.9): (
+        complex(-1.1910290859777584e-07, 8.119177102398254e-25),
+        complex(1.1484825660022012e-05, -2.653744228141827e-22),
+    ),
+    (8.0, 1.0, 0.1, -3.1): (
+        complex(-1.5875266507079355e-07, 5.9993055086774e-24),
+        complex(1.5318621823145036e-05, -1.9608664973953413e-21),
+    ),
+    (0.00400891535286055, 0.024308079052760227, 0.001, 1.2): (
+        complex(2.918819265342128, 1.084658756339717),
+        complex(1.5036355210286818, 0.5228254485765746),
+    ),
+    (2.0931556348875984, 0.011308791992980148, 0.01, 1.2): (
+        complex(-5.099293285327232e-10, 1.268937254667189e-46),
+        complex(2.6204151043700444e-05, -6.804218718130584e-42),
+    ),
+    (0.05877072466431032, 0.010461530924393218, 0.001, 1.2): (
+        complex(0.0017993434861810877, 0.0),
+        complex(-0.08405863748991843, 0.0),
+    ),
+    (0.2930499402342718, 0.006177605492154289, 0.01, 1.2): (
+        complex(1.0500178091952926e-06, 0.0),
+        complex(-0.0035436314785512765, 0.0),
+    ),
+    (0.00461043476849449, 0.031244366730840595, 0.001, 1.2): (
+        complex(1.7923092286087052, 0.5816213105581385),
+        complex(0.9168521176318853, 0.28136017534430874),
+    ),
+    (1.5109187871997238, 0.174372161088074, 0.01, 1.2): (
+        complex(-1.515248078140728e-06, 1.0286992085766378e-14),
+        complex(0.00017100416438385984, -1.7808696955269527e-12),
+    ),
+    (0.013700185664980212, 0.0027136493667390587, 0.001, 1.2): (
+        complex(0.041275166150478465, 0.0),
+        complex(-1.5523676698914748, 0.0),
+    ),
+    (0.0011318420957379927, 1.4669683635486117, 0.01, 1.2): (
+        complex(5.35271640299178e-05, 1.35067443107309e-31),
+        complex(1.8619664846075982e-05, -2.2227062300501782e-31),
+    ),
+    (0.010069001031792141, 0.32329887866329476, 0.001, 1.2): (
+        complex(0.01532561675054864, 0.001112500761780847),
+        complex(0.006829114331460216, 0.0004304909778453244),
+    ),
+    (0.041448928675084366, 0.04544033838709197, 0.01, 1.2): (
+        complex(-0.8546604087079108, 5.8840449043223016e-52),
+        complex(0.5212600037539894, 4.897801291051044e-53),
+    ),
+}
+
 
 # 50-digit values of r1 and r2 from their defining log ratios at single
 # nodes: (a, b, x) -> (r1, r2), printed by make_finite_t_reference.py
@@ -127,6 +366,56 @@ def test_frozen_scalar_values():
             if want_b.imag == 0.0:
                 assert got.B.imag == 0.0
                 assert got.D.imag == 0.0
+
+
+def test_fermi_edge_cells_match_the_reference():
+    # the cells lie on both sides of each boundary of the Gauss-Fermi gate
+    # (mass shell 16-22 t below |xi|, window edges 25-35 t away, region
+    # II's complex pair, b/a about 1e-3, the one-term occupation rule);
+    # gated or not, Re B and Re D hold 1e-9 relative and Im B and Im D
+    # 1e-10 of the larger |Re|
+    gated = 0
+    for (a, b, t, xi), (want_b, want_d) in EDGE_REFERENCE.items():
+        p = derive_point(a, b)
+        region = classify_region(p)
+        ms = MediumState(t=t, xi=xi)
+        gated += _gated(p, ms, region)
+        re_b, re_d, im_b, im_d = medium_finite_t._parts(p, ms, region)
+        scale = max(abs(want_b.real), abs(want_d.real))
+        assert rel_err(re_b, want_b.real) <= 1e-9, (a, b, t, xi)
+        assert rel_err(re_d, want_d.real) <= 1e-9, (a, b, t, xi)
+        assert abs(im_b - want_b.imag) <= 1e-10 * scale, (a, b, t, xi)
+        assert abs(im_d - want_d.imag) <= 1e-10 * scale, (a, b, t, xi)
+    assert len(EDGE_REFERENCE) >= 40
+    assert 20 <= gated <= len(EDGE_REFERENCE) - 20
+
+
+def test_sharp_isolated_fermi_edge_is_not_silently_missed():
+    # at t = 0.00138 the thermal tail of this region-I cell converged with
+    # an error estimate of 2.4e-12 while Re B was 4.5e-8 off; the
+    # Gauss-Fermi rule has no tail panel
+    a, b, t, xi = key = (0.0128, 0.0524, 0.00138, 2.2)
+    want_b, want_d = EDGE_REFERENCE[key]
+    p = derive_point(a, b)
+    re_b, re_d, _, _ = medium_finite_t._parts(p, MediumState(t=t, xi=xi), classify_region(p))
+    assert rel_err(re_b, want_b.real) <= 1e-11
+    assert rel_err(re_d, want_d.real) <= 1e-11
+
+
+def test_gauss_fermi_rule_integrates_odd_powers():
+    # the integral of z**k/(e^z + 1) over [0, inf) is (1 - 2**-k) k! zeta(k + 1);
+    # the rule's three nodes and weights give it for odd k <= 11, with
+    # zeta(2) .. zeta(12) from their closed forms in powers of pi
+    zeta = {
+        2: math.pi**2 / 6, 4: math.pi**4 / 90, 6: math.pi**6 / 945, 8: math.pi**8 / 9450,
+        10: math.pi**10 / 93555, 12: 691 * math.pi**12 / 638512875,
+    }
+    nodes, weights = medium_finite_t._GF_NODES, medium_finite_t._GF_WEIGHTS
+    assert len(nodes) == len(weights) == 3
+    for k in range(1, 12, 2):
+        want = (1.0 - 2.0**-k) * math.factorial(k) * zeta[k + 1]
+        got = sum(w * z**k for z, w in zip(nodes, weights))
+        assert rel_err(got, want) <= 1e-14, k
 
 
 def test_factored_kernels_match_the_high_precision_reference():
@@ -289,11 +578,14 @@ def _composed_kernel(x, p, ms, region):
     return big, k_b, k_d, 0.0, 0.0
 
 
+# every cell of these states keeps the thermal-tail plan: at t = 1e-3 the
+# Fermi edges lie 10 t and 15 t above the mass shell, below the 18 t of
+# the Gauss-Fermi gate, and at t = 0.05 only 4 t
 _PIN_STATES = [
     MediumState(t=t, xi=xi)
-    for t in (0.0, 1e-3, 0.05, 1.0)
-    for xi in (1.2, 0.0, -1.1)
-    if t > 0.0 or xi >= 1.0
+    for t, xis in ((0.0, (1.2,)), (1e-3, (1.01, 0.0, -1.015)), (0.05, (1.2, 0.0, -1.1)),
+                   (1.0, (1.2, 0.0, -1.1)))
+    for xi in xis
 ]
 # 2.2/0.07 = 31 widths: the smaller Fermi term still moves bits, and the
 # integrand must add it
@@ -302,6 +594,12 @@ _PIN_POINTS = [
     (0.5, 1.0), (0.05, 0.3), (0.8, 0.3), (0.01, 1e-6),
     (2.0, 1.0), (1.5, 0.4), (0.2, 0.5), (3.0, 2.5),
 ]
+
+
+def _gated(p, ms, region):
+    # whether _parts integrates the Fermi edge by the Gauss-Fermi rule
+    window = kinematic_window(p) if region is not RegionLabel.II else (0.0, 0.0)
+    return medium_finite_t._isolated_edge(p, region, *window, ms.t, abs(ms.xi))
 
 
 def _axis(p, ms, region):
@@ -370,6 +668,7 @@ def test_fused_integrand_equals_public_kernels(monkeypatch):
             p = derive_point(a, b)
             region = classify_region(p)
             regions.add(region)
+            assert not _gated(p, ms, region), (a, b, ms)
             captured.clear()
             medium_finite_t._parts(p, ms, region)
             (kernel, lo, top), = captured
@@ -438,14 +737,17 @@ def test_fused_integrand_sums_equal_per_node_sums(monkeypatch):
         for a, b in _PIN_POINTS:
             p = derive_point(a, b)
             region = classify_region(p)
+            assert not _gated(p, ms, region), (a, b, ms)
             axis = _axis(p, ms, region)
             medium_finite_t._parts(p, ms, region)
     assert nodes >= 10000
     assert tail_nodes >= 1000
 
 
-# the six states of the benchmark's warm map
-_WARM_STATES = [(0.05, 1.2), (1.0, 0.0), (0.3, 0.5), (0.01, 1.2), (1e-3, 1.2), (0.2, -1.1)]
+# the six states of the benchmark's warm map, with the Fermi edges of the
+# two coldest moved from 20 t and 200 t above the mass shell to 15 t and
+# 10 t, below the Gauss-Fermi gate, so that every cell has a thermal tail
+_TAIL_STATES = [(0.05, 1.2), (1.0, 0.0), (0.3, 0.5), (0.01, 1.15), (1e-3, 1.01), (0.2, -1.1)]
 
 
 def _tail_start(p, ms, region):
@@ -470,7 +772,7 @@ def test_mapped_tail_matches_an_unmapped_tight_quadrature(monkeypatch):
     monkeypatch.setattr(medium_finite_t, "integrate_adaptive", recorded)
     rng = random.Random(2024)
     cells = []
-    for t, xi in _WARM_STATES:
+    for t, xi in _TAIL_STATES:
         ms = MediumState(t=t, xi=xi)
         # a and b log-uniform in [1e-3, 4], as in the warm map, 3 per bin of a
         for lo_a, hi_a in ((1e-3, 0.01), (0.01, 0.1), (0.1, 1.0), (1.0, 4.0)):
@@ -485,6 +787,7 @@ def test_mapped_tail_matches_an_unmapped_tight_quadrature(monkeypatch):
     seen = set()
     for p, ms in cells:
         region = classify_region(p)
+        assert not _gated(p, ms, region), (p, ms)
         seen.add((region, _tail_start(p, ms, region)))
         results.clear()
         medium_finite_t._parts(p, ms, region)
@@ -519,9 +822,10 @@ def test_window_above_the_cutoff_has_no_absorption():
 def test_non_finite_tail_value_names_its_x(monkeypatch):
     # a NaN in the tail panel is reported at its x, not at the
     # quadrature's variable s of that panel
-    ms = MediumState(t=0.01, xi=1.2)
+    ms = MediumState(t=0.05, xi=1.2)
     p = derive_point(0.8, 0.3)
     region = classify_region(p)
+    assert not _gated(p, ms, region)
     t0, _, tail = _axis(p, ms, region)
     assert tail is not None and t0 == ms.xi
     poisoned = set()
@@ -537,6 +841,29 @@ def test_non_finite_tail_value_names_its_x(monkeypatch):
         medium_finite_t._parts(p, ms, region)
     x = float(str(err.value).rsplit("x = ", 1)[1])
     assert t0 < x < x_cutoff(ms)
+    assert x * x - 1.0 in poisoned
+
+
+def test_non_finite_gauss_fermi_value_names_its_x(monkeypatch):
+    # a NaN at a node of the Gauss-Fermi rule above the Fermi edge (the
+    # quadrature's nodes all lie below it) raises, naming that node's x
+    ms = MediumState(t=0.01, xi=1.2)
+    p = derive_point(0.8, 0.3)
+    region = classify_region(p)
+    assert _gated(p, ms, region)
+    poisoned = set()
+
+    def sqrt(v):
+        if v > ms.xi * ms.xi - 1.0:
+            poisoned.add(v)
+            return math.nan
+        return math.sqrt(v)
+
+    monkeypatch.setattr(medium_finite_t, "sqrt", sqrt)
+    with pytest.raises(ValueError, match="x = ") as err:
+        medium_finite_t._parts(p, ms, region)
+    x = float(str(err.value).rsplit("x = ", 1)[1])
+    assert x in [ms.xi + ms.t * z for z in medium_finite_t._GF_NODES]
     assert x * x - 1.0 in poisoned
 
 
@@ -557,8 +884,8 @@ def test_smooth_fermi_edge_joins_the_tail(monkeypatch):
     # at t > 0 a Fermi edge |xi| within _FERMI_MERGE t above the largest of
     # 1 and the window edges below it is no panel edge, for both signs of
     # xi, and the five integrals still match a tight quadrature that cuts
-    # there; a sharp edge (t = 1e-3, |xi| = 1.5) and one 4 t above 1 keep
-    # their cut
+    # there; a sharp edge (t = 1e-3, |xi| = 1.01, 10 t above 1, where the
+    # Gauss-Fermi rule does not take it) and one 4 t above 1 keep their cut
     calls = []
     integrate = medium_finite_t.integrate_adaptive
 
@@ -573,7 +900,7 @@ def test_smooth_fermi_edge_joins_the_tail(monkeypatch):
     cases = [
         (region_two, 0.2, 1.1, False),
         (region_two, 0.05, 1.09, False),
-        (region_two, 1e-3, 1.5, True),
+        (region_two, 1e-3, 1.01, True),
         (region_two, 0.05, 1.2, True),
         # 1 t above the lower window edge, with the upper one above |xi|
         (pair, 0.05, lower + 0.05, False),
