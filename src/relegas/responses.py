@@ -43,14 +43,25 @@ _N_SCAN = 160
 # ~20,000 at xF = 4 (a/b ~ 95 at xF = 1.001, 3,200 at xF = 1.1).  The
 # gate 32 (v_F/_GATE_V_F)**1.5 keeps that break more than 3.4 gates up
 # at every xF measured (xF - 1 in [1e-3, 3]), and shrinks to nothing as
-# xF -> 1.  At t > 0 the gate is _BAND_GATE.
+# xF -> 1.  At t > 0 it is the same formula in Braaten-Segel's v_star,
+# which is v_F at t = 0: there the quadrature keeps the rise up to a/b
+# = 7.2e6-1.1e7 on that grid over 12 states (t in [1e-4, 5]), 2,900
+# gates or more, and 2.0e6-2.7e6 on a 10 times finer one.
 _BAND_GATE = 32.0
 _GATE_V_F = 0.05
-# the band search steps from the Braaten-Segel root a_BS by
-# _BAND_STEP * a_BS, doubling each step (_band_bracket)
+# the band search steps from its first probe a by _BAND_STEP * a,
+# doubling each step (_band_bracket).  After a b whose root it found,
+# the next b starts from that root's offset from its Braaten-Segel root,
+# and the first step is _SEED_STEP * max(1, |r - 1|, |1/r - 1|) * a,
+# r = (b/b_prev)**2: the offset drifts by ~2e-6 from b to 2 b (median
+# on the dispersion benchmark's draws).  Measured there, seed steps of
+# 1e-6, 1.5e-6, 2e-6, 3e-6, 5e-6 and 1e-5 took 4.93, 4.80, 4.82, 4.90,
+# 5.00 and 5.07 tensor evaluations per root
 _BAND_STEP = 1e-3
+_SEED_STEP = 2e-6
 # _bs_root: secant steps in s = a**2, to this relative change of s; its
-# root only seeds _band_bracket, whose first step is _BAND_STEP of it
+# root only seeds _band_bracket, whose first step is at least
+# _SEED_STEP of its probe
 _BS_MAX_STEPS = 40
 _BS_S_TOL = 1e-6
 _BS_U_MAX = 1.0 - 2.0**-53
@@ -157,12 +168,14 @@ def tensors_at(
     return p, region, sub, assemble(s, p)
 
 
-def _band_gate(ms: MediumState) -> float:
-    """Top of the transparent band that dispersion searches, in units of b."""
-    if not ms.is_degenerate:
-        return _BAND_GATE
-    fs = ms.fermi_surface
-    return _BAND_GATE * (fs.yF / fs.xF / _GATE_V_F) ** 1.5
+def _band_gate(v_star: float) -> float:
+    """Top of the transparent band that dispersion searches, in units of b.
+
+    32 (v_star/0.05)**1.5 at every t, v_star from plasma_moments: at
+    t = 0 it is the Fermi velocity yF/xF, and an empty sea (v_star = 0)
+    has no band.
+    """
+    return _BAND_GATE * (v_star / _GATE_V_F) ** 1.5
 
 
 def plasma_moments(ms: MediumState) -> tuple[float, float, float]:
@@ -346,11 +359,17 @@ def dispersion(
     Both modes search the transparent band (region II below a = gate * b)
     without its grid: there Re eps_L and Re nu_L both rise with a and so
     change sign at most once, and the search brackets that sign change
-    from the Braaten-Segel root of the mode at b (_bs_root, from
+    from the Braaten-Segel root a_BS of the mode at b (_bs_root, from
     plasma_moments(ms), computed once per call), which lies within
-    ~1e-3 of it.  At t = 0 the gate is 32 (v_F/0.05)**1.5 with
-    v_F = yF/xF, which keeps it >= 3 times below where roundoff breaks
-    the rise; at t > 0 it is 32.
+    ~1e-3 of it, in steps from 1e-3 of it.  A b that follows one whose
+    root the band search found starts instead from a_BS times that
+    root's ratio to its own a_BS, the O(a_e**2) offset Braaten-Segel
+    leaves out, which drifts by ~2e-6 from b to 2 b; its first step is
+    2e-6 times max(1, |r - 1|, |1/r - 1|), r the ratio of the two b
+    squared.  A root that the walk found, or no root, seeds nothing.
+    The gate is 32 (v_star/0.05)**1.5 at every t, v_star from the same
+    plasma_moments (the Fermi velocity yF/xF at t = 0), which keeps it
+    >= 3 times below where roundoff or quadrature noise breaks the rise.
     """
     if mode not in ("longitudinal", "transverse"):
         raise ValueError(f"unknown dispersion mode {mode!r}")
@@ -364,8 +383,11 @@ def dispersion(
     step = (a_hi - a_lo) / _N_SCAN
     grid = [a_lo + i * step for i in range(_N_SCAN + 1)]
     samples: list[RootSample] = []
-    gate = _band_gate(ms)
     moments = plasma_moments(ms)
+    gate = _band_gate(moments[2])
+    # (b, root, Braaten-Segel root) of the last b whose root the band
+    # search found, else None
+    seed: tuple[float, float, float] | None = None
     for b in b_grid:
         # tensors per abscissa: Brent's bracket edges and the root's own
         # tensors revisit points the search (or Brent) has already
@@ -388,7 +410,16 @@ def dispersion(
                 return math.nan
             return tens[6].real if longitudinal else tens[7].real + 1.0
 
-        root = _first_zero(gap, grid, b, gate, _bs_root(mode, b, moments))
+        a_bs = _bs_root(mode, b, moments)
+        if seed is None:
+            guess, rel_step = a_bs, _BAND_STEP
+        else:
+            b_prev, root_prev, bs_prev = seed
+            jump = (b / b_prev) ** 2
+            guess = a_bs * root_prev / bs_prev
+            rel_step = _SEED_STEP * max(1.0, abs(jump - 1.0), abs(1.0 / jump - 1.0))
+        root, banded = _first_zero(gap, grid, b, gate, guess, rel_step)
+        seed = (b, root, a_bs) if banded else None
         if root is None:
             continue
         im_val = tens_at(root)[6 if longitudinal else 7].imag
@@ -403,8 +434,9 @@ def _first_zero(
     b: float,
     gate: float,
     guess: float,
-) -> float | None:
-    """Smallest timelike zero of g on grid, or None.
+    rel_step: float,
+) -> tuple[float | None, bool]:
+    """Smallest timelike zero of g on grid (or None), and whether the band search found it.
 
     The walk starts at lo, the first grid point above the light-cone cut
     (a > b > 0), and refines each strict sign change between two
@@ -418,12 +450,14 @@ def _first_zero(
 
     The band is the run of grid points in region II, off the light-cone
     and pair-threshold cuts, with a <= gate * b (_band_gate: above it the
-    t = 0 closed forms lose the rise to roundoff).  There Im eps_L and
+    t = 0 closed forms lose the rise to roundoff; the t > 0 quadrature
+    keeps it far higher).  There Im eps_L and
     Im nu_L are 0, and the gap g (Re eps_L, or Re nu_L + 1) rises with a:
     for eps_L by Kramers-Kronig with Im eps_L >= 0, for nu_L as measured
     and pinned on every band point of the test draws.  So g changes sign
     at most once there, from - to +.  _band_bracket brackets that sign
-    change from guess (the Braaten-Segel root) without the grid, and
+    change from guess (the Braaten-Segel root, or dispersion's seeded
+    guess) in steps from rel_step times it, without the grid, and
     Brent refines it; a root that passes the residual test is the
     smallest, as g < 0 at a band point means g < 0 on the band below it.
     The walk takes over from lo if g >= 0 there or the root fails the
@@ -434,22 +468,25 @@ def _first_zero(
     read again, are evaluated once.
     """
     b2 = b * b
-    lo = bisect_left(grid, True, key=lambda a: a * a - b2 >= LIGHT_CONE_CUT)
-    end = bisect_left(
-        grid,
-        True,
-        lo=lo,
-        key=lambda a: a > gate * b or a * a - b2 - 1.0 >= -PAIR_THRESHOLD_CUT,
-    )
+
+    def timelike(a: float) -> bool:
+        return a * a - b2 >= LIGHT_CONE_CUT
+
+    def past_band(a: float) -> bool:
+        return a > gate * b or a * a - b2 - 1.0 >= -PAIR_THRESHOLD_CUT
+
+    # both keys rise along the grid; most searches skip the bisection
+    lo = 0 if timelike(grid[0]) else bisect_left(grid, True, key=timelike)
+    end = bisect_left(grid, True, lo=lo, key=past_band) if past_band(grid[-1]) else len(grid)
     i = lo
     # NaN compares false: no bracket before the first defined point
     prev_a = prev_g = math.nan
     if end > lo:
-        neg, pos = _band_bracket(g, grid[lo], grid[end - 1], guess)
+        neg, pos = _band_bracket(g, grid[lo], grid[end - 1], guess, rel_step)
         if pos is not None:
             root = find_root_bracketed(g, Bracket(neg, pos))
             if abs(g(root)) < min(abs(g(neg)), abs(g(pos))):
-                return root
+                return root, True
         elif neg is not None:
             i = bisect_right(grid, neg)
             prev_a, prev_g = neg, g(neg)
@@ -467,24 +504,29 @@ def _first_zero(
             root = None
         prev_a, prev_g = a, val
     _warn_skipped(n_bad)
-    return root
+    return root, False
 
 
 def _band_bracket(
-    g: Callable[[float], float], a_min: float, a_max: float, guess: float
+    g: Callable[[float], float],
+    a_min: float,
+    a_max: float,
+    guess: float,
+    rel_step: float,
 ) -> tuple[float | None, float | None]:
     """(neg, pos) with g(neg) < 0 < g(pos) and a_min <= neg, pos <= a_max.
 
     The first probe is guess clipped to [a_min, a_max].  From there it
-    steps by _BAND_STEP times that probe, doubling each step, clipped to
-    the band: upwards while g < 0, downwards while g > 0.  pos is None
+    steps by rel_step times that probe (1e-3 from a Braaten-Segel root,
+    >= 2e-6 from dispersion's seeded guess), doubling each step, clipped
+    to the band: upwards while g < 0, downwards while g > 0.  pos is None
     when no bracket was found: g < 0 at a_max, or a probe that is NaN or
     exactly 0; neg is then the last point known to hold g < 0, or None
     when none is (g >= 0 at a_min, or the bad probe came first or on the
     way down).
     """
     a = min(max(guess, a_min), a_max)
-    step = _BAND_STEP * a
+    step = rel_step * a
     val = g(a)
     if val < 0.0:
         while a < a_max:

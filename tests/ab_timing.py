@@ -9,6 +9,13 @@ WORKLOAD (a name of ``perfbench/workloads.py``) for each, from ROOT_A's
 pairs of passes, the two passes of a pair in random order, and prints
 the speed-up of B over A: the ratio A/B of the fastest passes, of the
 median passes, and the number of pairs in which B's pass was faster.
+Before the timed passes, one untimed pass of each counts its
+``derive_point`` calls, the points the pass evaluates.
+
+WORKLOAD may also be ``warm_dispersion``, a pass built here and not in
+``perfbench``: both plasmon branches at 8 log-spaced b in [1e-3, 1] a_e,
+in the window (a_e/4, 4 a_e), at (t, xi) = (0.05, 1.2), (1, 0) and
+(0.2, -1.1), one op per branch.
 
 Both packages share the interpreter, its caches and the load of the
 machine at each moment, so the pairs resolve gains that separate runs
@@ -19,12 +26,14 @@ this file.  ``perfbench`` is imported read-only: no bytecode is written.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.util
 import random
 import statistics
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -50,6 +59,42 @@ def load_workloads(root: Path):
         sys.path.remove(bench)
 
 
+# (t, xi) of the warm_dispersion pass
+WARM_DISPERSION_STATES = ((0.05, 1.2), (1.0, 0.0), (0.2, -1.1))
+
+
+def warm_dispersion_ops(rl) -> list:
+    """The ops of the warm_dispersion pass, one dispersion call each."""
+    ops = []
+    for t, xi in WARM_DISPERSION_STATES:
+        ms = rl.MediumState(t=t, xi=xi)
+        a_e = rl.plasma_frequency_estimate(ms)
+        b_grid = [1e-3 * a_e * 1e3 ** (i / 7) for i in range(8)]
+        window = (0.25 * a_e, 4.0 * a_e)
+        for mode in ("longitudinal", "transverse"):
+            run = functools.partial(rl.dispersion, mode, b_grid, ms, window)
+            ops.append(types.SimpleNamespace(run=run))
+    return ops
+
+
+def counted_pass(responses, ops) -> int:
+    """derive_point calls of one pass of ops, through the responses module."""
+    inner = responses.derive_point
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return inner(a, b)
+
+    responses.derive_point = counted
+    try:
+        timed_pass(ops)
+    finally:
+        responses.derive_point = inner
+    return calls
+
+
 def timed_pass(ops) -> float:
     t0 = time.perf_counter()
     for op in ops:
@@ -65,20 +110,26 @@ def main(argv: list[str]) -> int:
     workload = argv[3]
     pairs = int(argv[4]) if len(argv) > 4 else 20
     sys.dont_write_bytecode = True
-    workloads = load_workloads(root_a)
-    if workload not in workloads.WORKLOADS:
+    workloads = load_workloads(root_a).WORKLOADS
+    if workload == "warm_dispersion":
+        build = warm_dispersion_ops
+    elif workload in workloads:
+        def build(rl):
+            return next(workloads[workload](rl).passes(random.Random(1)))
+    else:
         print(f"error: unknown workload {workload!r}", file=sys.stderr)
         return 2
-    make = workloads.WORKLOADS[workload]
-    passes = {
-        label: next(make(load_responses(root, f"relegas_{label}")).passes(random.Random(1)))
+    modules = {
+        label: load_responses(root, f"relegas_{label}")
         for label, root in (("a", root_a), ("b", root_b))
     }
+    passes = {label: build(rl) for label, rl in modules.items()}
     times: dict[str, list[float]] = {"a": [], "b": []}
     rng = random.Random(0)
     with warnings.catch_warnings():
         # the sign scan warns about light-cone points it skips
         warnings.simplefilter("ignore")
+        calls = {label: counted_pass(modules[label], ops) for label, ops in passes.items()}
         for ops in passes.values():
             timed_pass(ops)
         for _ in range(pairs):
@@ -91,7 +142,8 @@ def main(argv: list[str]) -> int:
     for label, root in (("A", root_a), ("B", root_b)):
         ts = times[label.lower()]
         print(f"{label} {root}: min {min(ts) * 1e3:.2f} ms, median "
-              f"{statistics.median(ts) * 1e3:.2f} ms per pass of {n_ops} ops")
+              f"{statistics.median(ts) * 1e3:.2f} ms per pass of {n_ops} ops, "
+              f"{calls[label.lower()]} derive_point calls")
     print(f"{workload}: B/A speed-up {min(times['a']) / min(times['b']):.3f}x on the minimum, "
           f"{statistics.median(times['a']) / statistics.median(times['b']):.3f}x on the median; "
           f"B faster in {wins} of {pairs} pairs")

@@ -76,7 +76,9 @@ from pathlib import Path
 # without the vacuum term; two warm region-I points at small t: one whose
 # isolated Fermi edge the Gauss-Fermi rule integrates (its thermal tail
 # was 4.5e-8 off), and one whose window edge lies 10 t below |xi|, which
-# keeps the thermal tail
+# keeps the thermal tail; both warm branches without --a-range over b
+# from 1e-4 to 4e-3, across a_e/32, below which a band gate of 32 left
+# the roots to the grid walk
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -152,6 +154,8 @@ CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "0.3", "--xf", "1.2", "--no-vacuum"],
     ["response", "--a", "0.0128", "--b", "0.0524", "--t", "0.00138", "--xi", "2.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--t", "0.005", "--xi", "1.9775"],
+    ["dispersion", "--mode", "both", "--b-range", "1e-4", "4e-3", "6", "--log-b",
+     "--t", "0.05", "--xi", "1.2"],
 ]
 
 

@@ -8,6 +8,8 @@ other (closed forms vs adaptive quadrature), against textbook limits
 (transparency, tensor identities, passivity).
 """
 
+import csv
+import io
 import math
 import random
 import time
@@ -24,6 +26,7 @@ from relegas import (
     metamaterial_scan,
     plasma_frequency_estimate,
 )
+from relegas.cli import main
 from relegas.kinematics import RegionLabel, classify_region, kinematic_window, zero_t_subregion
 from relegas.medium_finite_t import im_scalars
 from relegas.medium_zero_t import integrals_Ij, scalars_zero_t, zero_t_coefficients
@@ -310,20 +313,56 @@ def test_criterion_08_plasmon_degeneracy_and_drude():
     assert abs(p_l - p_t) <= 0.005 * p_l
     assert abs(p_l - a_e) <= 0.005 * a_e
 
-    b = 1e-3
+    a_hat, residual = _drude_fit(ms, a_e, 1e-3)
+    assert abs(a_hat - a_e) <= 0.01 * a_e
+    assert residual < 1e-2
+    assert time.monotonic() - start < 60.0
+
+
+def _drude_fit(ms, a_e, b):
+    # the least-squares Drude weight a_hat**2 of Re eps_L = 1 - a_hat**2/a**2
+    # over 25 points from 1.1 a_e to 3 a_e at b: a_hat and the worst residual
     pts = []
     num = den = 0.0
     for i in range(25):
         a = 1.1 * a_e + (3.0 * a_e - 1.1 * a_e) * i / 24
-        _, _, _, tens = tensors_at(a, b, ms)
-        pts.append((a, tens.eps_L.real))
-        num += (1.0 - tens.eps_L.real) / a**2
+        re = tensors_at(a, b, ms)[3].eps_L.real
+        pts.append((a, re))
+        num += (1.0 - re) / a**2
         den += 1.0 / a**4
-    a_hat2 = num / den  # least-squares Drude weight
-    assert abs(math.sqrt(a_hat2) - a_e) <= 0.01 * a_e
-    residual = max(abs(re - (1.0 - a_hat2 / a**2)) for a, re in pts)
+    a_hat2 = num / den
+    return math.sqrt(a_hat2), max(abs(re - (1.0 - a_hat2 / a**2)) for a, re in pts)
+
+
+@pytest.mark.parametrize("t, xi", [(0.05, 1.2), (1.0, 0.0)])
+def test_criterion_08_at_finite_t(capsys, t, xi):
+    # criterion 8 at t > 0, through `relegas dispersion` without
+    # --a-range (the window a_e/4 to 4 a_e): both branches have a root at
+    # each of 8 log-spaced b in [1e-3, 1] a_e, their b -> 0
+    # extrapolations agree within 0.5% and lie within 0.5% of a_e, and
+    # Re eps_L at b = 0.05 a_e follows the Drude shape.  Measured: the
+    # extrapolations agree to 2e-10 and lie 7.8e-5 (t = 0.05) and 2.3e-4
+    # (t = 1) above a_e; the Drude fit is within 8.9e-4 and its residual
+    # below 2.8e-4
+    ms = MediumState(t=t, xi=xi)
+    a_e = plasma_frequency_estimate(ms)
+    argv = ["dispersion", "--b-range", repr(1e-3 * a_e), repr(a_e), "8", "--log-b"]
+    assert main(argv + ["--t", repr(t), "--xi", repr(xi)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    limit = {}
+    for mode in ("longitudinal", "transverse"):
+        roots = [r for r in rows if r["mode"] == mode and float(r["b"]) > 0.0]
+        assert len(roots) == 8, mode
+        assert all(float(r["root_a"]) > float(r["b"]) for r in roots), mode
+        (row,) = [r for r in rows if r["mode"] == mode and float(r["b"]) == 0.0]
+        limit[mode] = float(row["root_a"])
+    p_l, p_t = limit["longitudinal"], limit["transverse"]
+    assert abs(p_l - p_t) <= 0.005 * p_l
+    assert abs(p_l - a_e) <= 0.005 * a_e
+
+    a_hat, residual = _drude_fit(ms, a_e, 0.05 * a_e)
+    assert abs(a_hat - a_e) <= 0.01 * a_e
     assert residual < 1e-2
-    assert time.monotonic() - start < 60.0
 
 
 def test_criterion_09_metamaterial_band():
@@ -332,10 +371,15 @@ def test_criterion_09_metamaterial_band():
     # cells with Re eps_L < 0 and Re nu_L < 0 exist, and the largest lies
     # within one scan step below the longitudinal plasmon, at t = 0 and
     # t > 0 (xi < 0 included).  A branch that kept a spacelike root put
-    # it 25-177 steps below the band's top, in 6 of these 14 cases.
+    # it 25-177 steps below the band's top, in 6 of the 14 cases at
+    # b >= 0.05 a_e.  The window is the one `relegas dispersion` takes
+    # without --a-range; at t > 0, b = 0.02 a_e lies below a_e/32, where
+    # a band gate of 32 left the root to the grid walk.
     cases = [(0.0, xF, f, 1000) for xF in (1.2, 3.0) for f in (0.05, 0.2, 0.5, 0.9)]
     cases += [
-        (t, xi, f, 200) for t, xi in ((0.05, 1.2), (1.0, 0.0), (0.2, -1.1)) for f in (0.2, 0.9)
+        (t, xi, f, 200)
+        for t, xi in ((0.05, 1.2), (1.0, 0.0), (0.2, -1.1))
+        for f in (0.02, 0.2, 0.9)
     ]
     for t, xi, b_over_a_e, n_steps in cases:
         ms = MediumState(t=t, xi=xi)

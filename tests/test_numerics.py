@@ -208,8 +208,8 @@ def test_lazy_scan_stops_at_first_bracket():
 
     grid = [0.2 * k for k in range(10)]
     with pytest.warns(UserWarning, match="skipped 1 grid points"):
-        root = _first_zero(g, grid, 0.1, 1.0, 0.0)
-    assert abs(root - math.pi / 4.0) < 1e-12
+        root, banded = _first_zero(g, grid, 0.1, 1.0, 0.0, 1e-3)
+    assert abs(root - math.pi / 4.0) < 1e-12 and not banded
     hi = grid[4]
     assert grid[3] < root < hi
     # the timelike grid up to the bracket, then Brent inside it

@@ -641,6 +641,49 @@ def test_braaten_segel_offset_is_order_a_e_squared():
         assert max(unscaled) / min(unscaled) > 2.5, (mode, unscaled)
 
 
+# worst (a - a_BS)/a_BS over the seeded set of
+# test_roots_match_braaten_segel_over_a_seeded_set, about twice the
+# measured: 2.4e-3 longitudinal (at b = 0.88 a_e, near the branch's end)
+# and 6.8e-4 transverse; the smallest was +9.4e-6
+_BS_SEEDED_BOUNDS = {"longitudinal": 5e-3, "transverse": 1.4e-3}
+
+
+def test_roots_match_braaten_segel_over_a_seeded_set():
+    # every root of both branches at b and 2 b, b/a_e log-uniform in
+    # [0.01, 1], against the Braaten-Segel root of its b, over 24 seeded
+    # states: one in three at t = 0 (xF in [1.02, 3]), the others at t
+    # log-uniform in [1e-3, 1] and xi uniform in [-2, 3].  Each root lies
+    # above its Braaten-Segel root.  A state with a_e < 1e-3 is drawn
+    # again: below a_e ~ 3e-5 the plasmon lies inside the light-cone cut
+    # (|a**2 - b**2| < 1e-9), where every point is refused, and above it
+    # the gap near a_e is roundoff at small b (ROADMAP item 3)
+    rng = random.Random(1993)
+    n_states = n_negative_xi = n_roots = 0
+    while n_states < 24:
+        if n_states % 3 == 0:
+            t, xi = 0.0, rng.uniform(1.02, 3.0)
+        else:
+            t = math.exp(rng.uniform(math.log(1e-3), 0.0))
+            xi = rng.uniform(-2.0, 3.0)
+        f = math.exp(rng.uniform(math.log(0.01), 0.0))
+        ms = MediumState(t=t, xi=xi)
+        moments = responses.plasma_moments(ms)
+        a_e = 0.5 * moments[0]
+        if a_e < 1e-3:
+            continue
+        n_states += 1
+        n_negative_xi += xi < 0.0
+        for mode in ("longitudinal", "transverse"):
+            branch = dispersion(mode, [f * a_e, 2.0 * f * a_e], ms, (0.25 * a_e, 4.0 * a_e))
+            for s in branch.samples:
+                a_bs = responses._bs_root(mode, s.b, moments)
+                gap = s.root_a / a_bs - 1.0
+                assert 0.0 < gap <= _BS_SEEDED_BOUNDS[mode], (mode, t, xi, s.b / a_e, gap)
+                n_roots += 1
+    assert n_negative_xi >= 6
+    assert n_roots == 96
+
+
 def _bs_relation(mode, a, b, moments):
     # the relations of ROADMAP item 11 as written there, in omega = 2 a
     # and k = 2 b, each rising through 0 at its root; the log as log1p,
@@ -876,12 +919,16 @@ def _rise_draws(t, n_draws):
 def _assert_gap_rises(component, t, n_draws, n_scan):
     # the premise of the band search: Im = 0 and Re strictly increasing
     # on every grid point the gate of dispersion admits, over the draws
-    # of _rise_draws
+    # of _rise_draws.  At t > 0 the rise is checked up to three gates:
+    # measured on the 160-step grid, it first breaks at a/b = 7.2e6-1.1e7,
+    # 2,900 gates or more, and on a 10x finer grid at 2.0e6-2.7e6
     n_points = 0
     for xF, b0 in _rise_draws(t, n_draws):
         a_e = plasma_frequency_estimate(MediumState(t=0.0, xi=xF))
         ms = MediumState(t=t, xi=xF)
-        gate = responses._band_gate(ms)
+        gate = responses._band_gate(responses.plasma_moments(ms)[2])
+        if t > 0.0:
+            gate *= 3.0
         step = 3.75 * a_e / n_scan
         grid = [0.25 * a_e + i * step for i in range(n_scan + 1)]
         for b in (b0, 2.0 * b0, 4.0 * b0):
@@ -895,14 +942,14 @@ def _assert_gap_rises(component, t, n_draws, n_scan):
     assert n_points >= 10 * n_draws
 
 
-@pytest.mark.parametrize("t, n_draws, n_scan", [(0.0, 40, 160), (0.05, 4, 40)])
+@pytest.mark.parametrize("t, n_draws, n_scan", [(0.0, 40, 160), (0.05, 4, 40), (1.0, 4, 40)])
 def test_longitudinal_gap_rises_across_the_band(t, n_draws, n_scan):
     # without the gate the t = 0 closed forms break the rise at
     # a > ~100 b for xF near 1
     _assert_gap_rises("eps_L", t, n_draws, n_scan)
 
 
-@pytest.mark.parametrize("t, n_draws, n_scan", [(0.0, 40, 160), (0.05, 4, 40)])
+@pytest.mark.parametrize("t, n_draws, n_scan", [(0.0, 40, 160), (0.05, 4, 40), (1.0, 4, 40)])
 def test_transverse_gap_rises_across_the_band(t, n_draws, n_scan):
     # the transverse search rests on Re nu_L rising like Re eps_L; no
     # Kramers-Kronig argument is at hand, so this test is the premise
@@ -923,7 +970,8 @@ def test_dispersion_band_search_keeps_smallest_root():
         # a b grid that is not monotone, with its middle b below the
         # band's reach (gate * 1e-5 < a_e)
         assert _assert_matches_full_scan(mode, [4e-3, 1e-5, 4e-3], ms, window)
-        # warm: the band is transparent at every t; 2e-4 puts the root above the gate
+        # warm: the band is transparent at every t; at 2e-4 the root lay
+        # above a gate of 32, and lies below 32 (v*/0.05)**1.5
         for b_grid in (warm_grid, warm_grid[::-1]):
             assert _assert_matches_full_scan(mode, b_grid, warm, (0.003, 0.06))
     # a b grid that is not monotone, with its middle b above a_e, where
@@ -954,7 +1002,7 @@ def _compare_band_search_draws(mode):
         # b on both sides of the gate: the root at ~a_e lies in the band
         # or above its top, gate * b; ascending and descending.  These are
         # the draws of a gate of 32, scaled to the state's gate.
-        gate = responses._band_gate(ms)
+        gate = responses._band_gate(responses.plasma_moments(ms)[2])
         b0 = a_e * math.exp(rng.uniform(math.log(2e-3), math.log(0.2))) * 32.0 / gate
         below_gate += gate * b0 > a_e
         above_gate += gate * 4.0 * b0 < a_e
@@ -980,7 +1028,7 @@ def test_band_bracket_holds_the_crossing_from_any_guess():
                 probed.append(a)
                 return a - cross
 
-            neg, pos = responses._band_bracket(g, a_min, a_max, guess)
+            neg, pos = responses._band_bracket(g, a_min, a_max, guess, responses._BAND_STEP)
             start = min(max(guess, a_min), a_max)
             assert probed[0] == start
             assert all(a_min <= a <= a_max for a in probed)
@@ -1033,7 +1081,11 @@ def test_band_search_falls_back_at_an_undefined_or_zero_probe(bad_value):
         for guess in guesses:
             clean = []
             responses._band_bracket(
-                lambda a: clean.append(a) or line(a), grid[lo], grid[hi], guess
+                lambda a: clean.append(a) or line(a),
+                grid[lo],
+                grid[hi],
+                guess,
+                responses._BAND_STEP,
             )
             for k, bad in enumerate(clean):
                 probed = []
@@ -1044,7 +1096,8 @@ def test_band_search_falls_back_at_an_undefined_or_zero_probe(bad_value):
 
                 want = _full_scan_root(g, grid[lo:])
                 probed = []
-                got = responses._first_zero(g, grid, b, responses._BAND_GATE, guess)
+                step = responses._BAND_STEP
+                got, _ = responses._first_zero(g, grid, b, responses._BAND_GATE, guess, step)
                 if want is None:
                     assert got is None, (cross, guess, k)
                 else:
@@ -1072,7 +1125,9 @@ def test_band_root_that_fails_the_residual_test_falls_back_to_the_walk():
             def line(a):
                 return a / 0.05 - cross - 0.5
 
-            neg, pos = responses._band_bracket(line, grid[lo], grid[hi], guess)
+            neg, pos = responses._band_bracket(
+                line, grid[lo], grid[hi], guess, responses._BAND_STEP
+            )
             assert pos is not None
             probed = []
 
@@ -1082,7 +1137,8 @@ def test_band_root_that_fails_the_residual_test_falls_back_to_the_walk():
 
             want = _full_scan_root(g, grid[lo:])
             probed = []
-            got = responses._first_zero(g, grid, b, responses._BAND_GATE, guess)
+            step = responses._BAND_STEP
+            got, _ = responses._first_zero(g, grid, b, responses._BAND_GATE, guess, step)
             assert got == want, (cross, guess)
             # the walk starts at lo after Brent's probes
             first_nan = next(k for k, a in enumerate(probed) if neg < a < pos)
@@ -1101,6 +1157,103 @@ def test_dispersion_scan_stops_at_first_accepted_root():
             calls = seen[s.b]
             assert len(calls) <= 5, (mode, s.b, len(calls))
             assert all(abs(a - s.root_a) <= 2e-3 * s.root_a for a in calls), (mode, s.b)
+
+
+def _seeded_guess(mode, b, b_prev, root_prev, ms):
+    # the Braaten-Segel root of b, times the ratio of the previous root
+    # to its own Braaten-Segel root
+    moments = responses.plasma_moments(ms)
+    return responses._bs_root(mode, b, moments) * root_prev / responses._bs_root(
+        mode, b_prev, moments
+    )
+
+
+def test_seeded_step_scales_with_the_jump_in_b():
+    # a b whose previous root came from the band search starts at that
+    # root's Braaten-Segel offset, with a step that grows with the jump in
+    # b: on jumps of 4 and 16 up and 4 down it takes no more calls than
+    # the search of that b alone, and at most the 5 that
+    # test_dispersion_scan_stops_at_first_accepted_root pins.  A fixed
+    # step of 5e-6 took 6 calls on the 4x jump at xF = 3, and up to 10
+    # on the 16x jumps
+    for t, xi in ((0.0, 1.2), (0.0, 3.0), (0.05, 1.2)):
+        ms = MediumState(t=t, xi=xi)
+        a_e = plasma_frequency_estimate(ms)
+        window = (0.25 * a_e, 4.0 * a_e)
+        b0 = 0.03 * a_e
+        for mode in ("longitudinal", "transverse"):
+            for jump in (4.0, 16.0, 0.25):
+                b = jump * b0
+                branch, seen = _calls_per_b(mode, [b0, b], ms, window)
+                alone, seen_alone = _calls_per_b(mode, [b], ms, window)
+                first, second = branch.samples
+                assert len(seen[b]) <= min(5, len(seen_alone[b])), (t, xi, mode, jump)
+                assert seen[b][0] == _seeded_guess(mode, b, b0, first.root_a, ms)
+                root = alone.samples[0].root_a
+                assert abs(second.root_a - root) <= 2.0 * X_TOL * max(1.0, root)
+
+
+@pytest.mark.filterwarnings("ignore:sign scan skipped")
+def test_only_a_band_root_seeds_the_next_b():
+    # a root that the grid walk found, and a b without a root, leave the
+    # next b to the unseeded search: its root and the abscissae it
+    # evaluates equal those of that b alone.  The root of the first b of
+    # each case lies above the band's top, gate * b, so the walk found
+    # it: a clean one at xF = 1.2 and t = 0.05, and at xF = 1.0001 roots
+    # on the roundoff noise of ROADMAP item 3: |residual| 1.7e-5 and
+    # 4.0e-5 at b = 1e-4 a_e, and 5.5e-7 for the transverse root at
+    # b = 9.4e-8 (2e-3 a_e), whose residual in the window (0.01, 3) once
+    # read 34.  Longitudinally, b = 2e-2 > a_e has no root
+    cases = []
+    for t, xi, b_walk, b_next in ((0.0, 1.2, 1e-5, 4e-3), (0.05, 1.2, 5e-6, 4e-3)):
+        cases += [(t, xi, mode, b_walk, b_next) for mode in ("longitudinal", "transverse")]
+    a_near_one = plasma_frequency_estimate(MediumState(t=0.0, xi=1.0001))
+    for mode in ("longitudinal", "transverse"):
+        cases.append((0.0, 1.0001, mode, 1e-4 * a_near_one, 0.5 * a_near_one))
+    cases.append((0.0, 1.0001, "transverse", 9.359317149878399e-08, 0.5 * a_near_one))
+    cases.append((0.0, 1.2, "longitudinal", 2e-2, 4e-3))
+    n_walk = 0
+    for t, xi, mode, b_first, b_next in cases:
+        ms = MediumState(t=t, xi=xi)
+        a_e = plasma_frequency_estimate(ms)
+        window = (0.25 * a_e, 4.0 * a_e)
+        branch, seen = _calls_per_b(mode, [b_first, b_next], ms, window)
+        alone, seen_alone = _calls_per_b(mode, [b_next], ms, window)
+        assert branch.samples[-1] == alone.samples[0], (t, xi, mode)
+        assert seen[b_next] == seen_alone[b_next], (t, xi, mode)
+        if branch.samples[0].b == b_first:
+            gate = responses._band_gate(responses.plasma_moments(ms)[2])
+            assert gate * b_first < branch.samples[0].root_a, (t, xi, mode)
+            n_walk += 1
+    assert n_walk == len(cases) - 1
+
+
+@pytest.mark.parametrize("t, xi", [(0.05, 1.2), (1.0, 0.0), (0.2, -1.1)])
+def test_finite_t_roots_take_few_evaluations(t, xi):
+    # at t > 0 the band gate is 32 (v*/0.05)**1.5, about 1,300-2,600
+    # here, so the band search finds the root at every b from 1e-3 a_e:
+    # at most 8 derive_point calls per root (measured 4.4-6.0).  A gate of
+    # 32 left every b below a_e/32 to the grid walk, ~20 calls per root
+    ms = MediumState(t=t, xi=xi)
+    a_e = plasma_frequency_estimate(ms)
+    b_grid = [1e-3 * a_e * 1e3 ** (i / 7) for i in range(8)]
+    for mode in ("longitudinal", "transverse"):
+        branch, seen = _calls_per_b(mode, b_grid, ms, (0.25 * a_e, 4.0 * a_e))
+        assert [s.b for s in branch.samples] == b_grid, mode
+        per_root = sum(map(len, seen.values())) / len(branch.samples)
+        assert per_root <= 8.0, (mode, per_root)
+
+
+@pytest.mark.parametrize("t, xi", [(1.0, 0.0), (0.2, -1.1)])
+def test_finite_t_band_roots_match_the_full_scan(t, xi):
+    # b below a_e/32, where a gate of 32 left the roots to the grid walk:
+    # the band search's roots lie within Brent's tolerance of the full
+    # scan's, at the same b
+    ms = MediumState(t=t, xi=xi)
+    a_e = plasma_frequency_estimate(ms)
+    for mode in ("longitudinal", "transverse"):
+        b_grid = [1e-3 * a_e, 4e-3 * a_e, 1.6e-2 * a_e]
+        assert _assert_matches_full_scan(mode, b_grid, ms, (0.25 * a_e, 4.0 * a_e))
 
 
 def test_dispersion_searches_the_band_above_32_b():
