@@ -22,22 +22,10 @@ from .kinematics import (
     region_boundaries,
     zero_t_subregion,
 )
-from .medium_finite_t import ResponseScalars, im_scalars, r1, r2, re_scalars
-from .medium_zero_t import (
-    SubregionBoundaryError,
-    ZeroTCoefficients,
-    integrals_Ij,
-    scalars_zero_t,
-    zero_t_coefficients,
-)
+from .medium_finite_t import ResponseScalars
+from .medium_zero_t import SubregionBoundaryError
 from .nr_oracle import NRPoint, nr_case, nr_im_B
-from .numerics import (
-    Bracket,
-    QuadratureResult,
-    find_root_bracketed,
-    integrate_adaptive,
-    scan_sign_changes,
-)
+from .numerics import Bracket, QuadratureResult, find_root_bracketed, integrate_adaptive
 from .occupation import MediumState, n_fermi, x_cutoff
 from .responses import (
     DispersionBranch,
@@ -52,7 +40,6 @@ from .responses import (
     scalars_at,
     tensors_at,
 )
-from .vacuum import VacuumScalar, c_star
 
 __version__ = "0.1.0"
 
@@ -75,17 +62,12 @@ __all__ = [
     "RootSample",
     "SubregionBoundaryError",
     "SubregionLabel",
-    "VacuumScalar",
-    "ZeroTCoefficients",
     "assemble",
-    "c_star",
     "classify_region",
     "derive_point",
     "dispersion",
     "fermi_surface",
     "find_root_bracketed",
-    "im_scalars",
-    "integrals_Ij",
     "integrate_adaptive",
     "kinematic_window",
     "metamaterial_scan",
@@ -94,16 +76,10 @@ __all__ = [
     "nr_im_B",
     "plasma_frequency_estimate",
     "plasma_moments",
-    "r1",
-    "r2",
-    "re_scalars",
     "region_boundaries",
     "scalars_at",
-    "scalars_zero_t",
-    "scan_sign_changes",
     "tensors_at",
     "x_cutoff",
-    "zero_t_coefficients",
     "zero_t_subregion",
     "__version__",
 ]

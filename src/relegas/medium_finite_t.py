@@ -241,7 +241,9 @@ def _isolated_edge(
         return False
     far = _EDGE_WIDTHS * t
     if region is RegionLabel.II:
-        return (axi - a) ** 2 - b * b * gamma2 >= far * far
+        # the square overflows from |xi| ~ 1.3e154 on; where the first test
+        # holds, so does the second
+        return abs(axi - a) >= far or (axi - a) ** 2 - b * b * gamma2 >= far * far
     return abs(lower - axi) >= far and abs(upper - axi) >= far
 
 

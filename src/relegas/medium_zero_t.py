@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 from .kinematics import (
     FermiSurface,
@@ -43,46 +42,18 @@ class SubregionBoundaryError(ValueError):
     computable in double precision there)."""
 
 
-class ZeroTCoefficients(NamedTuple):
-    """Polynomial coefficients of the zero-temperature Z terms.
-
-    M_*, N_* build the quartic numerators n(s) = M + N (1 - s); C_B and
-    C_D are the constant weights of the Z pieces; frakA, frakB, frakC
-    are the biquadratic denominator coefficients fA + fB t^2 + fC t^4
-    of the master integrals.
-    """
-
-    M_B: float
-    N_B: float
-    M_D: float
-    N_D: float
-    C_B: float
-    C_D: float
-    frakA: float
-    frakB: float
-    frakC: float
-
-
 def _z_coefficients(
     a2: float, b2: float, c2: float, gamma2: float, d2: float
 ) -> tuple[float, float, float, float, float, float]:
-    """(M_B, N_B, M_D, N_D, C_B, C_D) of zero_t_coefficients, from a**2 and b**2."""
+    """(M_B, N_B, M_D, N_D, C_B, C_D) of Z_B and Z_D, from a**2 and b**2.
+
+    M and N build the quartic numerators n(s) = M + N (1 - s); C_B and C_D
+    are the constant weights of the Z pieces.
+    """
     d4 = d2 * d2
     m_b = -2.0 * a2 * (1.0 + 4.0 * b2) - (1.0 - 2.0 * b2 - 2.0 * a2 * (2.0 - gamma2)) * d2
     m_d = 2.0 * a2 * (1.0 + gamma2) - d2
     return m_b, -d4 * (1.0 - 2.0 * b2), m_d, -d4, 1.0 / 3.0, 0.5 * (1.0 + 2.0 * c2)
-
-
-def zero_t_coefficients(p: KinematicPoint) -> ZeroTCoefficients:
-    """Coefficients entering Z_B and Z_D at the kinematic point p."""
-    a, b, c2, gamma2, d2 = p
-    a2 = a * a
-    return ZeroTCoefficients(
-        *_z_coefficients(a2, b * b, c2, gamma2, d2),
-        frakA=(d2 + 1.0) ** 2 - 4.0 * a2,
-        frakB=-2.0 * (d2 * (d2 + 1.0) - 2.0 * a2),
-        frakC=d2 * d2,
-    )
 
 
 def _edge_log(t: float, t_fermi: float) -> float:

@@ -92,15 +92,6 @@ class MediumState:
         return -self.e2 / (12.0 * math.pi**2)
 
 
-def _fermi_factor(arg: float) -> float:
-    # 1/(exp(arg) + 1) with clipping so exp never overflows
-    if arg > _EXP_CLIP:
-        return 0.0
-    if arg < -_EXP_CLIP:
-        return 1.0
-    return 1.0 / (math.exp(arg) + 1.0)
-
-
 def n_fermi(x: float, ms: MediumState) -> float:
     """Combined electron + positron occupation at energy x = E/m.
 
@@ -109,7 +100,7 @@ def n_fermi(x: float, ms: MediumState) -> float:
     """
     if ms.t == 0.0:
         return 1.0 if x < ms.xi else 0.5 if x == ms.xi else 0.0
-    return _fermi_factor((x - ms.xi) / ms.t) + _fermi_factor((x + ms.xi) / ms.t)
+    return _two_terms(ms.t, ms.xi)((x,))[0]
 
 
 def _n_fermi_nodes(ms: MediumState) -> Callable[[Sequence[float]], list[float]]:
@@ -134,6 +125,15 @@ def _n_fermi_nodes(ms: MediumState) -> Callable[[Sequence[float]], list[float]]:
             else 1.0 / (exp(u) + 1.0)
             for x in xs
         ]
+    return _two_terms(t, xi)
+
+
+def _two_terms(t: float, xi: float) -> Callable[[Sequence[float]], list[float]]:
+    """xs -> [f((x - xi)/t) + f((x + xi)/t) for x in xs] at t > 0, any x.
+
+    f(u) = 1/(exp(u) + 1), 0 above u = _EXP_CLIP and 1 below -_EXP_CLIP,
+    so exp never overflows.
+    """
     return lambda xs: [
         (0.0 if (u := (x - xi) / t) > _EXP_CLIP else 1.0 if u < -_EXP_CLIP
          else 1.0 / (exp(u) + 1.0))

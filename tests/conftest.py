@@ -25,6 +25,12 @@ def draw_valid_point(rng: random.Random, a_max: float = 3.0, b_max: float = 3.0,
             continue
 
 
+def biquadratic(p) -> tuple[float, float, float]:
+    """(fA, fB, fC) of the master integrals' denominator fC t**4 + fB t**2 + fA at p."""
+    a2, d2 = p.a * p.a, p.d2
+    return (d2 + 1.0) ** 2 - 4.0 * a2, -2.0 * (d2 * (d2 + 1.0) - 2.0 * a2), d2 * d2
+
+
 def complex_rel_err(got: complex, want: complex) -> float:
     return abs(got - want) / max(1e-300, abs(want))
 

@@ -78,7 +78,8 @@ from pathlib import Path
 # was 4.5e-8 off), and one whose window edge lies 10 t below |xi|, which
 # keeps the thermal tail; both warm branches without --a-range over b
 # from 1e-4 to 4e-3, across a_e/32, below which a band gate of 32 left
-# the roots to the grid walk
+# the roots to the grid walk; a warm region-II point and scan at
+# xi = 1e300, whose Gauss-Fermi gate once overflowed with a traceback
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -156,6 +157,9 @@ CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--t", "0.005", "--xi", "1.9775"],
     ["dispersion", "--mode", "both", "--b-range", "1e-4", "4e-3", "6", "--log-b",
      "--t", "0.05", "--xi", "1.2"],
+    ["response", "--a", "0.5", "--b", "0.3", "--t", "1", "--xi", "1e300"],
+    ["scan", "--a-range", "0.5", "0.6", "2", "--b-range", "0.3", "0.3", "1", "--t", "1",
+     "--xi", "1e300"],
 ]
 
 

@@ -19,7 +19,6 @@ import pytest
 
 from relegas import (
     MediumState,
-    c_star,
     derive_point,
     dispersion,
     fermi_surface,
@@ -29,11 +28,12 @@ from relegas import (
 from relegas.cli import main
 from relegas.kinematics import RegionLabel, classify_region, kinematic_window, zero_t_subregion
 from relegas.medium_finite_t import im_scalars
-from relegas.medium_zero_t import integrals_Ij, scalars_zero_t, zero_t_coefficients
+from relegas.medium_zero_t import integrals_Ij, scalars_zero_t
 from relegas.nr_oracle import NRPoint, nr_im_B
 from relegas.numerics import integrate_adaptive
 from relegas.responses import scalars_at, tensors_at
-from conftest import per_node
+from relegas.vacuum import c_star
+from conftest import biquadratic, per_node
 
 
 def test_criterion_01_zero_t_absorption_matches_quadrature():
@@ -110,11 +110,11 @@ def test_criterion_02_master_integrals_match_quadrature():
                 continue
             xf = rng.uniform(1.01, 3.0)
         fs = fermi_surface(xf)
-        coef = zero_t_coefficients(p)
+        frak_a, frak_b, frak_c = biquadratic(p)
         t_fermi = fs.yF / fs.xF
 
         def den(t: float) -> float:
-            return coef.frakC * t**4 + coef.frakB * t**2 + coef.frakA
+            return frak_c * t**4 + frak_b * t**2 + frak_a
 
         q0 = integrate_adaptive(per_node(lambda t: 1.0 / den(t)), 0.0, t_fermi, rel_tol=1e-12)
         q2 = integrate_adaptive(per_node(lambda t: t * t / den(t)), 0.0, t_fermi, rel_tol=1e-12)

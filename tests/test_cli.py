@@ -128,6 +128,30 @@ def test_huge_scan_row_carries_its_reason(capsys):
         assert "too large" in row["reason"]
 
 
+def test_huge_chemical_potential_point_exits_2(capsys):
+    # a warm region-II point at |xi| = 1e300: the Gauss-Fermi gate squared
+    # |xi| - a and escaped as an OverflowError traceback, exit 1; the
+    # quadrature now refuses the integrand value that overflows
+    argv = ["response", "--a", "0.5", "--b", "0.3", "--t", "1", "--xi", "1e300"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: integrand returned inf at x = ") and err.count("\n") == 1
+
+
+def test_huge_chemical_potential_scan_rows_carry_their_reason(capsys):
+    # the scan aborted on the same OverflowError, which evaluate_cell did
+    # not trap
+    argv = ["scan", "--a-range", "0.5", "0.6", "2", "--b-range", "0.3", "0.3", "1",
+            "--t", "1", "--xi", "1e300"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert math.isnan(float(row["re_eps_L"]))
+        assert row["reason"].startswith("integrand returned inf at x = ")
+
+
 def test_invalid_state_fails_cleanly(capsys):
     code, _, err = run_cli(capsys, ["response", "--a", "0.5", "--b", "1.0", "--xi", "0.5"])
     assert code == 2

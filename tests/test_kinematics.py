@@ -91,7 +91,8 @@ def test_nan_c2_rejected():
     # derive_point never makes one, but a KinematicPoint built by hand can
     # carry it; the vacuum term no longer checks c2, so classify_region
     # refuses it for scalars_zero_t
-    from relegas import MediumState, scalars_zero_t
+    from relegas import MediumState
+    from relegas.medium_zero_t import scalars_zero_t
 
     p = KinematicPoint(a=0.5, b=1.0, c2=math.nan, gamma2=math.nan, d2=math.nan)
     with pytest.raises(InvalidPointError, match="must be finite"):

@@ -867,6 +867,36 @@ def test_non_finite_gauss_fermi_value_names_its_x(monkeypatch):
     assert x * x - 1.0 in poisoned
 
 
+def test_region_ii_gate_survives_a_huge_chemical_potential():
+    # the region-II gate squared |xi| - a, which overflows from |xi| ~
+    # 1.3e154 and escaped as an OverflowError traceback; it now tests
+    # |xi| - a >= 30 t first, and wherever the square is finite it decides
+    # as the square alone did
+    p = derive_point(0.5, 0.3)
+    region = classify_region(p)
+    assert region is RegionLabel.II
+    for xi in (1e154, 1.4e154, 1e200, -1e300):
+        assert _gated(p, MediumState(t=1.0, xi=xi), region)
+    rng = random.Random(1540)
+    decided = []
+    while len(decided) < 2000:
+        p = draw_valid_point(rng)
+        if classify_region(p) is not RegionLabel.II or p.b < 1e-3 * p.a:
+            continue
+        t = 10.0 ** rng.uniform(-3.0, -1.0)
+        far = medium_finite_t._EDGE_WIDTHS * t
+        # |xi| - a about where the square meets (30 t)**2, or 30 t
+        gap = math.sqrt(max(far * far + p.b * p.b * p.gamma2, 0.0))
+        gap = rng.choice((gap, far)) * rng.uniform(0.8, 1.2)
+        axi = p.a + rng.choice((1.0, -1.0)) * gap
+        if axi - 1.0 < medium_finite_t._SHELL_WIDTHS * t:
+            continue
+        want = (axi - p.a) ** 2 - p.b * p.b * p.gamma2 >= far * far
+        assert medium_finite_t._isolated_edge(p, region, 0.0, 0.0, t, axi) == want
+        decided.append((want, abs(axi - p.a) >= far))
+    assert set(decided) == {(False, False), (True, False), (True, True)}
+
+
 def test_parts_are_even_in_xi():
     # n_F is even in xi, so a state and its mirror give the same bits; at
     # xi < -1 the occupation is ~1 up to the Fermi edge |xi|, which must be

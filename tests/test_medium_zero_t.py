@@ -10,47 +10,65 @@ from relegas import (
     SubregionBoundaryError,
     derive_point,
     fermi_surface,
-    integrals_Ij,
     scalars_at,
+)
+from relegas.medium_zero_t import (
+    _complex_branch_pieces,
+    _real_branch_pieces,
+    _z_coefficients,
+    integrals_Ij,
     scalars_zero_t,
-    zero_t_coefficients,
 )
 from relegas.numerics import integrate_adaptive
-from conftest import complex_rel_err, draw_valid_point, per_node, rel_err
+from conftest import biquadratic, complex_rel_err, draw_valid_point, per_node, rel_err
 
 def _state(xf: float) -> MediumState:
     return MediumState(t=0.0, xi=xf)
 
 
 def test_coefficients_exact_fractions():
-    c = zero_t_coefficients(derive_point(0.5, 1.0))
-    assert rel_err(c.M_B, -305.0 / 72.0) < 1e-14
-    assert rel_err(c.N_B, 625.0 / 144.0) < 1e-14
-    assert rel_err(c.M_D, 3.75) < 1e-14
-    assert rel_err(c.N_D, -625.0 / 144.0) < 1e-14
-    assert c.C_B == 1.0 / 3.0
-    assert c.C_D == 0.5 * (1.0 - 1.5)
-    assert rel_err(c.frakA, 25.0 / 144.0) < 1e-13
-    assert rel_err(c.frakB, -253.0 / 72.0) < 1e-14
-    assert rel_err(c.frakC, 625.0 / 144.0) < 1e-14
+    p = derive_point(0.5, 1.0)
+    m_b, n_b, m_d, n_d, c_b, c_d = _z_coefficients(p.a * p.a, p.b * p.b, p.c2, p.gamma2, p.d2)
+    assert rel_err(m_b, -305.0 / 72.0) < 1e-14
+    assert rel_err(n_b, 625.0 / 144.0) < 1e-14
+    assert rel_err(m_d, 3.75) < 1e-14
+    assert rel_err(n_d, -625.0 / 144.0) < 1e-14
+    assert c_b == 1.0 / 3.0
+    assert c_d == 0.5 * (1.0 - 1.5)
+    frak_a, frak_b, frak_c = biquadratic(p)
+    assert rel_err(frak_a, 25.0 / 144.0) < 1e-13
+    assert rel_err(frak_b, -253.0 / 72.0) < 1e-14
+    assert rel_err(frak_c, 625.0 / 144.0) < 1e-14
 
 
 def test_coefficient_identities():
     # discriminant of the biquadratic collapses to 16 a^2 b^2 gamma2
     rng = random.Random(314)
-    from conftest import draw_valid_point
-
+    branches = set()
     for _ in range(300):
         p = draw_valid_point(rng)
-        c = zero_t_coefficients(p)
-        disc = c.frakB**2 - 4.0 * c.frakA * c.frakC
+        frak_a, frak_b, frak_c = biquadratic(p)
+        disc = frak_b**2 - 4.0 * frak_a * frak_c
         want = 16.0 * (p.a * p.b) ** 2 * p.gamma2
-        scale = max(abs(disc), abs(want), c.frakB**2)
+        scale = max(abs(disc), abs(want), frak_b**2)
         assert abs(disc - want) <= 1e-9 * scale
         # root midpoint
-        mid = -c.frakB / (2.0 * c.frakC)
+        mid = -frak_b / (2.0 * frak_c)
         direct = (p.d2 * (p.d2 + 1.0) - 2.0 * p.a**2) / (p.d2 * p.d2)
         assert abs(mid - direct) <= 1e-12 * max(1.0, abs(direct))
+        # the library's branch pieces share the denominator's leading
+        # coefficient and its roots: their mean squared root is the
+        # midpoint on the real branch, and the complex pair's squared
+        # modulus is sqrt(fA/fC)
+        if p.gamma2 >= 0.0:
+            *_, s_bar, got_c = _real_branch_pieces(p.a, p.b, p.gamma2, p.d2, 0.5)
+            assert rel_err(s_bar, mid) <= 1e-12
+        else:
+            *_, m2, got_c = _complex_branch_pieces(p.a, p.b, p.gamma2, p.d2, 0.5)
+            assert rel_err(m2, math.sqrt(frak_a / frak_c)) <= 1e-12
+        assert got_c == frak_c
+        branches.add(p.gamma2 >= 0.0)
+    assert branches == {True, False}
 
 
 FROZEN_IJ = {
@@ -76,11 +94,11 @@ def test_master_integrals_match_quadrature_when_pole_free():
     for a, b, xf in cases:
         p = derive_point(a, b)
         fs = fermi_surface(xf)
-        c = zero_t_coefficients(p)
+        frak_a, frak_b, frak_c = biquadratic(p)
         t_fermi = fs.yF / fs.xF
 
         def den(t: float) -> float:
-            return c.frakC * t**4 + c.frakB * t**2 + c.frakA
+            return frak_c * t**4 + frak_b * t**2 + frak_a
 
         q0 = integrate_adaptive(per_node(lambda t: 1.0 / den(t)), 0.0, t_fermi, rel_tol=1e-12)
         q2 = integrate_adaptive(per_node(lambda t: t * t / den(t)), 0.0, t_fermi, rel_tol=1e-12)

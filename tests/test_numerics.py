@@ -4,13 +4,8 @@ from operator import mul
 
 import pytest
 
-from relegas import (
-    Bracket,
-    find_root_bracketed,
-    integrate_adaptive,
-    scan_sign_changes,
-)
-from relegas.numerics import PANEL_BUDGET
+from relegas import Bracket, find_root_bracketed, integrate_adaptive
+from relegas.numerics import PANEL_BUDGET, scan_sign_changes
 from relegas.responses import _first_zero
 from conftest import per_node
 

@@ -140,3 +140,33 @@ def test_node_occupations_are_n_fermi_bit_for_bit():
     # at t = 0 the builder is the step, with 0.5 on the Fermi edge
     ms = MediumState(t=0.0, xi=1.5)
     assert _n_fermi_nodes(ms)([1.0, 1.2, 1.5, 1.7]) == [1.0, 1.0, 0.5, 0.0]
+
+
+def test_n_fermi_is_the_clipped_two_term_sum():
+    # at t > 0 n_fermi is the nodes' two-term builder at one x; it keeps the
+    # bits of the sum of two clipped Fermi factors, written out here, at any
+    # x: below the mass shell, on both sides of the exp clip at |u| = 700,
+    # and NaN
+    def factor(u):
+        if u > 700.0:
+            return 0.0
+        if u < -700.0:
+            return 1.0
+        return 1.0 / (math.exp(u) + 1.0)
+
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(200):
+        t = 10.0 ** rng.uniform(-4.0, 1.0)
+        xi = rng.uniform(-3.0, 3.0)
+        ms = MediumState(t=t, xi=xi)
+        xs = [rng.uniform(-2.0, 1.0) for _ in range(10)]
+        xs += [rng.uniform(1.0, x_cutoff(ms)) for _ in range(10)]
+        xs += [s * xi + t * (c + d) for s in (1.0, -1.0) for c in (700.0, -700.0)
+               for d in (-1e-6, 0.0, 1e-6)]
+        xs.append(math.nan)
+        for x in xs:
+            u, v = (x - xi) / t, (x + xi) / t
+            assert repr(n_fermi(x, ms)) == repr(factor(u) + factor(v)), (ms, x)
+            seen.update(-1 if w < -700.0 else 1 if w > 700.0 else 0 for w in (u, v))
+    assert seen == {-1, 0, 1}

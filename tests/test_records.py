@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from relegas import kinematics, medium_finite_t, medium_zero_t, numerics, responses, vacuum
+from relegas import kinematics, medium_finite_t, numerics, responses, vacuum
 
 # field order of each record, kept from when the records were frozen
 # dataclasses, so that positional construction and reprs do not move
@@ -18,10 +18,6 @@ RECORD_FIELDS = [
     (kinematics.KinematicPoint, ("a", "b", "c2", "gamma2", "d2")),
     (kinematics.FermiSurface, ("xF", "yF")),
     (kinematics.SubregionLabel, ("label", "x_lower", "x_upper")),
-    (
-        medium_zero_t.ZeroTCoefficients,
-        ("M_B", "N_B", "M_D", "N_D", "C_B", "C_D", "frakA", "frakB", "frakC"),
-    ),
     (vacuum.VacuumScalar, ("value", "branch")),
     (medium_finite_t.ResponseScalars, ("B", "D", "A", "C")),
     (

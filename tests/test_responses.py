@@ -12,7 +12,6 @@ from relegas import (
     RootSample,
     SubregionBoundaryError,
     assemble,
-    c_star,
     dispersion,
     metamaterial_scan,
     plasma_frequency_estimate,
@@ -29,6 +28,7 @@ from relegas.numerics import (
     scan_sign_changes,
 )
 from relegas.responses import _extrapolate_to_zero_b, evaluate_cell
+from relegas.vacuum import c_star
 from conftest import draw_valid_point, rel_err
 
 COLD = MediumState(t=0.0, xi=1.2)
@@ -70,15 +70,9 @@ def test_longitudinal_composition():
 
 def test_scalars_at_dispatch():
     # degenerate states use the closed forms, warm states the quadratures
-    from relegas import (
-        ResponseScalars,
-        classify_region,
-        derive_point,
-        im_scalars,
-        re_scalars,
-        scalars_zero_t,
-        zero_t_subregion,
-    )
+    from relegas import ResponseScalars, classify_region, derive_point, zero_t_subregion
+    from relegas.medium_finite_t import im_scalars, re_scalars
+    from relegas.medium_zero_t import scalars_zero_t
 
     def scalars_warm(p, ms):
         # the two public quadrature halves, joined as scalars_at joins its pass

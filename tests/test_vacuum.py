@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from relegas import InvalidPointError, LightConeError, MediumState, PairThresholdError, c_star
+from relegas import InvalidPointError, LightConeError, MediumState, PairThresholdError
+from relegas.vacuum import c_star
 from conftest import rel_err
 
 MS = MediumState(t=0.0, xi=1.5)
