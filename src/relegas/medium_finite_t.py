@@ -15,21 +15,23 @@ Imaginary parts are integrals of polynomial kernels over the part of the
 kinematic window below the occupation cutoff; they vanish identically in
 region II, where no real absorption process exists.  All five integrals
 are one vector-valued quadrature pass over shared nodes; in region II the
-pass has the three real components only.  The occupation at the nodes of
-each integrand call comes from occupation._n_fermi_nodes, with n_fermi's bits.
+pass has the three real components only.
 
-At t > 0 the pass has one of two panel plans.  An isolated Fermi edge
-mu = |xi| (n_F one Fermi term, b >= 1e-3 a, mu at least 18 t above the
-mass shell and 30 t from each window edge, or from region II's complex
-pair of edges) takes the t = 0 plan: [1, mu] at unit occupation, cut at
-the window edges below mu, plus t sum W_i [S(mu + t z_i) - S(mu - t z_i)]
-over the six nodes of a 3-node Gauss rule for odd integrands under the
-weight 1/(e^z + 1), where S is the same node loop at unit occupation.
-This is the Sommerfeld expansion through its t**12 term, with the
-derivatives of the kernels at mu replaced by six samples.
-Every other cell integrates n_F over [1, cutoff], cut at the window
-edges and at mu, with the thermal tail above the last edge in the
-variable of _tail_map.
+The pass has one of two panel plans.  The sharp-edge plan integrates
+[1, mu], mu = |xi|, at unit occupation, cut at the window edges below
+mu.  At t = 0 (mu = xF) that is the whole integral.  At t > 0 it serves
+an isolated Fermi edge (n_F one Fermi term, b >= 1e-3 a, mu at least
+18 t above the mass shell and 30 t from each window edge, or from region
+II's complex pair of edges) and adds t sum W_i [S(mu + t z_i) -
+S(mu - t z_i)] over the six nodes of a 3-node Gauss rule for odd
+integrands under the weight 1/(e^z + 1), where S is the same node loop
+at unit occupation.  This is the Sommerfeld expansion through its t**12
+term, with the derivatives of the kernels at mu replaced by six samples.
+Every other cell, at t > 0, takes the thermal-tail plan: it integrates
+n_F over [1, cutoff], cut at the window edges and at mu, with the
+thermal tail above the last edge in the variable of _tail_map.  Its
+occupation at the nodes of each integrand call comes from
+occupation._n_fermi_nodes, with n_fermi's bits.
 """
 
 from __future__ import annotations
@@ -253,29 +255,19 @@ def _parts(
     """(Re B, Re D, Im B, Im D) from one vector quadrature.
 
     The five integrands (R, R_B, R_D and the Im B, Im D kernels) share
-    every node, so n_F, r1 and r2 are evaluated once per node (n_F by one
-    call of the occupation._n_fermi_nodes builder per integrand call, r1
-    and r2 inline) with the bits of n_fermi and _log_kernels.  Region II
-    has no window and exactly zero imaginary parts: its pass integrates
-    only the three real components (R, R_B, R_D), not five.
+    every node, so n_F, r1 and r2 are evaluated once per node (n_F in the
+    thermal-tail plan by one call of the occupation._n_fermi_nodes builder
+    per integrand call, r1 and r2 inline) with the bits of n_fermi and
+    _log_kernels.  Region II has no window and exactly zero imaginary
+    parts: its pass integrates only the three real components (R, R_B,
+    R_D), not five.
 
-    Thermal-tail plan (t = 0, and t > 0 unless the edge is isolated).
-    Every panel ends at the occupation cutoff: the real parts integrate
-    over [1, cutoff], the imaginary ones over the part of the kinematic
-    window below it.  The window edges, where r1 and r2 have log
-    singularities, and the Fermi edge |xi| (n_F is even in xi) are panel
-    edges; at t > 0, |xi| is not when it lies within _FERMI_MERGE t above
-    the largest of 1 and the window edges below it, as n_F is smooth on
-    the scale of the panel that starts there.  At t > 0 the last panel,
-    the thermal tail [t0, cutoff] above the largest of 1, |xi| and the
-    window edges below the cutoff, is integrated in the variable of
-    _tail_map.
-
-    Gauss-Fermi plan (t > 0 and _isolated_edge).  The pass integrates
-    [1, |xi|] at unit occupation, cut at the window edges below |xi|, as
-    at t = 0, and adds t sum W_i [S(|xi| + t z_i) - S(|xi| - t z_i)], S
-    the same node loop at unit occupation and (z_i, W_i) the rule of
-    _GF_NODES and _GF_WEIGHTS.  With n_F one Fermi term f((x - |xi|)/t),
+    Sharp-edge plan (t = 0, and t > 0 when _isolated_edge).  The pass
+    integrates [1, |xi|] at unit occupation, cut at the window edges below
+    |xi|: at t = 0, where n_F is 1 below xF = xi, the whole integral.  At
+    t > 0 it adds t sum W_i [S(|xi| + t z_i) - S(|xi| - t z_i)], S the
+    same node loop at unit occupation and (z_i, W_i) the Gauss-Fermi rule
+    of _GF_NODES and _GF_WEIGHTS.  With n_F one Fermi term f((x - |xi|)/t),
     the integral of H n_F over [1, inf) is that of H over [1, |xi|] plus
     t times the integral over z in [0, inf) of f(z) (H(|xi| + t z) -
     H(|xi| - t z)), an odd function of z; the rule is exact for its odd
@@ -283,8 +275,18 @@ def _parts(
     below the mass shell, z >= 18 (f < e**-18), and across a window edge,
     z >= 30 (f < e**-30).  No panel reaches above |xi|, so a window lying
     wholly above it has exactly zero imaginary parts.
+
+    Thermal-tail plan (t > 0 unless the edge is isolated).  Every panel
+    ends at the occupation cutoff: the real parts integrate over
+    [1, cutoff], the imaginary ones over the part of the kinematic window
+    below it.  The window edges, where r1 and r2 have log singularities,
+    and the Fermi edge |xi| (n_F is even in xi) are panel edges; |xi| is
+    not when it lies within _FERMI_MERGE t above the largest of 1 and the
+    window edges below it, as n_F is smooth on the scale of the panel
+    that starts there.  The last panel, the thermal tail [t0, cutoff]
+    above the largest of 1, |xi| and the window edges below the cutoff,
+    is integrated in the variable of _tail_map.
     """
-    hi = x_cutoff(ms)
     a, b, c2 = p.a, p.b, p.c2
     b2 = b * b
     lower = upper = shift = 0.0
@@ -297,30 +299,29 @@ def _parts(
     t = ms.t
     axi = abs(ms.xi)
     gauss = _isolated_edge(p, region, lower, upper, t, axi)
-    if gauss:
-        # [1, |xi|] at unit occupation, as at t = 0; the rule adds the rest
+    if t == 0.0 or gauss:
+        # [1, |xi|] at unit occupation; at t > 0 the rule adds the rest
         cuts = [e for e in (lower, upper) if e < axi]
         t0 = top = axi
         occupation = _unit_occupation
     else:
+        hi = x_cutoff(ms)
         cuts = [e for e in (lower, upper) if e < hi]
         below = max([1.0, *(e for e in cuts if e < axi)])
         # the cutoff rounds onto |xi| once 40 t is below half an ulp of it
         # (|xi|/t above ~3.6e17); |xi| is still the edge, so no tail is mapped
-        if axi <= hi and not (t > 0.0 and 0.0 < axi - below <= _FERMI_MERGE * t):
+        if axi <= hi and not 0.0 < axi - below <= _FERMI_MERGE * t:
             cuts.append(axi)
         # the quadrature's axis is x up to t0, then the tail panel [t0, top] in
-        # s = z - t0; without a tail (t = 0, or no double inside [t0, hi]) it
-        # is x throughout.  n_F falls from |xi|, not from xi: at xi < -1 it is
-        # ~1 up to |xi|, and a tail mapped from far below |xi| would lose that
+        # s = z - t0; without a tail (no double inside [t0, hi]) it is x
+        # throughout.  n_F falls from |xi|, not from xi: at xi < -1 it is ~1
+        # up to |xi|, and a tail mapped from far below |xi| would lose that
         # plateau
-        t0 = top = hi
-        if t > 0.0:
-            t0 = top = max([1.0, *cuts])
-            if t0 < 0.5 * (t0 + hi) < hi:
-                top = t0 + 1.0
-                tail = _tail_map(t0, top, hi, t)
-                tail_in_window = lower <= t0 < upper
+        t0 = top = max([1.0, *cuts])
+        if t0 < 0.5 * (t0 + hi) < hi:
+            top = t0 + 1.0
+            tail = _tail_map(t0, top, hi, t)
+            tail_in_window = lower <= t0 < upper
         occupation = _n_fermi_nodes(ms)
     a4 = 4.0 * a
     m4c2 = -4.0 * ((a - b) * (a + b))

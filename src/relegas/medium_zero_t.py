@@ -78,21 +78,6 @@ def _real_branch_pieces(
     frak_c = d2 * d2
     t0_sq = (d2 * (d2 + 1.0) - 2.0 * a * a) / frak_c
     delta_s = 4.0 * a * b * math.sqrt(gamma2) / frak_c
-    if delta_s == 0.0:
-        # coincident roots (a = 0): use the s-derivative of G directly
-        if t0_sq <= 0.0:
-            raise InternalConsistencyError(
-                f"degenerate root t0^2 = {t0_sq} is not positive at (a, b) = ({a}, {b})"
-            )
-        t0 = math.sqrt(t0_sq)
-        gap = t_fermi * t_fermi - t0_sq
-        if abs(gap) <= _EDGE_TOL * max(1.0, t_fermi * t_fermi):
-            raise SubregionBoundaryError(
-                f"degenerate root t0 = {t0} collides with the Fermi velocity {t_fermi}"
-            )
-        log0 = _edge_log(t0, t_fermi)
-        d_g = -t_fermi / (2.0 * t0_sq * gap) - log0 / (4.0 * t0 * t0_sq)
-        return d_g, log0 / (2.0 * t0), t0_sq, frak_c
     tp_sq = t0_sq + 0.5 * delta_s
     tm_sq = t0_sq - 0.5 * delta_s
     if tp_sq <= 0.0 or tm_sq <= 0.0:
@@ -104,10 +89,13 @@ def _real_branch_pieces(
     log_p = _edge_log(tp, t_fermi)
     log_m = _edge_log(tm, t_fermi)
     delta_t = delta_s / (tp + tm)
-    # (log_p - log_m)/delta_t, recast through atanh when the roots are close
+    # (log_p - log_m)/delta_t, recast through atanh when the roots are close;
+    # coincident roots (a = 0) take its limit
     u = t_fermi * t_fermi - tp * tm
     v = t_fermi * delta_t
-    if abs(v) < 0.5 * abs(u):
+    if delta_t == 0.0:
+        d_log = -2.0 * t_fermi / u
+    elif abs(v) < 0.5 * abs(u):
         d_log = -2.0 * math.atanh(v / u) / delta_t
     else:
         d_log = (log_p - log_m) / delta_t

@@ -6,7 +6,9 @@ integral is the sum of the electron and positron distributions,
 
     n_F(x) = 1/(exp((x - xi)/t) + 1) + 1/(exp((x + xi)/t) + 1),
 
-evaluated at the dimensionless fermion energy x = E/m >= 1.
+evaluated at the dimensionless fermion energy x = E/m >= 1.  At t = 0
+it is the unit step of the Fermi sea, which the quadratures take as unit
+occupation below xF: their node builder _n_fermi_nodes serves t > 0 only.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def n_fermi(x: float, ms: MediumState) -> float:
 def _n_fermi_nodes(ms: MediumState) -> Callable[[Sequence[float]], list[float]]:
     """xs -> [n_fermi(x, ms) for x in xs] bit for bit at nodes x >= 1, for one panel level.
 
-    At t > 0 the terms are f(u) and f(v), f(u) = 1/(exp(u) + 1),
+    ms has t > 0: the quadratures integrate the t = 0 step as unit
+    occupation below xF.  The terms are f(u) and f(v), f(u) = 1/(exp(u) + 1),
     u = (x - |xi|)/t <= v = (x + |xi|)/t, and f(v)/f(u) = (exp(u) + 1)/(exp(v) + 1)
     is <= 2 exp(u - v) = 2 exp(-2|xi|/t) for u >= 0 and <= 2 exp(-v) <=
     2 exp(-(1 + |xi|)/t) for u < 0, as x >= 1.  Once min(2|xi|, 1 + |xi|) > 40 t
@@ -117,8 +120,6 @@ def _n_fermi_nodes(ms: MediumState) -> Callable[[Sequence[float]], list[float]]:
     """
     t, xi = ms.t, ms.xi
     axi = abs(xi)
-    if t == 0.0:
-        return lambda xs: [n_fermi(x, ms) for x in xs]
     if _one_term(t, axi):
         return lambda xs: [
             0.0 if (u := (x - axi) / t) > _EXP_CLIP else 1.0 if u < -_EXP_CLIP
@@ -151,13 +152,11 @@ def _one_term(t: float, axi: float) -> bool:
 def x_cutoff(ms: MediumState) -> float:
     """Upper energy cut, the end of every finite-t medium integral.
 
-    At t = 0 the occupation vanishes identically above xi.  At t > 0 the
-    tails die like exp(-(x - |xi|)/t); forty thermal widths past the
-    larger of the mass shell and |xi|, n_F is below 2 exp(-40) ~ 8.5e-18
-    of its value at that larger one.  Nothing above the cut is
-    integrated: neither the real parts nor the part of a kinematic
-    window that lies above it.
+    At t = 0 it is xi (>= 1), above which the occupation vanishes
+    identically.  At t > 0 the tails die like exp(-(x - |xi|)/t); forty
+    thermal widths past the larger of the mass shell and |xi|, n_F is
+    below 2 exp(-40) ~ 8.5e-18 of its value at that larger one.  Nothing
+    above the cut is integrated: neither the real parts nor the part of a
+    kinematic window that lies above it.
     """
-    if ms.t == 0.0:
-        return ms.xi
     return max(1.0, abs(ms.xi)) + 40.0 * ms.t

@@ -41,26 +41,10 @@ class VacuumScalar(NamedTuple):
 # bracket = 1/3 + 2*(1 + 1/(2 c2))*(h*arccot(h) - 1) expanded about
 # c2 = 0 in s = c2/(1 - c2): with 1/(1 - c2) = 1 + s it is the power
 # series sum over k >= 1 of (-1)**k 4 (k + 2)/((2k + 1)(2k + 3)) s**k.
-# Its coefficients k = 1..15, each the float of the exact rational; at
-# |s| <= 0.05/0.95 the first omitted term is below 6e-21 of the leading
-# one, -4 s/5
-_SERIES = (
-    -0.8,  # -4/5
-    0.45714285714285713,  # 16/35
-    -0.31746031746031744,  # -20/63
-    0.24242424242424243,  # 8/33
-    -0.1958041958041958,  # -28/143
-    0.1641025641025641,  # 32/195
-    -0.1411764705882353,  # -12/85
-    0.1238390092879257,  # 40/323
-    -0.11027568922305764,  # -44/399
-    0.09937888198757763,  # 16/161
-    -0.09043478260869565,  # -52/575
-    0.08296296296296296,  # 56/675
-    -0.07662835249042145,  # -20/261
-    0.07119021134593993,  # 64/899
-    -0.06647116324535679,  # -68/1023
-)
+# Its coefficients k = 1..15, each the float of the exact rational (int
+# division rounds correctly); at |s| <= 0.05/0.95 the first omitted term
+# is below 6e-21 of the leading one, -4 s/5
+_SERIES = tuple((-1) ** k * 4 * (k + 2) / ((2 * k + 1) * (2 * k + 3)) for k in range(1, 16))
 
 
 def _bracket_series(c2: float) -> float:

@@ -79,7 +79,10 @@ from pathlib import Path
 # keeps the thermal tail; both warm branches without --a-range over b
 # from 1e-4 to 4e-3, across a_e/32, below which a band gate of 32 left
 # the roots to the grid walk; a warm region-II point and scan at
-# xi = 1e300, whose Gauss-Fermi gate once overflowed with a traceback
+# xi = 1e300, whose Gauss-Fermi gate once overflowed with a traceback;
+# three points at a = 0, where the two roots of the master integrals'
+# denominator coincide: a cold one in subregion A, a cold one whose window
+# lies above xF (csv), and a warm one
 CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2"],
     ["response", "--a", "0.5", "--b", "1.0", "--xf", "1.2", "--format", "csv"],
@@ -160,6 +163,9 @@ CLI_COMMANDS = [
     ["response", "--a", "0.5", "--b", "0.3", "--t", "1", "--xi", "1e300"],
     ["scan", "--a-range", "0.5", "0.6", "2", "--b-range", "0.3", "0.3", "1", "--t", "1",
      "--xi", "1e300"],
+    ["response", "--a", "0", "--b", "0.3", "--xf", "1.5"],
+    ["response", "--a", "0", "--b", "2", "--xf", "1.2", "--format", "csv"],
+    ["response", "--a", "0", "--b", "0.3", "--t", "0.05", "--xi", "1.2"],
 ]
 
 

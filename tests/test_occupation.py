@@ -137,9 +137,6 @@ def test_node_occupations_are_n_fermi_bit_for_bit():
             seen.add((one_term, -1 if u < -700.0 else 1 if u > 700.0 else 0))
     # a two-term state has u >= (1 - |xi|)/t > -40 at every x >= 1
     assert seen == {(o, s) for o in (True, False) for s in (-1, 0, 1)} - {(False, -1)}
-    # at t = 0 the builder is the step, with 0.5 on the Fermi edge
-    ms = MediumState(t=0.0, xi=1.5)
-    assert _n_fermi_nodes(ms)([1.0, 1.2, 1.5, 1.7]) == [1.0, 1.0, 0.5, 0.0]
 
 
 def test_n_fermi_is_the_clipped_two_term_sum():
