@@ -24,8 +24,6 @@ from .kinematics import (
 )
 from .medium_finite_t import ResponseScalars
 from .medium_zero_t import SubregionBoundaryError
-from .nr_oracle import NRPoint, nr_case, nr_im_B
-from .numerics import Bracket, QuadratureResult, find_root_bracketed, integrate_adaptive
 from .occupation import MediumState, n_fermi, x_cutoff
 from .responses import (
     DispersionBranch,
@@ -44,7 +42,6 @@ from .responses import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bracket",
     "DispersionBranch",
     "FermiSurface",
     "GridCell",
@@ -53,9 +50,7 @@ __all__ = [
     "KinematicPoint",
     "LightConeError",
     "MediumState",
-    "NRPoint",
     "PairThresholdError",
-    "QuadratureResult",
     "RegionLabel",
     "ResponseScalars",
     "ResponseTensors",
@@ -67,13 +62,9 @@ __all__ = [
     "derive_point",
     "dispersion",
     "fermi_surface",
-    "find_root_bracketed",
-    "integrate_adaptive",
     "kinematic_window",
     "metamaterial_scan",
     "n_fermi",
-    "nr_case",
-    "nr_im_B",
     "plasma_frequency_estimate",
     "plasma_moments",
     "region_boundaries",

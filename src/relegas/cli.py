@@ -7,7 +7,6 @@ Subcommands:
   metamaterial flag,
 * ``dispersion``  plasmon branches over a b grid -> CSV, including the
   b -> 0 extrapolated plasma frequency,
-* ``nr-scan``     nonrelativistic Lindhard case map -> CSV,
 * ``boundaries``  zero-temperature subregion boundary curves -> CSV.
 
 Inputs are dimensionless by default (energies in units of 2m for a and
@@ -29,7 +28,6 @@ import os
 import sys
 
 from .kinematics import InternalConsistencyError, fermi_surface, region_boundaries
-from .nr_oracle import NRPoint, nr_case, nr_im_B
 from .occupation import FINE_STRUCTURE_DEFAULT, MediumState
 from .responses import (
     GridCell,
@@ -44,6 +42,8 @@ ELECTRON_MASS_EV = 510998.95
 OUTPUT_DIR_ENV = "RELEGAS_OUTPUT_DIR"
 
 SCAN_COLUMNS = GridCell._fields
+# points per grid axis and cells per scan: a cold scan holds ~620 B per cell
+MAX_GRID_POINTS = 10**6
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -74,13 +74,11 @@ def _range_arg(parser: argparse.ArgumentParser, name: str, help_text: str) -> No
 
 def _grid_from_range(rng: list[float], log: bool = False) -> list[float]:
     lo, hi, n_float = rng
-    if not math.isfinite(n_float):
-        raise ValueError(f"grid size {n_float} must be finite")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"grid range {lo} to {hi} must be finite")
+    if not all(map(math.isfinite, rng)):
+        raise ValueError(f"grid range {lo} to {hi} and size {n_float} must be finite")
     n = int(round(n_float))
-    if n < 1:
-        raise ValueError(f"grid size {n_float} must be >= 1")
+    if not 1 <= n <= MAX_GRID_POINTS:
+        raise ValueError(f"grid size {n_float} must be >= 1 and <= {MAX_GRID_POINTS}")
     return _geomspace(lo, hi, n) if log else _linspace(lo, hi, n)
 
 
@@ -136,13 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _medium_args(disp)
     _output_args(disp)
-
-    nr = subs.add_parser("nr-scan", help="nonrelativistic Lindhard case map")
-    _range_arg(nr, "--omega-range", "frequency grid: LO HI N")
-    _range_arg(nr, "--q-range", "momentum grid: LO HI N")
-    nr.add_argument("--pf", type=float, required=True, help="Fermi momentum")
-    nr.add_argument("--alpha", type=float, default=FINE_STRUCTURE_DEFAULT)
-    _output_args(nr)
 
     bnd = subs.add_parser("boundaries", help="T = 0 subregion boundary curves b(a)")
     bnd.add_argument("--xf", type=float, required=True, help="Fermi energy")
@@ -229,6 +220,8 @@ def _cmd_scan(args: argparse.Namespace) -> str:
     scale_ab, _ = _resolve_units(args)
     a_grid = [a / scale_ab for a in _grid_from_range(args.a_range)]
     b_grid = [b / scale_ab for b in _grid_from_range(args.b_range)]
+    if len(a_grid) * len(b_grid) > MAX_GRID_POINTS:
+        raise ValueError(f"a scan of {len(a_grid)} x {len(b_grid)} cells exceeds {MAX_GRID_POINTS}")
     row = functools.partial(_scan_row, ms=_medium_state(args), include_vacuum=not args.no_vacuum)
     cells = [(a, b) for b in b_grid for a in a_grid]
     # the pool may start every worker at once, so never ask for more than
@@ -269,18 +262,6 @@ def _cmd_dispersion(args: argparse.Namespace) -> str:
     return _csv_text(("b", "mode", "root_a", "residual", "im_at_root"), rows)
 
 
-def _cmd_nr_scan(args: argparse.Namespace) -> str:
-    omega_grid = _grid_from_range(args.omega_range)
-    q_grid = _grid_from_range(args.q_range)
-    ms = MediumState(t=0.0, xi=1.0, alpha=args.alpha)
-    rows = []
-    for q in q_grid:
-        for omega in omega_grid:
-            point = NRPoint(omega=omega, q=q, pF=args.pf)
-            rows.append((omega, q, nr_case(point), nr_im_B(point, ms)))
-    return _csv_text(("omega", "q", "case", "im_b"), rows)
-
-
 def _cmd_boundaries(args: argparse.Namespace) -> str:
     fs = fermi_surface(args.xf)
     keys = ("b_plus", "b_minus", "bbar_plus", "bbar_minus", "bprime_plus", "bprime_minus")
@@ -307,7 +288,6 @@ _DISPATCH = {
     "response": _cmd_response,
     "scan": _cmd_scan,
     "dispersion": _cmd_dispersion,
-    "nr-scan": _cmd_nr_scan,
     "boundaries": _cmd_boundaries,
 }
 

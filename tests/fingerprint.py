@@ -110,6 +110,8 @@ CLI_COMMANDS = [
      "--t", "0.05", "--xi", "1.2", "--a-range", "0.003", "0.06"],
     ["dispersion", "--mode", "transverse", "--b-range", "0.0023440953085322224",
      "0.00937638123412889", "3", "--log-b", "--xf", "1.0756775835320047"],
+    # the nr-scan subcommand is gone, so this run exits 2; it keeps index
+    # 18 so that the later indices keep their meaning
     ["nr-scan", "--omega-range", "2e-4", "1.2e-3", "20", "--q-range", "0.01", "0.05", "20",
      "--pf", "0.0316"],
     ["boundaries", "--xf", "1.5", "--a-range", "0", "2", "21"],

@@ -10,7 +10,9 @@ b and c subcases absorb.
 
 The relativistic machinery must reduce to these values under
 a = omega/2, b = q/2, y_F = p_F, which pins the overall normalization
-and sign of the absorptive parts.
+and sign of the absorptive parts.  The reactive part is Lindhard's
+Re(eps - 1) (Lindhard, Kgl. Danske Vid. Selsk. Mat.-Fys. Medd. 28,
+no. 8, 1954).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .occupation import MediumState
+from relegas.occupation import MediumState
 
 
 @dataclass(frozen=True)
@@ -83,3 +85,19 @@ def nr_im_B(p: NRPoint, ms: MediumState) -> float:
         ratio = (p.omega - p.eps_q) ** 2 / (4.0 * eps_f * p.eps_q)
         return e2 * eps_f * (1.0 - ratio) / (2.0 * math.pi * p.q**3)
     return e2 * p.omega / (2.0 * math.pi * p.q**3)
+
+
+def nr_re_eps(p: NRPoint, ms: MediumState) -> float:
+    """Reactive Lindhard value Re(eps - 1) at p (electron-mass units, m = 1).
+
+    With z = q/(2 pF) and u = omega/(q pF) it reads
+    e2 pF/(pi**2 q**2) * [1/2 + sum over +- of
+    (1 - (z +- u)**2) ln|(z +- u + 1)/(z +- u - 1)| / (8 z)];
+    it diverges logarithmically where |z -+ u| = 1.
+    """
+    z = p.q / (2.0 * p.pF)
+    u = p.omega / (p.q * p.pF)
+    bracket = 0.5
+    for s in (z - u, z + u):
+        bracket += (1.0 - s * s) * math.log(abs((s + 1.0) / (s - 1.0))) / (8.0 * z)
+    return ms.e2 * p.pF / (math.pi**2 * p.q**2) * bracket

@@ -48,8 +48,21 @@ prints only the ``EDGE_REFERENCE`` entries of ``test_medium_finite_t.py``
 (they follow ``MPMATH_REFERENCE`` in the full output): B and D at the
 cells of ``edge_cells()``, on both sides of each boundary of the gate
 that sends a Fermi edge to the Gauss-Fermi rule, integrated as
-``MPMATH_REFERENCE`` is, with further panel edges at |xi| +- k t.  It
-needs mpmath; the tests only read the printed values.
+``MPMATH_REFERENCE`` is, with further panel edges at |xi| +- k t.
+
+    python3 tests/make_finite_t_reference.py --compressibility
+
+prints only the ``COMPRESSIBILITY_REFERENCE`` entries of
+``test_responses.py`` (they close the full output): the derivative of the
+charge density, dn/dmu = (1/pi**2) int p**2 [-f'(E - mu) - f'(E + mu)] dp
+with f(u) = 1/(e^(u/t) + 1) and E = sqrt(1 + p**2), at the states
+``(t, xi)`` of ``COMPRESSIBILITY_STATES``.  With x = E it is
+(1/pi**2) int_1^inf x y [g(x - xi) + g(x + xi)] dx, y = sqrt(x**2 - 1)
+and g(u) = -f'(u) = 1/(4 t cosh(u/(2 t))**2), split at |xi| +- k t; the
+kernels of the library play no part.  It is integrated at 30 and at 40
+digits, and the script stops if they disagree beyond 1e-20 relative.
+
+The script needs mpmath; the tests only read the printed values.
 """
 
 from __future__ import annotations
@@ -299,6 +312,34 @@ def print_scalars_reference(points, steps=()) -> None:
         print("    ),", flush=True)
 
 
+# (t, xi): a hot gas, a neutral one, xi < -1, |xi| below the mass shell,
+# a steep Fermi edge (the Gauss-Fermi rule's cell) and a warm one
+COMPRESSIBILITY_STATES = ((5.0, 2.0), (1.0, 0.0), (0.2, -1.1), (0.3, 0.5), (1e-3, 1.5), (0.05, 1.2))
+
+
+def dn_dmu(t: float, xi: float) -> mp.mpf:
+    """dn/dmu of the electron-positron gas at (t, xi), at the working precision."""
+    t, xi = mp.mpf(t), mp.mpf(xi)
+
+    def g(u):
+        return 1 / (4 * t * mp.cosh(u / (2 * t)) ** 2)
+
+    edges = [abs(xi) + s * k * t for k in _EDGE_STEPS for s in (-1, 1)]
+    real = panels(mp.mpf(1), max(mp.mpf(1), abs(xi)) + 60 * t, edges) + [mp.inf]
+    return mp.quad(lambda x: x * mp.sqrt(x * x - 1) * (g(x - xi) + g(x + xi)), real) / mp.pi**2
+
+
+def print_compressibility_reference() -> None:
+    for state in COMPRESSIBILITY_STATES:
+        mp.mp.dps = 40
+        fine = dn_dmu(*state)
+        mp.mp.dps = 30
+        coarse = dn_dmu(*state)
+        if abs(fine - coarse) > mp.mpf("1e-20") * abs(fine):
+            raise SystemExit(f"{state}: dps 30 and 40 disagree: {coarse} vs {fine}")
+        print(f"    {state!r}: {float(fine)!r},")
+
+
 def fermi_odd_moment(k: int) -> mp.mpf:
     """The integral of z**k/(e^z + 1) over [0, inf), (1 - 2**-k) k! zeta(k + 1)."""
     return (1 - mp.mpf(2) ** -k) * mp.factorial(k) * mp.zeta(k + 1)
@@ -352,6 +393,8 @@ def main() -> None:
     print_zero_t_reference()
     print()
     print_gauss_fermi_rule()
+    print()
+    print_compressibility_reference()
 
 
 if __name__ == "__main__":
@@ -361,5 +404,7 @@ if __name__ == "__main__":
         print_gauss_fermi_rule()
     elif sys.argv[1:] == ["--fermi-edge"]:
         print_scalars_reference(edge_cells(), _EDGE_STEPS)
+    elif sys.argv[1:] == ["--compressibility"]:
+        print_compressibility_reference()
     else:
         main()

@@ -29,11 +29,11 @@ from relegas.cli import main
 from relegas.kinematics import RegionLabel, classify_region, kinematic_window, zero_t_subregion
 from relegas.medium_finite_t import im_scalars
 from relegas.medium_zero_t import integrals_Ij, scalars_zero_t
-from relegas.nr_oracle import NRPoint, nr_im_B
 from relegas.numerics import integrate_adaptive
 from relegas.responses import scalars_at, tensors_at
 from relegas.vacuum import c_star
 from conftest import biquadratic, per_node
+from lindhard import NRPoint, nr_im_B
 
 
 def test_criterion_01_zero_t_absorption_matches_quadrature():

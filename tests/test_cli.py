@@ -302,11 +302,9 @@ def test_scan_jobs_capped_by_cells_and_cpus(capsys, monkeypatch, n_a, jobs, cpus
     [
         ["scan", "--a-range", "0.1", "1", "inf", "--b-range", "1.0", "1.2", "2", "--xi", "1.5"],
         ["dispersion", "--b-range", "1e-3", "4e-3", "inf", "--xf", "1.5"],
-        ["nr-scan", "--omega-range", "2e-4", "1.2e-3", "inf", "--q-range", "0.01", "0.05", "2",
-         "--pf", "0.0316"],
         ["boundaries", "--xf", "1.5", "--a-range", "0", "2", "inf"],
     ],
-    ids=["scan", "dispersion", "nr-scan", "boundaries"],
+    ids=["scan", "dispersion", "boundaries"],
 )
 def test_non_finite_grid_size_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -319,17 +317,34 @@ def test_non_finite_grid_size_exits_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["scan", "--a-range", "0.1", "1", "1e18", "--b-range", "1.0", "1.2", "2", "--xi", "1.5"],
+        ["scan", "--a-range", "0.1", "1", "2000", "--b-range", "1.0", "1.2", "1000", "--xi", "1.5"],
+        ["dispersion", "--b-range", "1e-3", "4e-3", "1e18", "--xf", "1.5"],
+        ["boundaries", "--xf", "1.2", "--a-range", "0", "1", "1e18"],
+    ],
+    ids=["scan-axis", "scan-cells", "dispersion", "boundaries"],
+)
+def test_huge_grid_exits_2_before_it_is_built(capsys, argv):
+    # a grid of more than 10**6 points or scan cells is refused before
+    # any list of its points is made
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(10**6) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["scan", "--a-range", "0.1", "nan", "3", "--b-range", "1.0", "1.2", "2", "--xi", "1.5"],
         ["boundaries", "--xf", "1.2", "--a-range", "0.1", "inf", "3"],
         ["dispersion", "--b-range", "1e-3", "inf", "3", "--log-b", "--xf", "1.2"],
-        ["nr-scan", "--omega-range", "2e-4", "1.2e-3", "3", "--q-range", "0.01", "0.05", "2",
-         "--pf", "nan"],
         ["dispersion", "--b-range", "1e-3", "4e-3", "3", "--xf", "1.2", "--a-range", "0.003",
          "inf"],
         ["dispersion", "--b-range", "0", "2e-3", "3", "--xf", "1.2"],
     ],
-    ids=["scan-nan", "boundaries-inf", "dispersion-inf", "nr-scan-pf-nan", "dispersion-a-inf",
-         "dispersion-b-zero"],
+    ids=["scan-nan", "boundaries-inf", "dispersion-inf", "dispersion-a-inf", "dispersion-b-zero"],
 )
 def test_non_finite_range_or_pf_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -494,25 +509,6 @@ def test_consistency_failure_exits_4_without_traceback(capsys):
     assert "Traceback" not in err
     assert err.startswith("error: nu_L composition mismatch")
     assert err.count("\n") == 1
-
-
-def test_nr_scan(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        [
-            "nr-scan",
-            "--omega-range", "0.001", "0.003", "2",
-            "--q-range", "0.1", "0.1", "1",
-            "--pf", "0.3",
-        ],
-    )
-    assert code == 0
-    header, rows = parse_csv(out)
-    assert header == ["omega", "q", "case", "im_b"]
-    assert len(rows) == 2
-    assert rows[0]["case"] == "2c"
-    e2 = MediumState(t=0.0, xi=1.0).e2
-    assert rel_err(float(rows[0]["im_b"]), e2 * 0.001 / (2.0 * math.pi * 1e-3)) < 1e-14
 
 
 def test_boundaries_csv(capsys):

@@ -2,10 +2,12 @@ import math
 
 import pytest
 
-from relegas import MediumState, NRPoint, nr_case, nr_im_B
+from relegas import MediumState
 from relegas.medium_zero_t import scalars_zero_t
+from relegas.responses import scalars_at
 from relegas.kinematics import derive_point, fermi_surface
 from conftest import rel_err
+from lindhard import NRPoint, nr_case, nr_im_B, nr_re_eps
 
 MS = MediumState(t=0.0, xi=1.5)
 
@@ -72,3 +74,40 @@ def test_relativistic_limit_reduces_to_lindhard():
             continue
         rel = scalars_zero_t(derive_point(0.5 * omega, 0.5 * q), ms).B.imag
         assert rel_err(rel, nr) < 2e-2
+
+
+def test_zero_t_eps_L_reduces_to_lindhard_at_order_yF2():
+    # eps_L - 1 = -(c2/b**2) B of the medium at a = omega/2, b = q/2 against
+    # Lindhard's eps - 1, both parts measured on the scale e2 yF/(pi**2 q**2)
+    # of the static screening: the relativistic corrections are O(yF**2).
+    # A 25 x 25 grid, q in [0.05, 2.45] yF and omega in [0.001, 0.061] yF,
+    # without the points within 0.05 of the log singularities
+    # |z -+ u| = 1 (z = q/(2 yF), u = omega/(q yF)), where a shift of the
+    # edges by O(yF**2) moves the real part without bound.  The imaginary
+    # part is compared in subregion B only: subregion A's Im B misses the
+    # occupation above the window by O(yF**2) of its own (the region-I
+    # Im B defect)
+    for xf in (1.0005, 1.0002, 1.00005):
+        y_f = fermi_surface(xf).yF
+        ms = MediumState(t=0.0, xi=xf)
+        worst_re = worst_im = 0.0
+        compared = absorbing = 0
+        for i in range(25):
+            q = (0.05 + 0.1 * i) * y_f
+            for j in range(25):
+                omega = (0.001 + 0.0025 * j) * y_f
+                z, u = q / (2.0 * y_f), omega / (q * y_f)
+                if min(abs(abs(z - u) - 1.0), abs(abs(z + u) - 1.0)) < 0.05:
+                    continue
+                p, _, sub, s = scalars_at(0.5 * omega, 0.5 * q, ms, include_vacuum=False)
+                eps = -(p.c2 / p.b**2) * s.B
+                nr = NRPoint(omega=omega, q=q, pF=y_f)
+                scale = ms.e2 * y_f / (math.pi**2 * q * q) * y_f**2
+                worst_re = max(worst_re, abs(eps.real - nr_re_eps(nr, ms)) / scale)
+                compared += 1
+                if sub.label == "B":
+                    worst_im = max(worst_im, abs(eps.imag - nr_im_B(nr, ms)) / scale)
+                    absorbing += 1
+        assert compared >= 580 and absorbing >= 180
+        assert worst_re < 4.0
+        assert worst_im < 8.0

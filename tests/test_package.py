@@ -2,13 +2,16 @@
 
 Helpers that only tests or the benchmark's tracer reach stay public in
 their modules (relegas.vacuum.c_star, relegas.medium_zero_t.integrals_Ij,
-...), not in the package namespace.
+the quadrature and root engines of relegas.numerics, ...), not in the
+package namespace.  The nonrelativistic Lindhard oracle is a test module,
+tests/lindhard.py, and no part of the package.
 """
+
+import importlib.util
 
 import relegas
 
 PACKAGE_NAMES = {
-    "Bracket",
     "DispersionBranch",
     "FermiSurface",
     "GridCell",
@@ -17,9 +20,7 @@ PACKAGE_NAMES = {
     "KinematicPoint",
     "LightConeError",
     "MediumState",
-    "NRPoint",
     "PairThresholdError",
-    "QuadratureResult",
     "RegionLabel",
     "ResponseScalars",
     "ResponseTensors",
@@ -31,13 +32,9 @@ PACKAGE_NAMES = {
     "derive_point",
     "dispersion",
     "fermi_surface",
-    "find_root_bracketed",
-    "integrate_adaptive",
     "kinematic_window",
     "metamaterial_scan",
     "n_fermi",
-    "nr_case",
-    "nr_im_B",
     "plasma_frequency_estimate",
     "plasma_moments",
     "region_boundaries",
@@ -50,7 +47,8 @@ PACKAGE_NAMES = {
 
 
 def test_package_exports_the_paper_quantities():
-    assert len(relegas.__all__) == len(PACKAGE_NAMES) == 38
+    assert len(relegas.__all__) == len(PACKAGE_NAMES) == 31
     assert set(relegas.__all__) == PACKAGE_NAMES
     for name in relegas.__all__:
         assert hasattr(relegas, name), name
+    assert importlib.util.find_spec("relegas.nr_oracle") is None

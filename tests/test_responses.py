@@ -531,6 +531,36 @@ def test_zero_t_plasma_moments_match_quadrature():
             assert rel_err(g, w) < 1e-12, (xf, got)
 
 
+# dn/dmu at (t, xi), from tests/make_finite_t_reference.py --compressibility
+COMPRESSIBILITY_REFERENCE = {
+    (5.0, 2.0): 8.688153509550125,
+    (1.0, 0.0): 0.2875943451845755,
+    (0.2, -1.1): 0.07198329026434887,
+    (0.3, 0.5): 0.02017287672471575,
+    (0.001, 1.5): 0.169921058964935,
+    (0.05, 1.2): 0.08015264967048795,
+}
+
+
+def test_compressibility_sum_rule_at_every_temperature():
+    # at a = 0 without the vacuum term Re eps_L - 1 = Re B, and
+    # 4 b**2 Re B tends to e2 dn/dmu as b -> 0, with a b**2 correction
+    # that the extrapolation from b = 4e-3 and 2e-3 removes.  dn/dmu is
+    # xF yF/pi**2 at t = 0 and a quadrature over the Fermi factors' slope
+    # at t > 0, which shares no code with the kernels, the tail map or the
+    # Gauss-Fermi rule (the Fermi edge of (1e-3, 1.5) is its cell)
+    oracle = {MediumState(t=t, xi=xi): v for (t, xi), v in COMPRESSIBILITY_REFERENCE.items()}
+    for xf in (1.2, 3.0):
+        cold = MediumState(t=0.0, xi=xf)
+        oracle[cold] = xf * cold.fermi_surface.yF / math.pi**2
+    for ms, dn_dmu in oracle.items():
+        v = {b: 4.0 * b * b * scalars_at(0.0, b, ms, include_vacuum=False)[3].B.real
+             for b in (4e-3, 2e-3)}
+        limit = (4.0 * v[2e-3] - v[4e-3]) / 3.0
+        # measured 3.8e-10, at (1e-3, 1.5)
+        assert rel_err(limit, ms.e2 * dn_dmu) < 1e-8, ms
+
+
 def test_longitudinal_dispersion_root():
     ms = MediumState(t=0.0, xi=1.2)
     a_e = plasma_frequency_estimate(ms)
