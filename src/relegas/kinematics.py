@@ -160,12 +160,18 @@ def derive_point(a: float, b: float) -> KinematicPoint:
 def classify_region(p: KinematicPoint) -> RegionLabel:
     """Classify a point into region I, II or III of the (a, b) plane.
 
-    Refuses a point on the light cone or the pair threshold, and a NaN c2
-    (which a KinematicPoint built by hand can carry).
+    The one place that refuses a point the formulas cannot take: on the
+    light cone, on the pair threshold, with |c2| at or above 2**50, or
+    with a NaN c2 (which a KinematicPoint built by hand can carry).
     """
     c2 = p.c2
-    if abs(c2) < LIGHT_CONE_CUT:
-        raise LightConeError(f"|c2| = {abs(c2):.3e} is on the light cone")
+    abs_c2 = abs(c2)
+    if abs_c2 < LIGHT_CONE_CUT:
+        raise LightConeError(f"|c2| = {abs_c2:.3e} is on the light cone")
+    if abs_c2 >= _MAX_ABS_C2:
+        raise InvalidPointError(
+            f"(a, b) = ({p.a}, {p.b}) is too large: |c2| = {abs_c2:.3e} is not below 2**50"
+        )
     if abs(c2 - 1.0) <= PAIR_THRESHOLD_CUT:
         raise PairThresholdError(
             f"c2 = {c2!r} sits on the pair-creation threshold c2 = 1"

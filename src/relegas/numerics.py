@@ -30,10 +30,11 @@ The integrand is called once per level of one panel, as f(xs, ws), with
 the nodes that level adds and their weights (all positive).  Every node
 of one call lies strictly inside the same panel, between two consecutive
 breakpoints, so a test that is constant on a panel can be made once per
-call.  f returns the weighted sum of its values over the nodes, a float,
-or a tuple of floats whose components share the nodes and must each meet
-the tolerance.  Summed in node order, as sum(map(mul, ws, values)) adds
-them on CPython 3.11, the result is that of a per-node integrand.
+call.  f returns the weighted sums of its values over the nodes as a
+tuple of floats, one per component; the components share the nodes and
+must each meet the tolerance.  Summed in node order, as
+sum(map(mul, ws, values)) adds them on CPython 3.11, the result is that
+of a per-node integrand.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ _EDGE_MIN = 2.0**-64
 _TINY = sys.float_info.min
 # floor on the extrapolated log10(error/|value|): about one ulp
 _LOG_FLOOR = -15.5
+# find_root_bracketed stops once its bracket is below this, relative to max(1, |x|)
+_X_TOL = 1e-12
 
 
 def _level_table(level: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -94,25 +97,24 @@ _BOTH_SIDES = tuple(
     ws + ws + ((0.5 * math.pi,) if k == 0 else ()) for k, (_, ws) in enumerate(_TABLES)
 )
 
-Value = float | tuple[float, ...]
-# f(xs, ws) -> the weighted sum of f over the nodes xs of one panel
-Integrand = Callable[[list[float], Sequence[float]], Value]
+# f(xs, ws) -> the weighted sums of f's components over the nodes xs of one panel
+Integrand = Callable[[list[float], Sequence[float]], tuple[float, ...]]
 
 
 class QuadratureResult(NamedTuple):
     """Outcome of an adaptive integration.
 
     value is the best estimate, error_estimate the summed panel error
-    (both tuples, one entry per component, for a tuple-valued
-    integrand), evaluations the number of nodes evaluated, and converged
-    tells whether error_estimate met the requested tolerance.  A panel's
+    (both tuples, one entry per component), evaluations the number of
+    nodes evaluated, and converged tells whether error_estimate met the
+    requested tolerance.  A panel's
     error is extrapolated from its last three levels where they converge
     quadratically, and is the difference of its last two levels
     otherwise (see the module docstring).
     """
 
-    value: Value
-    error_estimate: Value
+    value: tuple[float, ...]
+    error_estimate: tuple[float, ...]
     evaluations: int
     converged: bool
 
@@ -127,14 +129,13 @@ class Bracket(NamedTuple):
 class _Panel:
     """Running tanh-sinh sums over one panel [lo, hi], lo < (lo+hi)/2 < hi."""
 
-    __slots__ = ("lo", "hi", "half", "level", "vector", "sums", "value", "previous", "error")
+    __slots__ = ("lo", "hi", "half", "level", "sums", "value", "previous", "error")
 
     def __init__(self, lo: float, hi: float) -> None:
         self.lo = lo
         self.hi = hi
         self.half = 0.5 * (hi - lo)
         self.level = -1
-        self.vector = False
         self.sums: list[float] = []
         self.value: list[float] = []
         self.previous: list[float] = []
@@ -169,10 +170,6 @@ class _Panel:
                 xs.append(lo + half)
             news.append(f(xs, weights) if xs else None)
             nodes.append(xs)
-        if first == 0:  # the centre is always evaluated
-            self.vector = isinstance(news[0], tuple)
-        if not self.vector:
-            news = [None if n is None else (n,) for n in news]
         sums = self.sums
         # the values of levels upto - 2, upto - 1 and upto, oldest first
         values = [self.previous, self.value]
@@ -213,8 +210,7 @@ class _Panel:
 def _raise_nonfinite(f: Integrand, xs: list[float]) -> None:
     # the error path only: find the culprit one node at a time
     for x in xs:
-        v = f([x], [1.0])
-        for c in v if isinstance(v, tuple) else (v,):
+        for c in f([x], [1.0]):
             if not math.isfinite(c):
                 raise ValueError(f"integrand returned {c} at x = {x}")
     raise ValueError(f"integrand sum overflowed on the panel holding x = {xs[0]}")
@@ -233,13 +229,12 @@ def integrate_adaptive(
     ----------
     f : callable
         f(xs, ws) gets the nodes xs that one level adds to one panel and
-        their weights ws, and returns sum(w * f(x)) over them, added in
-        node order: a float, or a tuple of floats of fixed length
-        (integrands that share the nodes; value and error_estimate are
-        then tuples too).  All nodes of one call lie strictly inside one
-        panel.  Sums must be finite: on NaN/inf, f is called again on
-        each node alone, as f([x], [1.0]), and ValueError names the
-        offending abscissa.
+        their weights ws, and returns the tuple of sum(w * f_k(x)) over
+        them, one per component f_k, added in node order; its length is
+        fixed, and value and error_estimate are tuples of that length.
+        All nodes of one call lie strictly inside one panel.  Sums must
+        be finite: on NaN/inf, f is called again on each node alone, as
+        f([x], [1.0]), and ValueError names the offending abscissa.
     breakpoints : sequence of float
         Abscissae (singularities, kinks, discontinuities) that become
         panel boundaries; they are never passed to f.
@@ -258,8 +253,8 @@ def integrate_adaptive(
     any evaluation.
     Finite breakpoints outside [lo, hi] are ignored.  Where no panel
     (between lo, the breakpoints and hi) has a double inside it, f is never
-    called: evaluations is 0, and value and error_estimate are the float
-    0.0 even for a tuple-valued f, whose callers test evaluations first.
+    called: evaluations is 0, and value and error_estimate are (), so
+    callers test evaluations first.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and all(map(math.isfinite, breakpoints))):
         raise ValueError(f"limits [{lo}, {hi}] and breakpoints {list(breakpoints)} must be finite")
@@ -275,14 +270,16 @@ def integrate_adaptive(
     # a panel without an interior double holds no node and contributes 0
     panels = [_Panel(a, b) for a, b in zip(edges[:-1], edges[1:]) if a < 0.5 * (a + b) < b]
     if not panels:
-        return QuadratureResult(0.0, 0.0, 0, True)
+        return QuadratureResult((), (), 0, True)
 
     evals = 0
     for panel in panels:
         evals += panel.refine(f, _MIN_LEVEL)
     while True:
+        # fsum for both: the builtin sum of floats rounds differently from
+        # CPython 3.12 on, which would move convergence and refinement order
         value = [math.fsum(c) for c in zip(*(pn.value for pn in panels))]
-        error = [sum(c) for c in zip(*(pn.error for pn in panels))]
+        error = [math.fsum(c) for c in zip(*(pn.error for pn in panels))]
         tol = [max(rel_tol * abs(v), _TINY) for v in value]
         converged = all(map(operator.le, error, tol))
         if converged:
@@ -299,9 +296,7 @@ def integrate_adaptive(
         if worst is None:
             break
         evals += worst.refine(f, worst.level + 1)
-    if panels[0].vector:
-        return QuadratureResult(tuple(value), tuple(error), evals, converged)
-    return QuadratureResult(value[0], error[0], evals, converged)
+    return QuadratureResult(tuple(value), tuple(error), evals, converged)
 
 
 def _warn_skipped(n_bad: int) -> None:
@@ -334,13 +329,11 @@ def scan_sign_changes(
     return brackets
 
 
-def find_root_bracketed(
-    g: Callable[[float], float], br: Bracket, x_tol: float = 1e-12
-) -> float:
+def find_root_bracketed(g: Callable[[float], float], br: Bracket) -> float:
     """Brent's method on a sign-changing bracket.
 
     The iterate never leaves [br.lo, br.hi].  Convergence is declared
-    when the interval shrinks below x_tol * max(1, |x|).
+    when the interval shrinks below _X_TOL * max(1, |x|), _X_TOL = 1e-12.
     """
     a, b = br.lo, br.hi
     fa, fb = g(a), g(b)
@@ -359,7 +352,7 @@ def find_root_bracketed(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 0.5 * x_tol * max(1.0, abs(b))
+        tol1 = 0.5 * _X_TOL * max(1.0, abs(b))
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b

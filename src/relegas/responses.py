@@ -15,7 +15,6 @@ from bisect import bisect_left, bisect_right
 from typing import Callable, NamedTuple, Sequence
 
 from .kinematics import (
-    _MAX_ABS_C2,
     LIGHT_CONE_CUT,
     PAIR_THRESHOLD_CUT,
     InternalConsistencyError,
@@ -105,10 +104,6 @@ def _evaluate(
     They are floats in region II and complex elsewhere (_scalars).
     """
     p = derive_point(a, b)
-    if not abs(p.c2) < _MAX_ABS_C2:
-        raise InvalidPointError(
-            f"(a, b) = ({a}, {b}) is too large: |c2| = {abs(p.c2):.3e} is not below 2**50"
-        )
     region = classify_region(p)
     if ms.is_degenerate:
         sub, parts = _zero_t_parts(p, ms, region)

@@ -10,32 +10,13 @@ creation opens up.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
-from .kinematics import (
-    _MAX_ABS_C2,
-    LIGHT_CONE_CUT,
-    PAIR_THRESHOLD_CUT,
-    InvalidPointError,
-    LightConeError,
-    PairThresholdError,
-)
+from .kinematics import _MAX_ABS_C2, InvalidPointError, KinematicPoint, classify_region
 from .occupation import MediumState
 
 # below this |c2| the closed form loses digits to cancellation and a
 # series in s = c2/(1 - c2) takes over
 _SERIES_SWITCH = 0.05
-
-
-class VacuumScalar(NamedTuple):
-    """Value of the vacuum scalar together with its analytic branch.
-
-    branch is "spacelike" (c2 < 0), "subthreshold" (0 < c2 < 1) or
-    "above_threshold" (c2 > 1, complex value).
-    """
-
-    value: complex
-    branch: str
 
 
 # bracket = 1/3 + 2*(1 + 1/(2 c2))*(h*arccot(h) - 1) expanded about
@@ -57,12 +38,12 @@ def _bracket_series(c2: float) -> float:
 
 
 def _vacuum_value(c2: float, ms: MediumState) -> float | complex:
-    """The value of c_star(c2, ms), without its branch label and unchecked.
+    """The value of c_star(c2, ms), unchecked.
 
     A float below the pair threshold (c2 < 1), where the value is real,
-    and a complex above it.  The caller has refused a c2 that is not
-    finite, on the light cone or on the pair threshold: c_star by its own
-    checks, the response path by derive_point and classify_region.
+    and a complex above it.  The caller has refused c2 by classify_region:
+    c_star through a point that carries only c2, the response path
+    through the point it evaluates.
     """
     pref = ms._vacuum_pref
     if abs(c2) <= _SERIES_SWITCH:
@@ -83,22 +64,15 @@ def _vacuum_value(c2: float, ms: MediumState) -> float | complex:
     return pref * complex(bracket, -math.pi * kappa * u)
 
 
-def c_star(c2: float, ms: MediumState) -> VacuumScalar:
+def c_star(c2: float, ms: MediumState) -> complex:
     """Vacuum polarization scalar at squared invariant c2.
 
-    Requires |c2| >= 1e-9 (off the light cone), |c2 - 1| > 1e-12 (off
-    the pair threshold) and |c2| < 2**50 (where the closed form still
-    resolves k - 1).  The prefactor is -e2/(12 pi**2); above threshold
-    the imaginary part is positive, as passivity demands.
+    Refuses |c2| >= 2**50 (where the closed form no longer resolves
+    k - 1), and else what classify_region refuses: a c2 on the light
+    cone, on the pair threshold, or NaN.  The prefactor is -e2/(12 pi**2); above threshold the imaginary part is
+    positive, as passivity demands.
     """
     if abs(c2) >= _MAX_ABS_C2:
         raise InvalidPointError(f"|c2| = {abs(c2):.3e} is too large: it is not below 2**50")
-    if not math.isfinite(c2):
-        raise ValueError(f"c2 = {c2} must be finite")
-    if abs(c2) < LIGHT_CONE_CUT:
-        raise LightConeError(f"|c2| = {abs(c2):.3e} is on the light cone")
-    if abs(c2 - 1.0) <= PAIR_THRESHOLD_CUT:
-        raise PairThresholdError(f"c2 = {c2!r} sits on the pair threshold")
-    value = complex(_vacuum_value(c2, ms))
-    branch = "spacelike" if c2 < 0.0 else "subthreshold" if c2 < 1.0 else "above_threshold"
-    return VacuumScalar(value, branch)
+    classify_region(KinematicPoint(math.nan, math.nan, c2, math.nan, math.nan))
+    return complex(_vacuum_value(c2, ms))

@@ -44,13 +44,14 @@ def per_node(f):
 
     The engine calls its integrand once per level with nodes xs and
     weights ws; this evaluates f at each node and returns the weighted
-    sum of each component, added in node order.
+    sum of each component, added in node order, as a tuple: a 1-tuple
+    for a float-valued f.
     """
 
     def level(xs, ws):
         vals = [f(x) for x in xs]
         if isinstance(vals[0], tuple):
             return tuple(sum(map(mul, ws, col)) for col in zip(*vals))
-        return sum(map(mul, ws, vals))
+        return (sum(map(mul, ws, vals)),)
 
     return level

@@ -101,6 +101,36 @@ def test_nan_c2_rejected():
         scalars_zero_t(p, MediumState(t=0.0, xi=1.2))
 
 
+@pytest.mark.parametrize("a", [1e8, 1e20])
+def test_classify_region_refuses_huge_c2_for_every_caller(a):
+    # classify_region is the one owner of the |c2| < 2**50 bound: every
+    # public path that takes a point or (a, b) refuses with its text, the
+    # t = 0 closed forms included, which lose Re C or fail out there
+    from relegas import MediumState, scalars_at, tensors_at
+    from relegas.medium_finite_t import im_scalars, re_scalars
+    from relegas.medium_zero_t import scalars_zero_t
+    from relegas.responses import evaluate_cell
+
+    cold, warm = MediumState(t=0.0, xi=1.2), MediumState(t=0.05, xi=1.2)
+    p = derive_point(a, 1.0)
+    text = f"(a, b) = ({a}, 1.0) is too large: |c2| = {abs(p.c2):.3e} is not below 2**50"
+    refusals = [
+        lambda: classify_region(p),
+        lambda: zero_t_subregion(p, fermi_surface(1.2)),
+        lambda: scalars_zero_t(p, cold),
+        lambda: re_scalars(p, warm),
+        lambda: im_scalars(p, warm),
+    ]
+    for ms in (cold, warm):
+        refusals += [lambda ms=ms: scalars_at(a, 1.0, ms), lambda ms=ms: tensors_at(a, 1.0, ms)]
+    for call in refusals:
+        with pytest.raises(InvalidPointError) as err:
+            call()
+        assert str(err.value) == text
+    for ms in (cold, warm):
+        assert evaluate_cell(a, 1.0, ms).reason == text
+
+
 def test_region_sign_matches_exact_rationals():
     # the float classification must agree with exact rational arithmetic
     rng = random.Random(20240817)

@@ -546,8 +546,8 @@ def test_cutoff_tail_is_negligible():
     def tail(x: float) -> float:
         return n_fermi(x, ms) * abs(r1(x, p))
 
-    bulk = integrate_adaptive(per_node(tail), 1.0, hi, rel_tol=1e-10).value
-    beyond = integrate_adaptive(per_node(tail), hi, hi + 200.0 * ms.t, rel_tol=1e-8).value
+    bulk = integrate_adaptive(per_node(tail), 1.0, hi, rel_tol=1e-10).value[0]
+    beyond = integrate_adaptive(per_node(tail), hi, hi + 200.0 * ms.t, rel_tol=1e-8).value[0]
     assert beyond <= 1e-16 * bulk
 
 

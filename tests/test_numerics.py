@@ -17,14 +17,14 @@ from conftest import per_node
 
 def test_polynomial_exact_single_panel():
     res = integrate_adaptive(per_node(lambda x: x**3 - 2.0 * x + 1.0), 0.0, 2.0)
-    assert abs(res.value - 2.0) < 1e-14
+    assert abs(res.value[0] - 2.0) < 1e-14
     assert res.evaluations <= PANEL_BUDGET
     assert res.converged
 
 
 def test_log_endpoint_singularity():
     res = integrate_adaptive(per_node(math.log), 0.0, 1.0, rel_tol=1e-12)
-    assert abs(res.value + 1.0) < 1e-12
+    assert abs(res.value[0] + 1.0) < 1e-12
     assert res.converged
 
 
@@ -32,13 +32,13 @@ def test_sqrt_kernel_closed_form():
     # int_1^3 sqrt(x^2-1) dx = [x sqrt(x^2-1) - log(x + sqrt(x^2-1))]/2
     want = 0.5 * (3.0 * math.sqrt(8.0) - math.log(3.0 + math.sqrt(8.0)))
     res = integrate_adaptive(per_node(lambda x: math.sqrt(max(x * x - 1.0, 0.0))), 1.0, 3.0)
-    assert abs(res.value - want) < 1e-12 * want
+    assert abs(res.value[0] - want) < 1e-12 * want
 
 
 def test_breakpoints_are_never_evaluated():
     # refinement drives the nodes hugging the breakpoint down to ulp
     # distance; even then the singular abscissa must never be handed to f,
-    # whether f returns a float or a tuple
+    # whether f has one component or two
     def f(x: float) -> float:
         assert x != 1.5
         return 1.0 / math.sqrt(abs(x - 1.5))
@@ -47,25 +47,26 @@ def test_breakpoints_are_never_evaluated():
         return f(x), x
 
     res = integrate_adaptive(per_node(f), 0.0, 3.0, breakpoints=(1.5,), rel_tol=1e-10)
-    assert abs(res.value - 4.0 * math.sqrt(1.5)) < 1e-6
+    assert abs(res.value[0] - 4.0 * math.sqrt(1.5)) < 1e-6
     res = integrate_adaptive(per_node(pair), 0.0, 3.0, breakpoints=(1.5,), rel_tol=1e-10)
     assert abs(res.value[0] - 4.0 * math.sqrt(1.5)) < 1e-6
     assert abs(res.value[1] - 4.5) < 1e-12
 
 
-@pytest.mark.parametrize("vector", [False, True], ids=["float", "tuple"])
-def test_each_call_is_one_level_of_one_panel(vector):
+@pytest.mark.parametrize("pair", [False, True], ids=["float", "tuple"])
+def test_each_call_is_one_level_of_one_panel(pair):
     # the integrand gets one level of one panel per call: nodes strictly
     # between two consecutive edges, positive weights, and node counts
     # that add up to evaluations.  The panel next to 1.5 is 2**-50 wide,
-    # so most of its offsets round onto its edges.
+    # so most of its offsets round onto its edges.  f returns one float
+    # component, or a pair.
     calls = []
 
     def f(xs, ws):
         calls.append((xs, ws))
         vals = [1.0 / math.sqrt(abs(x - 1.5)) + math.log(abs(x - 2.5)) for x in xs]
         total = sum(map(mul, ws, vals))
-        return (total, sum(ws)) if vector else total
+        return (total, sum(ws)) if pair else (total,)
 
     thin = 1.5 + 2.0**-50
     res = integrate_adaptive(f, 0.0, 3.0, breakpoints=(2.5, thin, 1.5, -1.0, 4.0), rel_tol=1e-12)
@@ -91,7 +92,7 @@ def test_every_panel_opens_at_level_two():
 
     def f(xs, ws):
         calls[xs[0] < 1e-9].append(len(xs))
-        return sum(ws)
+        return (sum(ws),)
 
     res = integrate_adaptive(f, 0.0, 1.0, breakpoints=(1e-9,))
     assert calls[True][:3] == calls[False][:3] == [13, 13, 26]
@@ -121,7 +122,7 @@ def test_invalid_rel_tol_is_refused(rel_tol):
 
 def test_breakpoints_outside_range_ignored():
     res = integrate_adaptive(per_node(lambda x: x), 0.0, 1.0, breakpoints=(-1.0, 2.0))
-    assert abs(res.value - 0.5) < 1e-15
+    assert abs(res.value[0] - 0.5) < 1e-15
 
 
 def test_nan_is_reported_with_location():
@@ -142,8 +143,8 @@ def test_requested_tolerance_is_met():
     want = math.sin(37.0) / 37.0 - math.sin(0.0)
     # clean oscillatory integrand: int_0^1 cos(37x) dx
     res = integrate_adaptive(per_node(lambda x: math.cos(37.0 * x)), 0.0, 1.0, rel_tol=1e-13)
-    assert abs(res.value - want) <= 1e-12 * abs(want) + 1e-15
-    assert res.error_estimate <= 1e-10 * abs(want) + 1e-15
+    assert abs(res.value[0] - want) <= 1e-12 * abs(want) + 1e-15
+    assert res.error_estimate[0] <= 1e-10 * abs(want) + 1e-15
 
 
 def test_reversed_limits_are_refused():
@@ -155,7 +156,7 @@ def test_reversed_limits_are_refused():
 
 def test_empty_range_is_zero():
     res = integrate_adaptive(per_node(math.exp), 1.0, 1.0)
-    assert res.value == 0.0
+    assert res.value == ()
 
 
 @pytest.mark.parametrize(
@@ -165,14 +166,13 @@ def test_empty_range_is_zero():
     ids=["point", "one-ulp", "two-one-ulp-panels"],
 )
 def test_empty_domain_never_calls_f(lo, hi, breakpoints):
-    # no panel holds an interior double: f is never called, and value is
-    # the float 0.0 even for a tuple-valued integrand
+    # no panel holds an interior double: f is never called, and value and
+    # error_estimate are empty tuples
     def f(xs, ws):
         raise AssertionError("f called on an empty domain")
 
     res = integrate_adaptive(f, lo, hi, breakpoints=breakpoints)
-    assert res == (0.0, 0.0, 0, True)
-    assert type(res.value) is float
+    assert res == ((), (), 0, True)
 
 
 def test_scan_finds_sine_roots():
@@ -230,7 +230,7 @@ def test_brent_cosine_root():
         seen.append(x)
         return math.cos(x)
 
-    root = find_root_bracketed(g, Bracket(1.0, 2.0), x_tol=1e-14)
+    root = find_root_bracketed(g, Bracket(1.0, 2.0))
     assert abs(root - math.pi / 2.0) < 1e-12
     for x in seen:
         assert 1.0 <= x <= 2.0
@@ -299,5 +299,5 @@ def test_converged_error_is_within_tolerance(rel_tol):
         res = integrate_adaptive(per_node(f), lo, hi, breakpoints=breakpoints, rel_tol=rel_tol)
         if res.converged:
             n_converged += 1
-            assert abs(res.value - want) <= rel_tol * abs(want), name
+            assert abs(res.value[0] - want) <= rel_tol * abs(want), name
     assert n_converged >= 10

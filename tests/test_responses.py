@@ -62,7 +62,7 @@ def test_longitudinal_composition():
     # eps_L = 1 + C - (c2/b2) B, checked against independently frozen parts
     ms = MediumState(t=0.0, xi=3.0)
     _, _, _, tens = tensors_at(0.5, 1.0, ms)
-    want = 1.0 + c_star(-0.75, ms).value - (-0.75) * complex(
+    want = 1.0 + c_star(-0.75, ms) - (-0.75) * complex(
         0.014871462960141515, 0.007769714766724586
     )
     assert abs(tens.eps_L - want) <= 1e-9 * abs(want)
@@ -216,7 +216,7 @@ def test_region_two_is_built_on_floats():
                 complex_path = responses._assemble(tuple(map(complex, s)), p)
                 assert repr(tuple(public_t)) == repr(complex_path)
                 assert repr(public_t) == repr(assemble(s, p))
-                vacuum = c_star(p.c2, ms).value
+                vacuum = c_star(p.c2, ms)
                 assert type(vacuum) is complex and _is_plus_zero(vacuum.imag)
                 if vac:
                     assert vacuum.real == s[3]
@@ -402,7 +402,7 @@ def test_empty_sea_is_transparent():
 def test_vacuum_toggle():
     _, _, _, without = tensors_at(0.5, 1.0, COLD, include_vacuum=False)
     _, _, _, with_vac = tensors_at(0.5, 1.0, COLD, include_vacuum=True)
-    c = c_star(-0.75, COLD).value
+    c = c_star(-0.75, COLD)
     assert abs((with_vac.eps_L - without.eps_L) - c) < 1e-12
     assert with_vac.eps_L != without.eps_L
 

@@ -85,22 +85,17 @@ SERIES_REFERENCE = {
 def test_frozen_values_below_threshold():
     for c2, want in REAL_TABLE.items():
         got = c_star(c2, MS)
-        assert rel_err(got.value.real, want) < 1e-12
-        assert got.value.imag == 0.0
+        assert type(got) is complex
+        assert rel_err(got.real, want) < 1e-12
+        assert got.imag == 0.0
 
 
 def test_frozen_values_above_threshold():
     for c2, (wr, wi) in COMPLEX_TABLE.items():
         got = c_star(c2, MS)
-        assert rel_err(got.value.real, wr) < 1e-12
-        assert rel_err(got.value.imag, wi) < 1e-12
-        assert got.value.imag > 0.0
-
-
-def test_branch_labels():
-    assert c_star(-2.0, MS).branch == "spacelike"
-    assert c_star(0.5, MS).branch == "subthreshold"
-    assert c_star(3.0, MS).branch == "above_threshold"
+        assert rel_err(got.real, wr) < 1e-12
+        assert rel_err(got.imag, wi) < 1e-12
+        assert got.imag > 0.0
 
 
 def test_series_matches_closed_form_at_switchover():
@@ -108,15 +103,15 @@ def test_series_matches_closed_form_at_switchover():
     # the jump there is closed-form roundoff (the h*atan/h*atanh brackets
     # lose ~7 digits to cancellation at small |c2|)
     for c2 in (0.05, -0.05):
-        inside = c_star(c2 * (1.0 - 1e-9), MS).value.real
-        outside = c_star(c2 * (1.0 + 1e-9), MS).value.real
+        inside = c_star(c2 * (1.0 - 1e-9), MS).real
+        outside = c_star(c2 * (1.0 + 1e-9), MS).real
         assert rel_err(inside, outside) < 1e-7
 
 
 def test_zero_argument_limit():
     # smallest arguments the light-cone cut admits
-    assert abs(c_star(1e-8, MS).value) < 1e-10
-    assert abs(c_star(-1e-8, MS).value) < 1e-10
+    assert abs(c_star(1e-8, MS)) < 1e-10
+    assert abs(c_star(-1e-8, MS)) < 1e-10
     with pytest.raises(LightConeError):
         c_star(1e-12, MS)
 
@@ -124,7 +119,7 @@ def test_zero_argument_limit():
 def test_monotone_on_spacelike_side():
     rng = random.Random(5)
     pts = sorted(-(10.0 ** rng.uniform(-3, 1.5)) for _ in range(40))
-    vals = [c_star(c2, MS).value.real for c2 in pts]
+    vals = [c_star(c2, MS).real for c2 in pts]
     for lo, hi in zip(vals, vals[1:]):
         assert lo < hi  # increases toward c2 -> 0^-
     assert all(v < 0.0 for v in vals)
@@ -132,7 +127,7 @@ def test_monotone_on_spacelike_side():
 
 def test_threshold_limit():
     want = 2.0 * MS.e2 / (9.0 * math.pi**2)
-    assert rel_err(c_star(1.0 - 1e-10, MS).value.real, want) < 1e-4
+    assert rel_err(c_star(1.0 - 1e-10, MS).real, want) < 1e-4
 
 
 def test_cut_arguments_rejected():
@@ -140,23 +135,27 @@ def test_cut_arguments_rejected():
         c_star(0.0, MS)
     with pytest.raises(PairThresholdError):
         c_star(1.0, MS)
+    with pytest.raises(InvalidPointError, match="must be finite"):
+        c_star(math.nan, MS)
 
 
 def test_huge_arguments_refused():
     # from |c2| ~ 4.5e15 on, k = sqrt(1 - 1/c2) rounds to 1 and the closed
     # form divides by k - 1 = 0 (or takes atanh(1)): refuse |c2| >= 2**50
+    # c_star's own guard, worded in c2: classify_region's names (a, b)
     for c2 in (1e16, -1e16, 1e17, -1e17):
-        with pytest.raises(InvalidPointError, match="too large"):
+        with pytest.raises(InvalidPointError) as err:
             c_star(c2, MS)
+        assert str(err.value) == f"|c2| = {abs(c2):.3e} is too large: it is not below 2**50"
     for c2 in (0.99 * 2.0**50, -0.99 * 2.0**50):
-        got = c_star(c2, MS).value
+        got = c_star(c2, MS)
         assert math.isfinite(got.real) and math.isfinite(got.imag)
 
 
 def test_linear_in_coupling():
     weak = c_star(0.3, MediumState(t=0.0, xi=1.5, alpha=0.01))
     strong = c_star(0.3, MediumState(t=0.0, xi=1.5, alpha=0.02))
-    assert strong.value.real / weak.value.real == 2.0
+    assert strong.real / weak.real == 2.0
 
 
 def test_series_matches_the_high_precision_reference():
@@ -166,9 +165,9 @@ def test_series_matches_the_high_precision_reference():
     worst = 0.0
     for c2, want in SERIES_REFERENCE.items():
         got = c_star(c2, MS)
-        assert rel_err(got.value.real, want) <= 1e-14, c2
-        assert got.value.imag == 0.0
-        worst = max(worst, rel_err(got.value.real, want))
+        assert rel_err(got.real, want) <= 1e-14, c2
+        assert got.imag == 0.0
+        worst = max(worst, rel_err(got.real, want))
     assert worst <= 1e-15
 
 
